@@ -55,7 +55,7 @@ scope-check:
 
 # fleet-check guards the parallel scheduler's contract: altofleet builds, and
 # a 100-Alto fan-in produces byte-identical per-machine event streams and
-# metrics across repeated runs and across worker-pool widths (1 vs 8).
+# metrics across repeated runs and across worker-pool widths (1, 2 and 8).
 fleet-check:
 	$(GO) build -o /dev/null ./cmd/altofleet
 	$(GO) run ./cmd/altofleet -check -machines 100 -events 16384
@@ -64,7 +64,7 @@ fleet-check:
 # builds, and a reduced E15 run (4 shards x 3 replicas, 6 clients, 10% wire
 # loss, seeded rot, distributed audit and heal) produces byte-identical
 # per-machine event streams and metrics across repeated runs and across
-# worker-pool widths (1 vs 8).
+# worker-pool widths (1, 2 and 8).
 cluster-check:
 	$(GO) build -o /dev/null ./cmd/altocluster
 	$(GO) run ./cmd/altocluster -check -clients 6

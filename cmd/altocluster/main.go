@@ -7,9 +7,9 @@
 // run — every store, every packet, every audit round, every heal — is a pure
 // function of the configuration, byte-identical across repeated runs and
 // across -workers counts. -check proves it: the cluster runs twice at one
-// worker and twice at eight, and every per-machine event stream and every
-// metric must come out byte-identical, or the process exits nonzero. That is
-// the make cluster-check gate.
+// worker, once at two and twice at eight, and every per-machine event stream
+// and every metric must come out byte-identical, or the process exits
+// nonzero. That is the make cluster-check gate.
 //
 // Usage:
 //
@@ -35,7 +35,7 @@ func main() {
 		clients = flag.Int("clients", 24, "client machines (each runs several store sessions)")
 		workers = flag.Int("workers", 8, "worker-pool width for the windowed schedule")
 		events  = flag.Int("events", 1<<14, "per-machine ring capacity in events")
-		check   = flag.Bool("check", false, "prove determinism: run at 1 and 8 workers, twice each, and fail on any byte difference")
+		check   = flag.Bool("check", false, "prove determinism: run at workers 1, 1, 2, 8 and 8, and fail on any byte difference")
 	)
 	flag.Parse()
 
@@ -89,12 +89,12 @@ func snapshot(clients, workers, events int) ([]byte, error) {
 }
 
 // selfCheck is the cluster-check gate: the same cluster runs twice at one
-// worker and twice at eight, and every event stream and metric must be
-// byte-identical across all four runs.
+// worker, once at two and twice at eight, and every event stream and metric
+// must be byte-identical across all five runs.
 func selfCheck(clients, events int) error {
 	var base []byte
 	var baseLabel string
-	for i, workers := range []int{1, 1, 8, 8} {
+	for i, workers := range []int{1, 1, 2, 8, 8} {
 		snap, err := snapshot(clients, workers, events)
 		if err != nil {
 			return err

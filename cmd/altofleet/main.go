@@ -4,10 +4,10 @@
 //
 // The scheduler's contract is that the schedule is a pure function of the
 // fleet — byte-identical across repeated runs and across -workers counts.
-// -check proves it: the fleet runs twice at one worker and twice at eight,
-// and every per-machine event stream and every metric must come out
-// byte-identical, or the process exits nonzero. That is the make fleet-check
-// gate.
+// -check proves it: the fleet runs twice at one worker, once at two and
+// twice at eight, and every per-machine event stream and every metric must
+// come out byte-identical, or the process exits nonzero. That is the make
+// fleet-check gate.
 //
 // Usage:
 //
@@ -40,7 +40,7 @@ func main() {
 		events     = flag.Int("events", trace.DefaultEvents, "per-machine ring capacity in events")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON instead of the table")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		check      = flag.Bool("check", false, "prove determinism: run at 1 and 8 workers, twice each, and fail on any byte difference")
+		check      = flag.Bool("check", false, "prove determinism: run at workers 1, 1, 2, 8 and 8, and fail on any byte difference")
 	)
 	flag.Parse()
 
@@ -121,13 +121,13 @@ func snapshot(machines, workers, events int) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// selfCheck is the fleet-check gate: the same fleet runs twice at one worker
-// and twice at eight, and every event stream and metric must be
-// byte-identical across all four runs.
+// selfCheck is the fleet-check gate: the same fleet runs twice at one worker,
+// once at two and twice at eight, and every event stream and metric must be
+// byte-identical across all five runs.
 func selfCheck(machines, events int) error {
 	var base []byte
 	var baseLabel string
-	for i, workers := range []int{1, 1, 8, 8} {
+	for i, workers := range []int{1, 1, 2, 8, 8} {
 		snap, err := snapshot(machines, workers, events)
 		if err != nil {
 			return err

@@ -11,8 +11,10 @@
 package ether
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,6 +95,8 @@ var (
 	ErrNoStation = errors.New("ether: station not attached")
 	// ErrAddrInUse reports a duplicate station address.
 	ErrAddrInUse = errors.New("ether: address in use")
+	// ErrHooked reports a station whose delivery hook is already taken.
+	ErrHooked = errors.New("ether: delivery hook already installed")
 )
 
 // Network is the shared medium.
@@ -199,7 +203,14 @@ type Station struct {
 	mu   sync.Mutex
 	in   []Packet
 	held []heldPacket // scheduled deliveries awaiting their release time
-	rec  *trace.Recorder
+	// heldMin is the least release time in held, meaningful only while held
+	// is non-empty: lowered on every append, recomputed on every promotion.
+	heldMin time.Duration
+	due     []heldPacket // promoteLocked's scratch, reused call to call
+	rec     *trace.Recorder
+	// onDeliver is called after each Send that schedules a delivery here:
+	// the fleet scheduler's cue that this station's earliest arrival moved.
+	onDeliver func()
 }
 
 // heldPacket is a delivery awaiting its release time: fault-delayed packets
@@ -221,6 +232,20 @@ func (s *Station) SetRecorder(r *trace.Recorder) {
 	s.mu.Lock()
 	s.rec = r
 	s.mu.Unlock()
+}
+
+// OnDeliver installs f as the station's delivery hook: Send calls it, with
+// no lock held, after it has queued or scheduled a delivery to the station.
+// A station has at most one hook; installing a second fails with ErrHooked.
+// OnDeliver(nil) removes the hook.
+func (s *Station) OnDeliver(f func()) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f != nil && s.onDeliver != nil {
+		return ErrHooked
+	}
+	s.onDeliver = f
+	return nil
 }
 
 // TraceRecorder implements trace.Source: the station's own recorder when one
@@ -343,18 +368,21 @@ func (s *Station) Send(p Packet) error {
 	cp.Check = cp.Sum()
 	// Destinations in address order: n.order is maintained sorted, so the
 	// fan-out — and with it the fault model's verdict draw order — is
-	// (address, arrival sequence) by construction.
-	var dsts []*Station
-	for _, st := range n.order {
-		if st == s {
-			continue
+	// (address, arrival sequence) by construction. A unicast has at most
+	// one destination, found by address; its slices stay on the stack.
+	var oneDst [1]*Station
+	var oneDel [1]delivery
+	dsts, dels := oneDst[:0], oneDel[:0]
+	if p.Dst == Broadcast {
+		for _, st := range n.order {
+			if st != s {
+				dsts = append(dsts, st)
+			}
 		}
-		if p.Dst == Broadcast || p.Dst == st.addr {
-			dsts = append(dsts, st)
-		}
+	} else if st := n.stations[p.Dst]; st != nil && st != s {
+		dsts = append(dsts, st)
 	}
 	arrive := start + dur
-	dels := make([]delivery, 0, len(dsts))
 	for _, st := range dsts {
 		d := delivery{st: st, pkt: cp, copies: 1}
 		if n.fault != nil {
@@ -402,13 +430,20 @@ func (s *Station) Send(p Packet) error {
 		d.st.mu.Lock()
 		for c := 0; c < d.copies; c++ {
 			if release > 0 {
+				if len(d.st.held) == 0 || release < d.st.heldMin {
+					d.st.heldMin = release
+				}
 				d.st.held = append(d.st.held, heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
 			} else {
 				d.st.in = append(d.st.in, d.pkt)
 			}
 		}
 		depth := len(d.st.in)
+		hook := d.st.onDeliver
 		d.st.mu.Unlock()
+		if hook != nil {
+			hook()
+		}
 		if !fleet {
 			// The queue-depth gauge reads the receiver's momentary backlog,
 			// which under concurrent senders depends on host interleaving.
@@ -440,29 +475,36 @@ func (s *Station) promoteLocked(now time.Duration) {
 	}
 	limit := now
 	s.net.fleetLimit(&limit)
-	var due []heldPacket
+	if s.heldMin > limit {
+		return // nothing due: the common case for a polling receiver
+	}
+	due := s.due[:0]
 	kept := s.held[:0]
 	for _, h := range s.held {
 		if h.release <= limit {
 			due = append(due, h)
 		} else {
+			if len(kept) == 0 || h.release < s.heldMin {
+				s.heldMin = h.release
+			}
 			kept = append(kept, h)
 		}
 	}
 	s.held = kept
-	sort.Slice(due, func(i, j int) bool {
-		a, b := due[i], due[j]
-		if a.release != b.release {
-			return a.release < b.release
+	slices.SortFunc(due, func(a, b heldPacket) int {
+		if c := cmp.Compare(a.release, b.release); c != 0 {
+			return c
 		}
-		if a.src != b.src {
-			return a.src < b.src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, h := range due {
 		s.in = append(s.in, h.pkt)
 	}
+	clear(due) // the scratch must not pin delivered payloads
+	s.due = due[:0]
 }
 
 // fleetLimit caps *limit at just below the window horizon when the medium
@@ -479,23 +521,20 @@ func (n *Network) fleetLimit(limit *time.Duration) {
 
 // EarliestArrival reports the earliest observable or scheduled delivery on
 // the station: zero (and true) if packets are already queued, else the
-// minimum release time among held deliveries. The fleet scheduler reads it
-// at every window barrier to wake machines that are blocked waiting for
-// traffic.
+// minimum release time among held deliveries, kept current as deliveries
+// are scheduled and promoted so the answer costs O(1). The fleet scheduler
+// reads it after the owning machine runs and whenever the station's delivery
+// hook fires, to wake a machine that is blocked waiting for traffic.
 func (s *Station) EarliestArrival() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.in) > 0 {
 		return 0, true
 	}
-	var best time.Duration
-	ok := false
-	for _, h := range s.held {
-		if !ok || h.release < best {
-			best, ok = h.release, true
-		}
+	if len(s.held) == 0 {
+		return 0, false
 	}
-	return best, ok
+	return s.heldMin, true
 }
 
 // Recv polls the input queue, returning the oldest packet if any. The

@@ -4,9 +4,9 @@
 // until it blocks on a timer, a disk rotation, or an ether delivery, then
 // yields its next wake time into the engine's event queue.
 //
-// The engine executes in conservative lockstep. At every barrier it orders
-// the pending wake entries by (sim-time, machine sequence) — the event
-// queue — and opens a window [T, T+L) from the earliest wake T, where the
+// The engine executes in conservative lockstep. Its event queue is a heap of
+// the live machines keyed by (effective wake, machine sequence); at every
+// barrier it opens a window [T, T+L) from the earliest wake T, where the
 // lookahead L is the ether's minimum propagation latency
 // (ether.MinLatency): no send starting inside the window can arrive inside
 // it, so every machine whose wake falls in the window can run concurrently
@@ -15,7 +15,10 @@
 // activation depends only on the machine's own state and on arrivals
 // certified by the window horizon (see Network.SetHorizon), a run is
 // byte-identically replayable across repeated runs and across -workers
-// counts.
+// counts. The barrier costs work in proportion to what changed: only the
+// machines that ran in the window and the machines whose stations got a
+// delivery scheduled are re-keyed (see Engine.Add for the invariant this
+// rests on).
 //
 // The engine also runs in coupled mode (NewCoupled): all machines share one
 // clock and are stepped round-robin in creation order, one activation per
@@ -25,15 +28,16 @@
 package fleet
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"altoos/internal/ether"
+	"altoos/internal/sim"
 )
 
 // never is the wake time of a machine blocked with no pending deadline:
@@ -62,10 +66,28 @@ type Engine struct {
 	net        *ether.Network
 
 	machines []*Machine
+	clocks   map[*sim.Clock]*Machine // windowed mode: each clock's one owner
 	draining bool
 	horizon  time.Duration
 	steps    atomic.Int64
 	wg       sync.WaitGroup
+
+	// Windowed mode's event queue: every live machine, keyed by effective
+	// wake. batch is the current window's machines, reused window to window.
+	// live counts unfinished machines, users the unfinished non-daemons.
+	queue       wakeQueue
+	batch       []*Machine
+	live, users int
+
+	// dirty lists the machines whose stations got a delivery scheduled since
+	// the last barrier, each once (Machine.dirty). Machines running on
+	// worker goroutines append to it through their stations' delivery hooks.
+	dirtyMu sync.Mutex
+	dirty   []*Machine
+
+	// checkBatch, when set, sees every window's batch before it runs. Only
+	// tests set it: it is how the schedule-equivalence oracle watches.
+	checkBatch func(batch []*Machine)
 }
 
 // Option configures an Engine.
@@ -126,6 +148,7 @@ func New(opts ...Option) *Engine {
 		lookahead: ether.MinLatency,
 		workers:   1,
 		maxRounds: 4_000_000,
+		clocks:    map[*sim.Clock]*Machine{},
 	}
 	for _, o := range opts {
 		o(e)
@@ -148,9 +171,22 @@ func NewCoupled(opts ...Option) *Engine {
 // Add registers a machine with the engine. Machines are stepped and
 // tie-broken in creation order; creation order is part of the schedule and
 // must itself be deterministic.
+//
+// The windowed engine re-keys a machine only when it runs or when one of its
+// stations gets a delivery scheduled, so it relies on a machine's effective
+// wake changing through nothing else. Add enforces the two ways that could
+// break: a windowed machine must own its Clock (no other machine of this
+// engine may advance it), and each station belongs to one machine at a time
+// (its delivery hook names that machine). The engine holds its stations'
+// hooks from Add until Run returns.
 func (e *Engine) Add(cfg MachineConfig) *Machine {
-	if !e.coupled && cfg.Clock == nil {
-		panic("fleet: windowed machines require their own Clock")
+	if !e.coupled {
+		if cfg.Clock == nil {
+			panic("fleet: windowed machines require their own Clock")
+		}
+		if other, ok := e.clocks[cfg.Clock]; ok {
+			panic(fmt.Sprintf("fleet: machine %s shares its Clock with machine %s", cfg.Name, other.name))
+		}
 	}
 	var sts []*ether.Station
 	if cfg.Station != nil {
@@ -166,17 +202,49 @@ func (e *Engine) Add(cfg MachineConfig) *Machine {
 		program: cfg.Program,
 		wake:    cfg.StartAt,
 		horizon: never,
+		slot:    -1,
 		resume:  make(chan resumeMsg),
 		yield:   make(chan struct{}),
+	}
+	if !e.coupled {
+		e.clocks[cfg.Clock] = m
+		mark := func() { e.markDirty(m) }
+		for _, st := range sts {
+			if err := st.OnDeliver(mark); err != nil {
+				panic(fmt.Sprintf("fleet: machine %s: station %d is already bound to another machine", cfg.Name, st.Addr()))
+			}
+		}
 	}
 	e.machines = append(e.machines, m)
 	return m
 }
 
+// markDirty records that one of m's stations got a delivery scheduled, so
+// m's effective wake must be recomputed at the next barrier. It is the
+// stations' delivery hook and runs on whichever goroutine sent.
+func (e *Engine) markDirty(m *Machine) {
+	e.dirtyMu.Lock()
+	if !m.dirty {
+		m.dirty = true
+		e.dirty = append(e.dirty, m)
+	}
+	e.dirtyMu.Unlock()
+}
+
 // Run executes the fleet to completion: every non-daemon machine's program
 // has returned, daemons have been drained, or an error or budget stop
 // occurred. It must be called exactly once.
-func (e *Engine) Run() (err error) {
+func (e *Engine) Run() error {
+	if e.coupled {
+		return e.run(e.loopCoupled)
+	}
+	return e.run(e.loopWindows)
+}
+
+// run launches every machine's goroutine, drives the schedule with loop,
+// unwinds the unfinished machines if loop failed, waits for every
+// goroutine, and releases the stations' delivery hooks.
+func (e *Engine) run(loop func() error) error {
 	for _, m := range e.machines {
 		e.wg.Add(1)
 		go func(m *Machine) {
@@ -184,15 +252,18 @@ func (e *Engine) Run() (err error) {
 			m.runner()
 		}(m)
 	}
-	if e.coupled {
-		err = e.loopCoupled()
-	} else {
-		err = e.loopWindows()
-	}
+	err := loop()
 	if err != nil {
 		e.abortAll()
 	}
 	e.wg.Wait()
+	if !e.coupled {
+		for _, m := range e.machines {
+			for _, st := range m.sts {
+				_ = st.OnDeliver(nil) // removing a hook cannot fail
+			}
+		}
+	}
 	return err
 }
 
@@ -223,95 +294,147 @@ func (e *Engine) loopCoupled() error {
 	}
 }
 
-// loopWindows is the conservative parallel schedule: order pending wakes,
-// open a lookahead window from the earliest, run every machine inside it.
+// loopWindows is the conservative parallel schedule: take the earliest wake
+// off the event queue, open a lookahead window from it, run every machine
+// inside it.
 func (e *Engine) loopWindows() error {
+	e.fillQueue()
 	for round := 0; ; round++ {
-		batch, live, daemonsOnly := e.pending()
-		if live == 0 {
-			return nil
-		}
-		if round >= e.maxRounds {
-			return fmt.Errorf("%w after %d windows", ErrRoundCap, round)
-		}
-		if len(batch) == 0 {
-			// Every live machine is blocked on a delivery that will never
-			// come. For a fleet of pure daemons that is the normal end:
-			// drain them so they can observe Draining and return.
-			if daemonsOnly {
-				if e.draining {
-					return fmt.Errorf("fleet: daemons %s did not exit on drain", e.liveNames())
-				}
-				e.draining = true
-				e.horizon = never
-				for _, m := range e.machines {
-					if !m.done {
-						e.stepAt(m, m.clock.Now())
-						if m.done && m.err != nil {
-							return m.err
-						}
-					}
-				}
-				continue
-			}
-			return fmt.Errorf("%w: %s blocked forever", ErrStalled, e.liveNames())
-		}
-		horizon := batch[0].effWake + e.lookahead
-		e.horizon = horizon
-		if e.net != nil {
-			e.net.SetHorizon(horizon)
-		}
-		cut := len(batch)
-		for i, m := range batch {
-			if m.effWake >= horizon {
-				cut = i
-				break
-			}
-		}
-		e.runBatch(batch[:cut])
-		if err := e.firstError(); err != nil {
+		if done, err := e.window(round); done || err != nil {
 			return err
 		}
 	}
 }
 
-// pending recomputes every live machine's effective wake — its yielded
-// deadline, capped by the earliest delivery scheduled for its station —
-// and returns the live machines as the event queue, ordered by
-// (sim-time, machine sequence).
-func (e *Engine) pending() (batch []*Machine, live int, daemonsOnly bool) {
-	daemonsOnly = true
+// fillQueue puts every machine on the event queue under its initial wake.
+func (e *Engine) fillQueue() {
+	for _, m := range e.machines {
+		e.live++
+		if !m.daemon {
+			e.users++
+		}
+		m.effWake = m.effectiveWake()
+		heap.Push(&e.queue, m)
+	}
+}
+
+// window is one barrier and the window it opens. It reports true when the
+// fleet has finished.
+func (e *Engine) window(round int) (bool, error) {
+	e.rekeyDirty()
+	if e.live == 0 {
+		return true, nil
+	}
+	if round >= e.maxRounds {
+		return true, fmt.Errorf("%w after %d windows", ErrRoundCap, round)
+	}
+	batch := e.nextBatch()
+	if e.checkBatch != nil {
+		e.checkBatch(batch)
+	}
+	if len(batch) == 0 {
+		// Every live machine is blocked on a delivery that will never
+		// come. For a fleet of pure daemons that is the normal end: drain
+		// them so they can observe Draining and return.
+		if e.users == 0 {
+			return false, e.drain()
+		}
+		return true, fmt.Errorf("%w: %s blocked forever", ErrStalled, e.liveNames())
+	}
+	e.runBatch(batch)
+	return false, e.settle(batch)
+}
+
+// rekeyDirty recomputes the effective wake of every live machine whose
+// stations got a delivery scheduled since the last barrier. The list's
+// order follows host interleaving, but it only decides the order re-keys
+// reach the heap, never the order the heap pops.
+func (e *Engine) rekeyDirty() {
+	e.dirtyMu.Lock()
+	defer e.dirtyMu.Unlock()
+	for _, m := range e.dirty {
+		m.dirty = false
+		if m.slot >= 0 {
+			m.effWake = m.effectiveWake()
+			heap.Fix(&e.queue, m.slot)
+		}
+	}
+	e.dirty = e.dirty[:0]
+}
+
+// nextBatch pops the next window's machines off the event queue, in
+// (effective wake, machine sequence) order, and publishes the window's
+// horizon. The batch is empty when no live machine has a wake.
+func (e *Engine) nextBatch() []*Machine {
+	e.batch = e.batch[:0]
+	if len(e.queue) == 0 || e.queue[0].effWake == never {
+		return e.batch
+	}
+	e.horizon = e.queue[0].effWake + e.lookahead
+	if e.net != nil {
+		e.net.SetHorizon(e.horizon)
+	}
+	for len(e.queue) > 0 && e.queue[0].effWake < e.horizon {
+		e.batch = append(e.batch, heap.Pop(&e.queue).(*Machine))
+	}
+	return e.batch
+}
+
+// settle returns a window's machines to the event queue under their new
+// effective wakes and retires the finished ones. It returns the failed
+// machine's error, lowest creation index first so the choice does not
+// depend on which worker finished when.
+func (e *Engine) settle(batch []*Machine) error {
+	var failed *Machine
+	for _, m := range batch {
+		if m.done {
+			e.retire(m)
+			if m.err != nil && (failed == nil || m.idx < failed.idx) {
+				failed = m
+			}
+			continue
+		}
+		m.effWake = m.effectiveWake()
+		heap.Push(&e.queue, m)
+	}
+	if failed != nil {
+		return failed.err
+	}
+	return nil
+}
+
+// drain wakes every live daemon once, in creation order, with Draining set.
+func (e *Engine) drain() error {
+	if e.draining {
+		return fmt.Errorf("fleet: daemons %s did not exit on drain", e.liveNames())
+	}
+	e.draining = true
+	e.horizon = never
 	for _, m := range e.machines {
 		if m.done {
 			continue
 		}
-		live++
-		if !m.daemon {
-			daemonsOnly = false
-		}
-		w := m.wake
-		for _, st := range m.sts {
-			if a, ok := st.EarliestArrival(); ok {
-				if now := m.clock.Now(); a < now {
-					a = now
-				}
-				if a < w {
-					w = a
-				}
+		e.stepAt(m, m.clock.Now())
+		if m.done {
+			heap.Remove(&e.queue, m.slot)
+			e.retire(m)
+			if m.err != nil {
+				return m.err
 			}
+			continue
 		}
-		m.effWake = w
-		if w < never {
-			batch = append(batch, m)
-		}
+		m.effWake = m.effectiveWake()
+		heap.Fix(&e.queue, m.slot)
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].effWake != batch[j].effWake {
-			return batch[i].effWake < batch[j].effWake
-		}
-		return batch[i].idx < batch[j].idx
-	})
-	return batch, live, daemonsOnly
+	return nil
+}
+
+// retire drops a finished machine from the live counts.
+func (e *Engine) retire(m *Machine) {
+	e.live--
+	if !m.daemon {
+		e.users--
+	}
 }
 
 // runBatch executes one window's machines. With one worker they run
@@ -359,17 +482,6 @@ func (e *Engine) stepAt(m *Machine, wake time.Duration) {
 // The count is a pure function of the schedule, so it is identical across
 // runs and worker counts — the deterministic numerator for events/second.
 func (e *Engine) Steps() int64 { return e.steps.Load() }
-
-// firstError returns the failed machine's error, lowest creation index
-// first so the choice does not depend on which worker finished when.
-func (e *Engine) firstError() error {
-	for _, m := range e.machines {
-		if m.done && m.err != nil {
-			return m.err
-		}
-	}
-	return nil
-}
 
 // abortAll unwinds every machine that has not finished.
 func (e *Engine) abortAll() {

@@ -15,9 +15,11 @@ type MachineConfig struct {
 	// each machine carries its local time; leave nil in coupled mode,
 	// where every machine shares the rig's clock.
 	Clock *sim.Clock
-	// Station is the machine's ether attachment, if any. The engine reads
-	// its earliest scheduled arrival at every barrier so a machine blocked
-	// waiting for traffic wakes exactly when the packet arrives.
+	// Station is the machine's ether attachment, if any. The windowed
+	// engine installs the station's delivery hook and re-reads its earliest
+	// scheduled arrival whenever a delivery is scheduled, so a machine
+	// blocked waiting for traffic wakes exactly when the packet arrives. A
+	// station belongs to one machine at a time.
 	Station *ether.Station
 	// Stations lists additional attachments for machines with more than one
 	// (a cluster replica serves on one station and audits peers from
@@ -73,6 +75,32 @@ type Machine struct {
 	aborted  bool
 	done     bool
 	err      error
+
+	// slot is the machine's index in the engine's event queue (-1: not
+	// queued — running in the current window, or finished). dirty marks
+	// a machine already on the engine's dirty list; the engine's dirtyMu
+	// guards it.
+	slot  int
+	dirty bool
+}
+
+// effectiveWake is the time the machine is next due: its yielded wake,
+// capped by the earliest delivery scheduled on any of its stations (but not
+// before its own clock). The engine calls it at barriers, when no machine
+// runs.
+func (m *Machine) effectiveWake() time.Duration {
+	w := m.wake
+	for _, st := range m.sts {
+		if a, ok := st.EarliestArrival(); ok {
+			if now := m.clock.Now(); a < now {
+				a = now
+			}
+			if a < w {
+				w = a
+			}
+		}
+	}
+	return w
 }
 
 // Name returns the machine's name.
