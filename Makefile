@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff trace-check scope-check fleet-check cluster-check crash-check fmt
+.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff trace-check scope-check fleet-check cluster-check crash-check perf-check fmt
 
-check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check race bench-diff
+check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check perf-check race bench-diff
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,14 @@ cluster-check:
 # any crash point fails to recover to a pack fsck certifies violation-free.
 crash-check:
 	$(GO) run ./cmd/altocrash -workload journaled-insert -points 64 -workers 8 -torn
+
+# perf-check guards the benchmark's simulations: its own tests pass, and
+# every workload's simulation digest is the same at workers 1 and 2, traced
+# and untraced. A storage or scheduler refactor meant to change host cost
+# only must keep this green.
+perf-check:
+	$(GO) -C perf test ./...
+	$(GO) -C perf run . -workload all -check
 
 # bench runs every experiment benchmark once and keeps the raw output as a
 # timestamped snapshot, so regressions in the simulated quantities are

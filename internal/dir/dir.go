@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"altoos/internal/disk"
 	"altoos/internal/file"
@@ -44,6 +45,11 @@ type Entry struct {
 type Directory struct {
 	fs *file.FS
 	f  *file.File
+
+	// page holds the directory page being scanned. It lives in the handle
+	// because the file layer keeps the caller's buffer in its operation
+	// scratch, which would move a stack buffer to the heap on every read.
+	page [disk.PageWords]disk.Word
 }
 
 // Entry serialization, in words:
@@ -121,63 +127,123 @@ func (d *Directory) FN() file.FN { return d.f.FN() }
 // File returns the underlying file, for the Scavenger and tools.
 func (d *Directory) File() *file.File { return d.f }
 
-// Load parses every entry. Damage is reported as ErrFormat; the caller (or
-// the Scavenger) decides what to do about it.
+// Load parses every entry. Damage is reported as ErrFormat, alongside the
+// entries before it; the caller (or the Scavenger) decides what to do about
+// it. The names share one backing string and the entries one slice, both
+// sized from the page count, so a load makes the same few allocations
+// however many entries the directory holds.
 func (d *Directory) Load() ([]Entry, error) {
 	var entries []Entry
-	var buf [disk.PageWords]disk.Word
-	lastPN := d.f.LastPN()
-	for pn := disk.Word(1); pn <= lastPN; pn++ {
-		n, err := d.f.ReadPage(pn, &buf)
-		if err != nil {
-			return nil, err
+	var names strings.Builder
+	s := d.scan()
+	for s.next() {
+		if entries == nil {
+			pages := int(s.lastPN)
+			entries = make([]Entry, 0, pages*maxPerPage)
+			names.Grow(pages * disk.PageBytes)
 		}
-		words := (n + 1) / 2
-		i := 0
-		for i < words {
-			switch buf[i] {
-			case endMark:
-				return entries, nil
-			case padMark:
-				i = words // next page
-				continue
-			}
-			length := int(buf[i])
-			if length < entryFixed+1 || i+length > words {
-				return entries, fmt.Errorf("%w: entry length %d at page %d word %d", ErrFormat, length, pn, i)
-			}
-			nameLen := int(buf[i+5])
-			if nameLen > 2*(length-entryFixed) {
-				return entries, fmt.Errorf("%w: name length %d in %d-word entry", ErrFormat, nameLen, length)
-			}
-			var nb [maxName + 2]byte // stack scratch: one allocation per name, not two
-			for j := 0; j < nameLen; j++ {
-				w := buf[i+entryFixed+j/2]
-				if j%2 == 0 {
-					nb[j] = byte(w >> 8)
-				} else {
-					nb[j] = byte(w)
-				}
-			}
-			entries = append(entries, Entry{
-				Name: string(nb[:nameLen]),
-				FN: file.FN{
-					FV: disk.FV{
-						FID:     disk.FID(buf[i+1])<<16 | disk.FID(buf[i+2]),
-						Version: buf[i+3],
-					},
-					Leader: disk.VDA(buf[i+4]),
-				},
-			})
-			i += length
-		}
+		entries = append(entries, Entry{Name: d.entryName(s.at, &names), FN: entryFN(&d.page, s.at)})
 	}
-	return entries, nil
+	if s.err != nil && !errors.Is(s.err, ErrFormat) {
+		return nil, s.err
+	}
+	return entries, s.err
+}
+
+// maxPerPage bounds the entries one page can hold.
+const maxPerPage = disk.PageWords / (entryFixed + 1)
+
+// A scanner walks a directory's entries in file order without decoding
+// them. It reads the pages one at a time into the directory's page buffer,
+// stops at the end mark, and checks each entry's length and name length
+// before yielding it, so callers may index the entry's words freely. Every
+// reader of the directory goes through it: all of them read the same pages
+// and report damage the same way.
+type scanner struct {
+	d      *Directory
+	lastPN disk.Word
+	pn     disk.Word // page held in d.page; 0 before the first read
+	words  int       // valid words in d.page
+	at     int       // word offset of the current entry, or of the end mark
+	after  int       // word offset just past the current entry
+	ended  bool      // stopped on an end mark, at word at of page pn
+	err    error     // a read failure or ErrFormat, once next returns false
+}
+
+func (d *Directory) scan() scanner {
+	return scanner{d: d, lastPN: d.f.LastPN()}
+}
+
+// next advances to the following entry, reading pages as needed. It returns
+// false at the end mark, after the last page, or on an error (s.err).
+func (s *scanner) next() bool {
+	p := &s.d.page
+	i := s.after
+	for {
+		if i >= s.words {
+			if s.pn >= s.lastPN {
+				return false
+			}
+			s.pn++
+			*p = [disk.PageWords]disk.Word{} // Insert may write the page back
+			n, err := s.d.f.ReadPage(s.pn, p)
+			if err != nil {
+				s.err = err
+				return false
+			}
+			s.words, i = min((n+1)/2, disk.PageWords), 0
+			continue
+		}
+		switch p[i] {
+		case endMark:
+			s.at, s.ended = i, true
+			return false
+		case padMark:
+			i = s.words // next page
+			continue
+		}
+		length := int(p[i])
+		if length < entryFixed+1 || i+length > s.words {
+			s.err = fmt.Errorf("%w: entry length %d at page %d word %d", ErrFormat, length, s.pn, i)
+			return false
+		}
+		if nameLen := int(p[i+5]); nameLen > 2*(length-entryFixed) {
+			s.err = fmt.Errorf("%w: name length %d in %d-word entry", ErrFormat, nameLen, length)
+			return false
+		}
+		s.at, s.after = i, i+length
+		return true
+	}
+}
+
+// entryFN decodes the full name of the entry at word offset i.
+func entryFN(p *[disk.PageWords]disk.Word, i int) file.FN {
+	return file.FN{
+		FV: disk.FV{
+			FID:     disk.FID(p[i+1])<<16 | disk.FID(p[i+2]),
+			Version: p[i+3],
+		},
+		Leader: disk.VDA(p[i+4]),
+	}
+}
+
+// entryName appends the name of the entry at word offset i of the page
+// being scanned to names and returns it as a slice of names' one string.
+func (d *Directory) entryName(i int, names *strings.Builder) string {
+	start := names.Len()
+	for j := 0; j < int(d.page[i+5]); j++ {
+		w := d.page[i+entryFixed+j/2]
+		if j%2 == 0 {
+			w >>= 8
+		}
+		names.WriteByte(byte(w))
+	}
+	return names.String()[start:]
 }
 
 // store rewrites the directory file to contain exactly these entries.
 func (d *Directory) store(entries []Entry) error {
-	var pages [][disk.PageWords]disk.Word
+	pages := make([][disk.PageWords]disk.Word, 0, d.f.LastPN()+1)
 	var cur [disk.PageWords]disk.Word
 	used := 0
 	flush := func() {
@@ -192,7 +258,7 @@ func (d *Directory) store(entries []Entry) error {
 		if len(e.Name) > maxName {
 			return fmt.Errorf("%w: name %q too long", file.ErrBadArg, e.Name)
 		}
-		length := entryFixed + (len(e.Name)+1)/2
+		length := entryWords(e.Name)
 		if used+length+1 > disk.PageWords { // +1 for a possible end mark
 			cur[used] = padMark
 			used = disk.PageWords // the pad consumes the rest of the page
@@ -206,34 +272,31 @@ func (d *Directory) store(entries []Entry) error {
 	// file shrinks, interior pages must be written while they are still
 	// interior, then the file truncated, then the new tail written.
 	n := len(pages)
-	tail := pageTailLen(pages[n-1])
+	tail := pageTailLen(&pages[n-1])
 	lastPN := d.f.LastPN()
 	if int(lastPN) > n {
 		pn := disk.Word(0)
 		for i := 0; i < n-1; i++ {
 			pn++
-			pg := pages[i]
-			if err := d.f.WritePage(pn, &pg, disk.PageBytes); err != nil {
+			if err := d.f.WritePage(pn, &pages[i], disk.PageBytes); err != nil {
 				return err
 			}
 		}
 		if err := d.f.Truncate(disk.Word(n), tail); err != nil {
 			return err
 		}
-		pg := pages[n-1]
-		if err := d.f.WritePage(disk.Word(n), &pg, tail); err != nil {
+		if err := d.f.WritePage(disk.Word(n), &pages[n-1], tail); err != nil {
 			return err
 		}
 	} else {
 		pn := disk.Word(0)
-		for i, p := range pages {
+		for i := range pages {
 			pn++
 			length := disk.PageBytes
 			if i == n-1 {
 				length = tail
 			}
-			pg := p
-			if err := d.f.WritePage(pn, &pg, length); err != nil {
+			if err := d.f.WritePage(pn, &pages[i], length); err != nil {
 				return err
 			}
 		}
@@ -241,24 +304,31 @@ func (d *Directory) store(entries []Entry) error {
 	return d.f.Sync()
 }
 
+// entryWords is the length of name's entry. An empty name still gets one
+// name word, since readers take shorter entries for damage.
+func entryWords(name string) int {
+	return entryFixed + max(1, (len(name)+1)/2)
+}
+
 // putEntry serializes one entry into the page at word offset used, which the
 // caller has verified it fits at, and returns the offset after it. Both store
 // and the appending Insert go through it, so their layouts are identical.
 func putEntry(cur *[disk.PageWords]disk.Word, used int, e Entry) int {
-	length := entryFixed + (len(e.Name)+1)/2
+	length := entryWords(e.Name)
 	cur[used] = disk.Word(length)
 	cur[used+1] = disk.Word(e.FN.FV.FID >> 16)
 	cur[used+2] = disk.Word(e.FN.FV.FID)
 	cur[used+3] = e.FN.FV.Version
 	cur[used+4] = disk.Word(e.FN.Leader)
 	cur[used+5] = disk.Word(len(e.Name))
-	for j := 0; j < len(e.Name); j++ {
-		w := &cur[used+entryFixed+j/2]
-		if j%2 == 0 {
-			*w |= disk.Word(e.Name[j]) << 8
-		} else {
-			*w |= disk.Word(e.Name[j])
+	// Whole words are assigned, not or-ed in: an appending Insert writes
+	// over whatever followed the old end mark.
+	for j := 0; j < len(e.Name); j += 2 {
+		w := disk.Word(e.Name[j]) << 8
+		if j+1 < len(e.Name) {
+			w |= disk.Word(e.Name[j+1])
 		}
+		cur[used+entryFixed+j/2] = w
 	}
 	return used + length
 }
@@ -283,7 +353,7 @@ func entryNameIs(buf *[disk.PageWords]disk.Word, i int, name string) bool {
 }
 
 // pageTailLen returns the byte length store would assign the final page.
-func pageTailLen(p [disk.PageWords]disk.Word) int {
+func pageTailLen(p *[disk.PageWords]disk.Word) int {
 	lastUsed := 0
 	for j := disk.PageWords - 1; j >= 0; j-- {
 		if p[j] != 0 {
@@ -298,34 +368,47 @@ func pageTailLen(p [disk.PageWords]disk.Word) int {
 	return length
 }
 
-// Lookup finds the full name bound to name.
+// Lookup finds the full name bound to name. It compares each entry's name
+// in place, without decoding the directory.
 func (d *Directory) Lookup(name string) (file.FN, error) {
-	entries, err := d.Load()
-	if err != nil {
-		return file.FN{}, err
+	fn, ok, err := d.find(func(p *[disk.PageWords]disk.Word, i int) bool {
+		return entryNameIs(p, i, name)
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	for _, e := range entries {
-		if e.Name == name {
-			return e.FN, nil
-		}
-	}
-	return file.FN{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	return fn, err
 }
 
 // LookupFV finds an entry by (FID, version), returning its recorded leader
 // address hint. Used by the §3.6 ladder when a program holds a valid FV but
 // a stale address.
 func (d *Directory) LookupFV(fv disk.FV) (file.FN, error) {
-	entries, err := d.Load()
-	if err != nil {
-		return file.FN{}, err
+	fn, ok, err := d.find(func(p *[disk.PageWords]disk.Word, i int) bool {
+		return entryFN(p, i).FV == fv
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %v", ErrNotFound, fv)
 	}
-	for _, e := range entries {
-		if e.FN.FV == fv {
-			return e.FN, nil
+	return fn, err
+}
+
+// find returns the first entry match accepts, and whether there was one.
+// It scans on to the end mark after a match, so damage anywhere in the
+// directory is still reported and every lookup reads the same pages.
+func (d *Directory) find(match func(p *[disk.PageWords]disk.Word, i int) bool) (file.FN, bool, error) {
+	var fn file.FN
+	found := false
+	s := d.scan()
+	for s.next() {
+		if !found && match(&d.page, s.at) {
+			fn, found = entryFN(&d.page, s.at), true
 		}
 	}
-	return file.FN{}, fmt.Errorf("%w: %v", ErrNotFound, fv)
+	if s.err != nil {
+		return file.FN{}, false, s.err
+	}
+	return fn, found, nil
 }
 
 // Insert binds name to fn. The name must not already be present.
@@ -338,38 +421,17 @@ func (d *Directory) Insert(name string, fn file.FN) error {
 	if len(name) > maxName {
 		return fmt.Errorf("%w: name %q too long", file.ErrBadArg, name)
 	}
-	length := entryFixed + (len(name)+1)/2
-	lastPN := d.f.LastPN()
-	var buf [disk.PageWords]disk.Word
-	endPN, endAt := disk.Word(0), 0
-scan:
-	for pn := disk.Word(1); pn <= lastPN; pn++ {
-		buf = [disk.PageWords]disk.Word{}
-		n, err := d.f.ReadPage(pn, &buf)
-		if err != nil {
-			return err
-		}
-		words := (n + 1) / 2
-		i := 0
-		for i < words {
-			switch buf[i] {
-			case endMark:
-				endPN, endAt = pn, i
-				break scan
-			case padMark:
-				continue scan
-			}
-			l := int(buf[i])
-			if l < entryFixed+1 || i+l > words {
-				break scan // malformed: let the slow path report it
-			}
-			if entryNameIs(&buf, i, name) {
-				return fmt.Errorf("%w: %q", ErrExists, name)
-			}
-			i += l
+	length := entryWords(name)
+	s := d.scan()
+	for s.next() {
+		if entryNameIs(&d.page, s.at, name) {
+			return fmt.Errorf("%w: %q", ErrExists, name)
 		}
 	}
-	if endPN == 0 || endPN != lastPN {
+	if s.err != nil && !errors.Is(s.err, ErrFormat) {
+		return s.err
+	}
+	if !s.ended || s.pn != s.lastPN {
 		// No end mark where the appending fast path expects one (a damaged
 		// or oddly shaped directory): fall back to the full rewrite, which
 		// also normalizes the layout.
@@ -386,23 +448,25 @@ scan:
 		return d.store(entries)
 	}
 
+	// d.page holds the tail page, with its end mark at word s.at.
+	buf, endPN, endAt := &d.page, s.pn, s.at
 	e := Entry{Name: name, FN: fn}
 	if endAt+length+1 > disk.PageWords { // +1 for the end mark
 		// Pad the tail page to a full interior page, then start a new tail.
 		buf[endAt] = padMark
-		if err := d.f.WritePage(endPN, &buf, disk.PageBytes); err != nil {
+		if err := d.f.WritePage(endPN, buf, disk.PageBytes); err != nil {
 			return err
 		}
-		buf = [disk.PageWords]disk.Word{}
-		used := putEntry(&buf, 0, e)
+		*buf = [disk.PageWords]disk.Word{}
+		used := putEntry(buf, 0, e)
 		buf[used] = endMark
-		if err := d.f.WritePage(endPN+1, &buf, pageTailLen(buf)); err != nil {
+		if err := d.f.WritePage(endPN+1, buf, pageTailLen(buf)); err != nil {
 			return err
 		}
 	} else {
-		used := putEntry(&buf, endAt, e)
+		used := putEntry(buf, endAt, e)
 		buf[used] = endMark
-		if err := d.f.WritePage(endPN, &buf, pageTailLen(buf)); err != nil {
+		if err := d.f.WritePage(endPN, buf, pageTailLen(buf)); err != nil {
 			return err
 		}
 	}
@@ -471,7 +535,8 @@ func InitRoot(fs *file.FS) (*Directory, error) {
 
 // Walk visits every directory reachable from start (following entries whose
 // identifiers are in the directory range), calling visit once per directory.
-// Cycles are fine: the graph may be arbitrary (§3.4).
+// Cycles are fine: the graph may be arbitrary (§3.4). A directory that
+// turns out damaged contributes no subdirectories.
 func Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
 	seen := map[disk.FV]bool{}
 	queue := []file.FN{start}
@@ -490,14 +555,16 @@ func Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
 		if err := visit(d); err != nil {
 			return err
 		}
-		entries, err := d.Load()
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.FN.FV.FID.IsDirectory() && !seen[e.FN.FV] {
-				queue = append(queue, e.FN)
+		// Only the full names matter here, so the entries are not decoded.
+		mark := len(queue)
+		s := d.scan()
+		for s.next() {
+			if e := entryFN(&d.page, s.at); e.FV.FID.IsDirectory() && !seen[e.FV] {
+				queue = append(queue, e)
 			}
+		}
+		if s.err != nil {
+			queue = queue[:mark]
 		}
 	}
 	return nil
@@ -507,44 +574,46 @@ func Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
 // the FV in a directory" ladder step. It returns the recorded leader address.
 func ResolveFV(fs *file.FS) func(fv disk.FV) (disk.VDA, error) {
 	return func(fv disk.FV) (disk.VDA, error) {
-		var found *file.FN
-		err := Walk(fs, fs.RootDir(), func(d *Directory) error {
-			if found != nil {
-				return nil
-			}
-			if fn, err := d.LookupFV(fv); err == nil {
-				found = &fn
-			}
-			return nil
+		fn, ok, err := resolve(fs, func(p *[disk.PageWords]disk.Word, i int) bool {
+			return entryFN(p, i).FV == fv
 		})
-		if err != nil {
-			return 0, err
+		if err == nil && !ok {
+			err = fmt.Errorf("%w: %v in any directory", ErrNotFound, fv)
 		}
-		if found == nil {
-			return 0, fmt.Errorf("%w: %v in any directory", ErrNotFound, fv)
-		}
-		return found.Leader, nil
+		return fn.Leader, err
 	}
 }
 
 // ResolveName searches every reachable directory for a string name,
 // returning its full name — the ladder's next step after FV lookup fails.
 func ResolveName(fs *file.FS, name string) (file.FN, error) {
-	var found *file.FN
+	fn, ok, err := resolve(fs, func(p *[disk.PageWords]disk.Word, i int) bool {
+		return entryNameIs(p, i, name)
+	})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %q in any directory", ErrNotFound, name)
+	}
+	return fn, err
+}
+
+// resolve walks from the root and returns the first entry match accepts in
+// the first directory that holds one, and whether there was one. Damaged
+// directories are passed over. The walk goes on after a match, so it opens
+// and reads exactly what a full walk does.
+func resolve(fs *file.FS, match func(p *[disk.PageWords]disk.Word, i int) bool) (file.FN, bool, error) {
+	var found file.FN
+	ok := false
 	err := Walk(fs, fs.RootDir(), func(d *Directory) error {
-		if found != nil {
+		if ok {
 			return nil
 		}
-		if fn, err := d.Lookup(name); err == nil {
-			found = &fn
+		if fn, hit, err := d.find(match); err == nil && hit {
+			found, ok = fn, true
 		}
 		return nil
 	})
 	if err != nil {
-		return file.FN{}, err
+		return file.FN{}, false, err
 	}
-	if found == nil {
-		return file.FN{}, fmt.Errorf("%w: %q in any directory", ErrNotFound, name)
-	}
-	return *found, nil
+	return found, ok, nil
 }

@@ -1,9 +1,10 @@
 package file
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"altoos/internal/disk"
 )
@@ -42,6 +43,11 @@ type fileScratch struct {
 	pat [disk.LabelWords]disk.Word
 	val [disk.PageWords]disk.Word
 	dsk disk.OpScratch
+
+	// lop and lpat serve readLabel. They are apart from op and pat because
+	// locateByLinks reads labels while access still holds those.
+	lop  disk.Op
+	lpat [disk.LabelWords]disk.Word
 }
 
 // zeroPage is the shared all-zero value written into freshly allocated
@@ -228,7 +234,7 @@ func (f *File) loadLeader() error {
 	// Trust the leader's last-page hint if it verifies; otherwise chase
 	// links from the front.
 	if ldr.LastAddr != disk.NilVDA {
-		if lbl, err := disk.ReadLabel(f.fs.dev, ldr.LastAddr, f.fn.FV, ldr.LastPN); err == nil && lbl.Next == disk.NilVDA {
+		if lbl, err := f.readLabel(ldr.LastAddr, ldr.LastPN); err == nil && lbl.Next == disk.NilVDA {
 			f.lastPN, f.lastLen = ldr.LastPN, int(lbl.Length)
 			f.hints[ldr.LastPN] = ldr.LastAddr
 			return nil
@@ -243,11 +249,23 @@ func (f *File) loadLeader() error {
 	return nil
 }
 
+// readLabel is disk.ReadLabel for page pn of this file, issued through the
+// handle's scratch: passed through the Device interface, a fresh operation
+// and pattern would move to the heap on every call.
+func (f *File) readLabel(addr disk.VDA, pn disk.Word) (disk.Label, error) {
+	f.sc.lpat = disk.LinkPattern(f.fn.FV, pn)
+	f.sc.lop = disk.Op{Addr: addr, Label: disk.Check, LabelData: &f.sc.lpat}
+	if err := f.fs.dev.Do(&f.sc.lop); err != nil {
+		return disk.Label{}, err
+	}
+	return disk.LabelFromWords(f.sc.lpat), nil
+}
+
 // chaseToEnd follows Next links from (pn, addr) to the last page, caching
 // hints along the way. Returns the last page's number, address and length.
 func (f *File) chaseToEnd(pn disk.Word, addr disk.VDA) (disk.Word, disk.VDA, int, error) {
 	for {
-		lbl, err := disk.ReadLabel(f.fs.dev, addr, f.fn.FV, pn)
+		lbl, err := f.readLabel(addr, pn)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -421,16 +439,18 @@ func (f *File) locateByLinks(pn disk.Word) (disk.VDA, error) {
 		}
 		return d
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if di, dj := dist(cands[i]), dist(cands[j]); di != dj {
-			return di < dj
+	// The keys are distinct, so the order is total and any sort yields it;
+	// slices.SortFunc does so without sort.Slice's reflective swapper.
+	slices.SortFunc(cands, func(a, b disk.Word) int {
+		if c := cmp.Compare(dist(a), dist(b)); c != 0 {
+			return c
 		}
-		return cands[i] < cands[j]
+		return cmp.Compare(a, b)
 	})
 	var best *start
 	for _, hpn := range cands {
 		ha := f.hints[hpn]
-		if _, err := disk.ReadLabel(f.fs.dev, ha, f.fn.FV, hpn); err == nil {
+		if _, err := f.readLabel(ha, hpn); err == nil {
 			best = &start{hpn, ha}
 			break
 		}
@@ -438,14 +458,14 @@ func (f *File) locateByLinks(pn disk.Word) (disk.VDA, error) {
 	}
 	if best == nil {
 		// No surviving hints at all; try the full-name leader address.
-		if _, err := disk.ReadLabel(f.fs.dev, f.fn.Leader, f.fn.FV, 0); err != nil {
+		if _, err := f.readLabel(f.fn.Leader, 0); err != nil {
 			return 0, err
 		}
 		best = &start{0, f.fn.Leader}
 	}
 	cur, addr := best.pn, best.a
 	for cur != pn {
-		lbl, err := disk.ReadLabel(f.fs.dev, addr, f.fn.FV, cur)
+		lbl, err := f.readLabel(addr, cur)
 		if err != nil {
 			return 0, err
 		}

@@ -120,7 +120,7 @@ func DecodeLeader(v *[disk.PageWords]disk.Word) (Leader, error) {
 	if n > MaxLeaderName {
 		return Leader{}, fmt.Errorf("%w: name length %d", ErrLeader, n)
 	}
-	name := make([]byte, n)
+	var name [MaxLeaderName]byte // on the stack: the string is the one allocation
 	for i := 0; i < n; i++ {
 		w := v[ldNameBase+i/2]
 		if i%2 == 0 {
@@ -133,7 +133,7 @@ func DecodeLeader(v *[disk.PageWords]disk.Word) (Leader, error) {
 		Created:          wordsToTime(v[ldCreated], v[ldCreated+1]),
 		Written:          wordsToTime(v[ldWritten], v[ldWritten+1]),
 		Read:             wordsToTime(v[ldRead], v[ldRead+1]),
-		Name:             string(name),
+		Name:             string(name[:n]),
 		LastPN:           v[ldLastPN],
 		LastAddr:         disk.VDA(v[ldLastAddr]),
 		MaybeConsecutive: v[ldConsec] != 0,
