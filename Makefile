@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff trace-check scope-check fleet-check cluster-check crash-check perf-check fmt
+.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke trace-check scope-check fleet-check cluster-check crash-check perf-check fmt
 
-check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check perf-check race bench-diff
+check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check perf-check race bench-diff bench-smoke
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,12 @@ bench:
 # passes.
 bench-diff:
 	$(GO) run ./cmd/benchdiff
+
+# bench-smoke runs every layer benchmark under internal/ once, so a broken
+# benchmark fails the gate instead of waiting for someone to time it. It
+# checks that they run, not what they measure.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 fmt:
 	gofmt -l -w .

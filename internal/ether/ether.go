@@ -207,7 +207,9 @@ type Station struct {
 	// is non-empty: lowered on every append, recomputed on every promotion.
 	heldMin time.Duration
 	due     []heldPacket // promoteLocked's scratch, reused call to call
-	rec     *trace.Recorder
+	// rec is the station's own recorder, outside mu: every send and receive
+	// reads it, and it changes only when a tracer attaches or detaches.
+	rec atomic.Pointer[trace.Recorder]
 	// onDeliver is called after each Send that schedules a delivery here:
 	// the fleet scheduler's cue that this station's earliest arrival moved.
 	onDeliver func()
@@ -228,11 +230,7 @@ type heldPacket struct {
 // medium's). In a fleet, each machine's station records into that machine's
 // recorder while the shared wire keeps its own — the split that lets
 // internal/scope merge per-machine timelines into one multi-process trace.
-func (s *Station) SetRecorder(r *trace.Recorder) {
-	s.mu.Lock()
-	s.rec = r
-	s.mu.Unlock()
-}
+func (s *Station) SetRecorder(r *trace.Recorder) { s.rec.Store(r) }
 
 // OnDeliver installs f as the station's delivery hook: Send calls it, with
 // no lock held, after it has queued or scheduled a delivery to the station.
@@ -250,14 +248,11 @@ func (s *Station) OnDeliver(f func()) error {
 
 // TraceRecorder implements trace.Source: the station's own recorder when one
 // is attached, else the medium's, so layers built over stations (the
-// reliable transport, the file server) trace without new plumbing. The two
-// locks are taken in sequence, never nested — the network lock must not
-// nest inside a station lock.
+// reliable transport, the file server) trace without new plumbing. The
+// station's recorder is an atomic load; only the fallback takes a lock, the
+// network's, so call it without holding the station's lock.
 func (s *Station) TraceRecorder() *trace.Recorder {
-	s.mu.Lock()
-	r := s.rec
-	s.mu.Unlock()
-	if r != nil {
+	if r := s.rec.Load(); r != nil {
 		return r
 	}
 	return s.net.TraceRecorder()

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"altoos/internal/trace"
 )
 
 // TestConcurrentSendRecv hammers the medium from many goroutines at once —
@@ -128,4 +130,70 @@ func TestConcurrentAttachDetach(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentSetRecorder swaps a station's recorder while another
+// goroutine sends, receives and reads the recorder on the same station.
+// Every read sees the station's recorder or the medium's, every delivery is
+// counted on exactly one of them, and once the station's recorder is
+// detached, TraceRecorder falls back to the medium's.
+func TestConcurrentSetRecorder(t *testing.T) {
+	net := New(nil)
+	wire, own := trace.New(64), trace.New(64)
+	net.SetRecorder(wire)
+	s, _ := net.Attach(1)
+	peer, _ := net.Attach(2)
+	const packets = 500
+	for k := 0; k < packets; k++ {
+		if err := peer.Send(Packet{Dst: 1, Type: Word(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < packets; k++ {
+			if k%2 == 0 {
+				s.SetRecorder(own)
+			} else {
+				s.SetRecorder(nil)
+			}
+			runtime.Gosched()
+		}
+	}()
+	got := 0
+	go func() {
+		defer wg.Done()
+		for k := 0; k < packets; k++ {
+			if err := s.Send(Packet{Dst: 2, Type: Word(k)}); err != nil {
+				t.Errorf("send %d: %v", k, err)
+				return
+			}
+			if _, ok := s.Recv(); ok {
+				got++
+			}
+			if r := s.TraceRecorder(); r != own && r != wire {
+				t.Errorf("TraceRecorder = %p, want the station's %p or the medium's %p", r, own, wire)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	if got != packets {
+		t.Fatalf("received %d packets, want %d", got, packets)
+	}
+	if n := wire.Counter("ether.recv") + own.Counter("ether.recv"); n != packets {
+		t.Errorf("recorders counted %d deliveries, want %d", n, packets)
+	}
+	s.SetRecorder(own)
+	if r := s.TraceRecorder(); r != own {
+		t.Errorf("with its own recorder attached, TraceRecorder = %p, want %p", r, own)
+	}
+	s.SetRecorder(nil)
+	if r := s.TraceRecorder(); r != wire {
+		t.Errorf("after SetRecorder(nil), TraceRecorder = %p, want the medium's %p", r, wire)
+	}
 }

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,15 +11,16 @@ import (
 	"altoos/internal/sim"
 )
 
-// barrierFleet is the window-barrier workload: 100 machines on one medium,
+// barrierFleet is the window-barrier workload: n machines on one medium,
 // one of which does a microsecond of work and yields, yields times (forever
-// if yields < 0), while the other 99 are daemons idling until a delivery
+// if yields < 0), while the other n-1 are daemons idling until a delivery
 // that never comes. Nearly every window runs exactly one machine, so the
-// cost measured is the barrier's, not the machines'.
-func barrierFleet(t testing.TB, yields int) *fleet.Engine {
+// cost measured is the barrier's and the handoff's, not the machines'.
+func barrierFleet(t testing.TB, n, yields int) *fleet.Engine {
 	net := ether.New(nil)
-	eng := fleet.New(fleet.Medium(net))
-	for i := 0; i < 100; i++ {
+	// No round cap: a fast benchmark asks for more yields than the default.
+	eng := fleet.New(fleet.Medium(net), fleet.MaxRounds(math.MaxInt))
+	for i := 0; i < n; i++ {
 		clk := sim.NewClock()
 		st, err := net.Attach(ether.Addr(i + 1))
 		if err != nil {
@@ -47,8 +49,15 @@ func barrierFleet(t testing.TB, yields int) *fleet.Engine {
 
 // BenchmarkWindowBarrier is one window of a 100-machine fleet in which one
 // machine is runnable: the barrier, one activation, and the re-key.
-func BenchmarkWindowBarrier(b *testing.B) {
-	eng := barrierFleet(b, b.N)
+func BenchmarkWindowBarrier(b *testing.B) { benchmarkYields(b, 100) }
+
+// BenchmarkHandoff is one Yield round trip on a one-machine fleet: the
+// switch into the machine's coroutine and back, plus a one-entry barrier.
+func BenchmarkHandoff(b *testing.B) { benchmarkYields(b, 1) }
+
+// benchmarkYields runs barrierFleet with n machines for b.N yields.
+func benchmarkYields(b *testing.B, n int) {
+	eng := barrierFleet(b, n, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := eng.Run(); err != nil {
@@ -59,8 +68,16 @@ func BenchmarkWindowBarrier(b *testing.B) {
 // TestSteadyWindowAllocatesNothing pins the barrier's allocation cost: once
 // every machine has booted, a window in which nothing is sent allocates
 // nothing — no batch slice, no sort, no per-window bookkeeping.
-func TestSteadyWindowAllocatesNothing(t *testing.T) {
-	eng := barrierFleet(t, -1)
+func TestSteadyWindowAllocatesNothing(t *testing.T) { testSteadyAllocatesNothing(t, 100) }
+
+// TestSteadyHandoffAllocatesNothing pins the handoff's allocation cost:
+// resuming a parked machine and parking it again allocates nothing.
+func TestSteadyHandoffAllocatesNothing(t *testing.T) { testSteadyAllocatesNothing(t, 1) }
+
+// testSteadyAllocatesNothing drives barrierFleet with n machines window by
+// window and demands that a steady-state window allocate nothing.
+func testSteadyAllocatesNothing(t *testing.T, n int) {
+	eng := barrierFleet(t, n, -1)
 	fleet.DriveWindows(eng, func(window func(int) (bool, error)) {
 		round := 0
 		step := func() {

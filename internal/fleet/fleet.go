@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package fleet is the deterministic discrete-event scheduler that runs
 // many interacting Altos on one virtual time axis. It succeeds the
 // single-machine sim.Clock discipline: each machine is an actor that runs
@@ -31,6 +33,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +73,6 @@ type Engine struct {
 	draining bool
 	horizon  time.Duration
 	steps    atomic.Int64
-	wg       sync.WaitGroup
 
 	// Windowed mode's event queue: every live machine, keyed by effective
 	// wake. batch is the current window's machines, reused window to window.
@@ -203,8 +205,6 @@ func (e *Engine) Add(cfg MachineConfig) *Machine {
 		wake:    cfg.StartAt,
 		horizon: never,
 		slot:    -1,
-		resume:  make(chan resumeMsg),
-		yield:   make(chan struct{}),
 	}
 	if !e.coupled {
 		e.clocks[cfg.Clock] = m
@@ -241,30 +241,25 @@ func (e *Engine) Run() error {
 	return e.run(e.loopWindows)
 }
 
-// run launches every machine's goroutine, drives the schedule with loop,
-// unwinds the unfinished machines if loop failed, waits for every
-// goroutine, and releases the stations' delivery hooks.
+// run makes every machine a coroutine, drives the schedule with loop, then
+// unwinds the unfinished machines and releases the stations' delivery
+// hooks. The unwinding is deferred, so it also runs when a program's panic
+// propagates out of loop.
 func (e *Engine) run(loop func() error) error {
 	for _, m := range e.machines {
-		e.wg.Add(1)
-		go func(m *Machine) {
-			defer e.wg.Done()
-			m.runner()
-		}(m)
+		m.next, m.stop = iter.Pull(m.runner)
 	}
-	err := loop()
-	if err != nil {
-		e.abortAll()
-	}
-	e.wg.Wait()
-	if !e.coupled {
+	defer func() {
 		for _, m := range e.machines {
-			for _, st := range m.sts {
-				_ = st.OnDeliver(nil) // removing a hook cannot fail
+			m.stop()
+			if !e.coupled {
+				for _, st := range m.sts {
+					_ = st.OnDeliver(nil) // removing a hook cannot fail
+				}
 			}
 		}
-	}
-	return err
+	}()
+	return loop()
 }
 
 // loopCoupled steps every live machine once per round, in creation order,
@@ -470,27 +465,23 @@ func (e *Engine) runBatch(batch []*Machine) {
 	wg.Wait()
 }
 
-// stepAt resumes one parked machine at the given wake time and blocks until
-// it parks again (or its program returns).
+// stepAt resumes one parked machine at the given wake time and returns when
+// it parks again (or its program returns): it hands the machine the window
+// horizon and the drain flag, moves its clock to the wake, and switches into
+// its coroutine. The machine runs on the calling goroutine's thread.
 func (e *Engine) stepAt(m *Machine, wake time.Duration) {
 	e.steps.Add(1)
-	m.resume <- resumeMsg{wake: wake, horizon: e.horizon, draining: e.draining}
-	<-m.yield
+	m.horizon, m.draining = e.horizon, e.draining
+	if m.clock != nil && wake < never {
+		m.clock.AdvanceTo(wake)
+	}
+	m.next()
 }
 
 // Steps returns the number of machine activations the engine has performed.
 // The count is a pure function of the schedule, so it is identical across
 // runs and worker counts — the deterministic numerator for events/second.
 func (e *Engine) Steps() int64 { return e.steps.Load() }
-
-// abortAll unwinds every machine that has not finished.
-func (e *Engine) abortAll() {
-	for _, m := range e.machines {
-		if !m.done {
-			m.resume <- resumeMsg{abort: true}
-		}
-	}
-}
 
 // liveNames lists the unfinished machines for error messages.
 func (e *Engine) liveNames() string {

@@ -38,23 +38,14 @@ type MachineConfig struct {
 	Program func(*Machine) error
 }
 
-// resumeMsg is what the engine hands a parked machine: the time to resume
-// at, the current window horizon, and the drain/abort flags.
-type resumeMsg struct {
-	wake     time.Duration
-	horizon  time.Duration
-	draining bool
-	abort    bool
-}
-
 // fleetAbort unwinds a machine's program when the engine shuts the fleet
 // down after another machine's error.
 type fleetAbort struct{}
 
-// Machine is one actor: a goroutine running its program, exchanging control
-// with the engine through an unbuffered channel pair, so exactly one of
-// (engine, machine) runs at a time per machine and every field handoff is
-// ordered by the channel operations.
+// Machine is one actor: a coroutine (iter.Pull) running its program. The
+// engine resumes it with next and it parks with yield, so exactly one of
+// (engine, machine) runs at a time per machine, and every field handoff is
+// ordered by the coroutine switch.
 type Machine struct {
 	name    string
 	idx     int
@@ -63,16 +54,16 @@ type Machine struct {
 	sts     []*ether.Station
 	program func(*Machine) error
 
-	resume chan resumeMsg
-	yield  chan struct{}
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// Engine-side view: written by the machine before it yields, read by
-	// the engine after; and vice versa through resumeMsg.
+	// the engine after; and vice versa for horizon and draining.
 	wake     time.Duration
 	effWake  time.Duration
 	horizon  time.Duration
 	draining bool
-	aborted  bool
 	done     bool
 	err      error
 
@@ -161,55 +152,34 @@ func (m *Machine) Idle() {
 }
 
 // park yields control to the engine with the given next wake time and
-// blocks until resumed. On resume the machine's clock jumps to the granted
-// wake time — which may be later than requested, when the engine woke it
-// for a delivery instead.
+// returns when resumed (see Engine.stepAt). On resume the machine's clock
+// has jumped to the granted wake time — which may be later than requested,
+// when the engine woke it for a delivery instead. A false yield is the
+// engine stopping the fleet: park unwinds the program.
 func (m *Machine) park(wake time.Duration) {
 	m.wake = wake
-	m.yield <- struct{}{}
-	msg := <-m.resume
-	if msg.abort {
+	if !m.yield(struct{}{}) {
 		panic(fleetAbort{})
 	}
-	m.apply(msg)
 }
 
-// apply installs the engine's resume message into the machine's view.
-func (m *Machine) apply(msg resumeMsg) {
-	m.draining = msg.draining
-	m.horizon = msg.horizon
-	if m.clock != nil && msg.wake < never {
-		m.clock.AdvanceTo(msg.wake)
-	}
-}
-
-// runner is the machine goroutine: wait for first wake, run the program,
-// hand the final yield back. An abort unwinds without yielding — the
-// engine stops listening to aborted machines.
-func (m *Machine) runner() {
-	msg := <-m.resume
-	if msg.abort {
-		return
-	}
-	m.apply(msg)
-	err := m.invoke()
-	if m.aborted {
-		return
-	}
-	m.err = err
+// runner is the machine's coroutine body, entered at its first wake: run the
+// program and record how it ended. Returning hands control back to the
+// engine for the last time.
+func (m *Machine) runner(yield func(struct{}) bool) {
+	m.yield = yield
+	m.err = m.invoke()
 	m.done = true
-	m.yield <- struct{}{}
 }
 
 // invoke runs the program, converting an engine abort into a quiet exit.
+// Any other panic propagates to whoever resumed the machine.
 func (m *Machine) invoke() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(fleetAbort); ok {
-				m.aborted = true
-				return
+			if _, ok := r.(fleetAbort); !ok {
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
 	return m.program(m)
