@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke trace-check scope-check fleet-check cluster-check crash-check perf-check fmt
+.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke fuzz-smoke trace-check scope-check fleet-check cluster-check crash-check perf-check fmt
 
-check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check perf-check race bench-diff bench-smoke
+check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check perf-check race bench-diff bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,14 @@ bench-diff:
 # checks that they run, not what they measure.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# fuzz-smoke searches with each native fuzz target for 10 s. Plain `go test`
+# runs only their seed corpora; this makes the gate look for new inputs too.
+# A failing input is written under the package's testdata/fuzz, where it
+# becomes a seed case once checked in.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryPages$$' -fuzztime 10s ./internal/dir
+	$(GO) test -run '^$$' -fuzz '^FuzzPupPacket$$' -fuzztime 10s ./internal/pup
 
 fmt:
 	gofmt -l -w .

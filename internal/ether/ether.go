@@ -11,10 +11,8 @@
 package ether
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -200,13 +198,13 @@ type Station struct {
 	clk   *sim.Clock
 	txSeq uint64
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// in is the input queue: in[head:] are the packets not yet received.
+	// Recv advances head and zeroes the slot it hands out; an emptied
+	// queue resets to in[:0], so the array is reused rather than regrown.
 	in   []Packet
-	held []heldPacket // scheduled deliveries awaiting their release time
-	// heldMin is the least release time in held, meaningful only while held
-	// is non-empty: lowered on every append, recomputed on every promotion.
-	heldMin time.Duration
-	due     []heldPacket // promoteLocked's scratch, reused call to call
+	head int
+	held heldHeap // scheduled deliveries awaiting their release time
 	// rec is the station's own recorder, outside mu: every send and receive
 	// reads it, and it changes only when a tracer attaches or detaches.
 	rec atomic.Pointer[trace.Recorder]
@@ -224,6 +222,73 @@ type heldPacket struct {
 	src     Addr
 	seq     uint64 // the sender's txSeq for this packet
 	pkt     Packet
+}
+
+// before is the (release, source address, sender sequence) order. It is
+// total over distinct sends; the two copies of a duplicated delivery share
+// a key but are the same packet value, so either may pop first.
+func (h *heldPacket) before(o *heldPacket) bool {
+	if h.release != o.release {
+		return h.release < o.release
+	}
+	if h.src != o.src {
+		return h.src < o.src
+	}
+	return h.seq < o.seq
+}
+
+// heldHeap is a binary min-heap of held deliveries under before: the
+// earliest release is held[0], and promotion pops in exactly the order a
+// sort of the due deliveries would produce.
+type heldHeap []heldPacket
+
+// push and pop move a hole rather than swapping: each level of the sift
+// copies one 64-byte entry instead of exchanging two.
+func (q *heldHeap) push(h heldPacket) {
+	*q = append(*q, h)
+	s := *q
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(&s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = h
+}
+
+// pop removes and returns the least delivery. The vacated slot is zeroed
+// so the array does not pin a delivered payload.
+func (q *heldHeap) pop() Packet {
+	s := *q
+	top := s[0].pkt
+	n := len(s) - 1
+	last := s[n]
+	s[n] = heldPacket{}
+	s = s[:n]
+	*q = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 // SetRecorder gives the station its own flight recorder (nil reverts to the
@@ -425,15 +490,12 @@ func (s *Station) Send(p Packet) error {
 		d.st.mu.Lock()
 		for c := 0; c < d.copies; c++ {
 			if release > 0 {
-				if len(d.st.held) == 0 || release < d.st.heldMin {
-					d.st.heldMin = release
-				}
-				d.st.held = append(d.st.held, heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
+				d.st.held.push(heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
 			} else {
-				d.st.in = append(d.st.in, d.pkt)
+				d.st.enqueueLocked(d.pkt)
 			}
 		}
-		depth := len(d.st.in)
+		depth := len(d.st.in) - d.st.head
 		hook := d.st.onDeliver
 		d.st.mu.Unlock()
 		if hook != nil {
@@ -470,36 +532,22 @@ func (s *Station) promoteLocked(now time.Duration) {
 	}
 	limit := now
 	s.net.fleetLimit(&limit)
-	if s.heldMin > limit {
-		return // nothing due: the common case for a polling receiver
+	for len(s.held) > 0 && s.held[0].release <= limit {
+		s.enqueueLocked(s.held.pop())
 	}
-	due := s.due[:0]
-	kept := s.held[:0]
-	for _, h := range s.held {
-		if h.release <= limit {
-			due = append(due, h)
-		} else {
-			if len(kept) == 0 || h.release < s.heldMin {
-				s.heldMin = h.release
-			}
-			kept = append(kept, h)
-		}
+}
+
+// enqueueLocked appends p to the input queue. A full array whose front is
+// at least half received slides its live packets down instead of growing,
+// so a standing backlog cycles through one array. Caller holds s.mu.
+func (s *Station) enqueueLocked(p Packet) {
+	if len(s.in) == cap(s.in) && 2*s.head >= len(s.in) {
+		live := copy(s.in, s.in[s.head:])
+		clear(s.in[live:])
+		s.in = s.in[:live]
+		s.head = 0
 	}
-	s.held = kept
-	slices.SortFunc(due, func(a, b heldPacket) int {
-		if c := cmp.Compare(a.release, b.release); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.src, b.src); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for _, h := range due {
-		s.in = append(s.in, h.pkt)
-	}
-	clear(due) // the scratch must not pin delivered payloads
-	s.due = due[:0]
+	s.in = append(s.in, p)
 }
 
 // fleetLimit caps *limit at just below the window horizon when the medium
@@ -516,20 +564,20 @@ func (n *Network) fleetLimit(limit *time.Duration) {
 
 // EarliestArrival reports the earliest observable or scheduled delivery on
 // the station: zero (and true) if packets are already queued, else the
-// minimum release time among held deliveries, kept current as deliveries
-// are scheduled and promoted so the answer costs O(1). The fleet scheduler
-// reads it after the owning machine runs and whenever the station's delivery
-// hook fires, to wake a machine that is blocked waiting for traffic.
+// minimum release time among held deliveries — the heap's root, so the
+// answer costs O(1). The fleet scheduler reads it after the owning machine
+// runs and whenever the station's delivery hook fires, to wake a machine
+// that is blocked waiting for traffic.
 func (s *Station) EarliestArrival() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.in) > 0 {
+	if len(s.in) > s.head {
 		return 0, true
 	}
 	if len(s.held) == 0 {
 		return 0, false
 	}
-	return s.heldMin, true
+	return s.held[0].release, true
 }
 
 // Recv polls the input queue, returning the oldest packet if any. The
@@ -543,11 +591,15 @@ func (s *Station) Recv() (Packet, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.promoteLocked(now)
-	if len(s.in) == 0 {
+	if s.head == len(s.in) {
 		return Packet{}, false
 	}
-	p := s.in[0]
-	s.in = s.in[1:]
+	p := s.in[s.head]
+	s.in[s.head] = Packet{}
+	s.head++
+	if s.head == len(s.in) {
+		s.in, s.head = s.in[:0], 0
+	}
 	if rec != nil {
 		rec.EmitFlow(now, trace.KindEtherRecv, "", int64(p.Src), int64(len(p.Payload)+HeaderWords), int64(p.Flow))
 		rec.Add("ether.recv", 1)
@@ -562,7 +614,7 @@ func (s *Station) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.promoteLocked(now)
-	return len(s.in)
+	return len(s.in) - s.head
 }
 
 // PackString converts a string into payload words (length-prefixed, two

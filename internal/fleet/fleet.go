@@ -30,7 +30,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"iter"
@@ -309,7 +308,7 @@ func (e *Engine) fillQueue() {
 			e.users++
 		}
 		m.effWake = m.effectiveWake()
-		heap.Push(&e.queue, m)
+		e.queue.push(m)
 	}
 }
 
@@ -351,7 +350,7 @@ func (e *Engine) rekeyDirty() {
 		m.dirty = false
 		if m.slot >= 0 {
 			m.effWake = m.effectiveWake()
-			heap.Fix(&e.queue, m.slot)
+			e.queue.fix(m.slot)
 		}
 	}
 	e.dirty = e.dirty[:0]
@@ -370,7 +369,7 @@ func (e *Engine) nextBatch() []*Machine {
 		e.net.SetHorizon(e.horizon)
 	}
 	for len(e.queue) > 0 && e.queue[0].effWake < e.horizon {
-		e.batch = append(e.batch, heap.Pop(&e.queue).(*Machine))
+		e.batch = append(e.batch, e.queue.pop())
 	}
 	return e.batch
 }
@@ -390,7 +389,7 @@ func (e *Engine) settle(batch []*Machine) error {
 			continue
 		}
 		m.effWake = m.effectiveWake()
-		heap.Push(&e.queue, m)
+		e.queue.push(m)
 	}
 	if failed != nil {
 		return failed.err
@@ -411,7 +410,7 @@ func (e *Engine) drain() error {
 		}
 		e.stepAt(m, m.clock.Now())
 		if m.done {
-			heap.Remove(&e.queue, m.slot)
+			e.queue.remove(m.slot)
 			e.retire(m)
 			if m.err != nil {
 				return m.err
@@ -419,7 +418,7 @@ func (e *Engine) drain() error {
 			continue
 		}
 		m.effWake = m.effectiveWake()
-		heap.Fix(&e.queue, m.slot)
+		e.queue.fix(m.slot)
 	}
 	return nil
 }

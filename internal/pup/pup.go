@@ -228,6 +228,11 @@ type Endpoint struct {
 	order     []*Conn
 	listening bool
 	backlog   []*Conn
+
+	// sendBuf is where every outbound payload is built. Station.Send copies
+	// the payload onto the wire before it returns, so one buffer serves
+	// every send; Conn.Send's MaxData check keeps data within it.
+	sendBuf [ether.MaxPayload]ether.Word
 }
 
 // NewEndpoint builds an endpoint on a station. The clock is the station's
@@ -452,7 +457,7 @@ func (e *Endpoint) handleOpen(from ether.Addr, id, flow uint16, c *Conn) error {
 func (e *Endpoint) sendPacket(c *Conn, typ ether.Word, seq, flow uint16, data []ether.Word) error {
 	awnd := c.awnd()
 	sackLo, sackHi := c.sackMask()
-	payload := make([]ether.Word, headerWords+len(data))
+	payload := e.sendBuf[:headerWords+len(data)]
 	payload[0], payload[1], payload[2] = c.id, seq, c.recvNext
 	payload[3], payload[4], payload[5] = ether.Word(awnd), sackLo, sackHi
 	payload[6] = flow
@@ -466,7 +471,8 @@ func (e *Endpoint) sendPacket(c *Conn, typ ether.Word, seq, flow uint16, data []
 // holds: no ack state to report, the window advertisement is the config
 // default. Used for CloseAcks to reaped connections.
 func (e *Endpoint) sendStateless(to ether.Addr, typ ether.Word, id, flow uint16) error {
-	payload := make([]ether.Word, headerWords)
+	payload := e.sendBuf[:headerWords]
+	clear(payload)
 	payload[0] = id
 	payload[3] = ether.Word(e.cfg.RecvWindow)
 	payload[6] = flow
