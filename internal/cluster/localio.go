@@ -12,6 +12,7 @@ import (
 
 	"altoos/internal/dir"
 	"altoos/internal/disk"
+	"altoos/internal/ether"
 	"altoos/internal/file"
 )
 
@@ -45,17 +46,8 @@ func StoreLocal(fs *file.FS, name string, data []byte) error {
 	var buf [disk.PageWords]disk.Word
 	for pn := disk.Word(1); pn <= lastPN; pn++ {
 		off := (int(pn) - 1) * disk.PageBytes
-		for i := range buf {
-			var w disk.Word
-			if off < len(data) {
-				w = disk.Word(data[off]) << 8
-			}
-			if off+1 < len(data) {
-				w |= disk.Word(data[off+1])
-			}
-			buf[i] = w
-			off += 2
-		}
+		page := data[min(off, len(data)):min(off+disk.PageBytes, len(data))]
+		clear(buf[ether.PackBytes(buf[:], page):])
 		length := disk.PageBytes
 		if pn == lastPN {
 			length = lastLen
@@ -91,14 +83,7 @@ func ReadLocal(fs *file.FS, name string) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("read %q page %d failed", name, pn)
 		}
-		for i := 0; i < n; i++ {
-			w := buf[i/2]
-			if i%2 == 0 {
-				out = append(out, byte(w>>8))
-			} else {
-				out = append(out, byte(w))
-			}
-		}
+		out = ether.AppendBytes(out, buf[:], n)
 	}
 	if drv, ok := fs.Device().(*disk.Drive); ok {
 		drv.TraceRecorder().Add("cluster.read.local", 1)

@@ -245,8 +245,9 @@ func (d *Directory) entryName(i int, names *strings.Builder) string {
 func (d *Directory) store(entries []Entry) error {
 	pages := make([][disk.PageWords]disk.Word, 0, d.f.LastPN()+1)
 	var cur [disk.PageWords]disk.Word
-	used := 0
+	used, tailUsed := 0, 0
 	flush := func() {
+		tailUsed = used
 		if used < disk.PageWords {
 			cur[used] = endMark
 		}
@@ -272,7 +273,7 @@ func (d *Directory) store(entries []Entry) error {
 	// file shrinks, interior pages must be written while they are still
 	// interior, then the file truncated, then the new tail written.
 	n := len(pages)
-	tail := pageTailLen(&pages[n-1])
+	tail := pageTailLen(tailUsed)
 	lastPN := d.f.LastPN()
 	if int(lastPN) > n {
 		pn := disk.Word(0)
@@ -352,20 +353,13 @@ func entryNameIs(buf *[disk.PageWords]disk.Word, i int, name string) bool {
 	return true
 }
 
-// pageTailLen returns the byte length store would assign the final page.
-func pageTailLen(p *[disk.PageWords]disk.Word) int {
-	lastUsed := 0
-	for j := disk.PageWords - 1; j >= 0; j-- {
-		if p[j] != 0 {
-			lastUsed = j + 1
-			break
-		}
-	}
-	length := 2 * (lastUsed + 1)
-	if length >= disk.PageBytes {
-		length = disk.PageBytes - 2
-	}
-	return length
+// pageTailLen returns the byte length of a final page whose end mark is at
+// word used: everything up to and including the mark. It counts from the
+// mark, not from the last nonzero word, since an entry may end in a zero
+// word (an empty name, or one ending in NUL bytes) and must stay inside
+// the page.
+func pageTailLen(used int) int {
+	return min(2*(used+1), disk.PageBytes-2)
 }
 
 // Lookup finds the full name bound to name. It compares each entry's name
@@ -460,13 +454,13 @@ func (d *Directory) Insert(name string, fn file.FN) error {
 		*buf = [disk.PageWords]disk.Word{}
 		used := putEntry(buf, 0, e)
 		buf[used] = endMark
-		if err := d.f.WritePage(endPN+1, buf, pageTailLen(buf)); err != nil {
+		if err := d.f.WritePage(endPN+1, buf, pageTailLen(used)); err != nil {
 			return err
 		}
 	} else {
 		used := putEntry(buf, endAt, e)
 		buf[used] = endMark
-		if err := d.f.WritePage(endPN, buf, pageTailLen(buf)); err != nil {
+		if err := d.f.WritePage(endPN, buf, pageTailLen(used)); err != nil {
 			return err
 		}
 	}

@@ -289,3 +289,41 @@ func TestDamagedDirectoryReportsFormat(t *testing.T) {
 		t.Fatalf("got %v, want ErrFormat", err)
 	}
 }
+
+// TestEntriesEndingInZeroWordsStayInsideThePage inserts names whose entries
+// end in a zero word: the empty name, and names ending in NUL bytes. The
+// tail page's length once counted to the last nonzero word, cutting such an
+// entry short, so the directory read back as malformed and every name in it
+// was lost. Both writers — the appending Insert and the full rewrite that
+// Remove does — must keep the entry whole.
+func TestEntriesEndingInZeroWordsStayInsideThePage(t *testing.T) {
+	fs, root := newRoot(t)
+	names := []string{"", "a\x00\x00", "bc\x00", "d\x00", "after"}
+	for i, name := range names {
+		f, err := fs.Create("z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Insert(name, f.FN()); err != nil {
+			t.Fatalf("insert %q: %v", name, err)
+		}
+		for _, n := range names[:i+1] {
+			if _, err := root.Lookup(n); err != nil {
+				t.Fatalf("after inserting %q: lookup %q: %v", name, n, err)
+			}
+		}
+		if _, err := ResolveName(fs, name); err != nil {
+			t.Fatalf("after inserting %q: resolve: %v", name, err)
+		}
+	}
+	if err := root.Remove("after"); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := root.Load()
+	if err != nil || len(entries) != 2+len(names)-1 {
+		t.Fatalf("after the rewrite: %d entries, %v; want %d", len(entries), err, 2+len(names)-1)
+	}
+	if _, err := root.Lookup("d\x00"); err != nil {
+		t.Fatalf("after the rewrite: %v", err)
+	}
+}

@@ -13,6 +13,7 @@ package ether
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -617,6 +618,41 @@ func (s *Station) Pending() int {
 	return len(s.in) - s.head
 }
 
+// PackBytes packs src into dst two bytes to a word, high byte first: the
+// standardized packet representation (§1), which is also the layout of a
+// disk page's value words (§3). An odd last byte fills the high half of its
+// word and leaves the low half zero. dst must hold (len(src)+1)/2 words;
+// PackBytes returns that count.
+func PackBytes[B ~[]byte | ~string](dst []Word, src B) int {
+	n := (len(src) + 1) / 2
+	dst = dst[:n]
+	pairs := len(src) / 2
+	for i := 0; i < pairs; i++ {
+		dst[i] = Word(src[2*i])<<8 | Word(src[2*i+1])
+	}
+	if pairs < n {
+		dst[pairs] = Word(src[len(src)-1]) << 8
+	}
+	return n
+}
+
+// AppendBytes unpacks the first n bytes held in src — the inverse of
+// PackBytes — onto dst, growing dst at most once. src must hold (n+1)/2
+// words.
+func AppendBytes(dst []byte, src []Word, n int) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
+	for i, w := range src[:n/2] {
+		out[2*i] = byte(w >> 8)
+		out[2*i+1] = byte(w)
+	}
+	if n%2 == 1 {
+		out[n-1] = byte(src[n/2] >> 8)
+	}
+	return dst
+}
+
 // PackString converts a string into payload words (length-prefixed, two
 // bytes per word) and back — the standardized representation both ends
 // share regardless of their implementation language (§1).
@@ -626,13 +662,7 @@ func PackString(str string) []Word {
 	}
 	out := make([]Word, 1+(len(str)+1)/2)
 	out[0] = Word(len(str))
-	for i := 0; i < len(str); i++ {
-		if i%2 == 0 {
-			out[1+i/2] |= Word(str[i]) << 8
-		} else {
-			out[1+i/2] |= Word(str[i])
-		}
-	}
+	PackBytes(out[1:], str)
 	return out
 }
 
@@ -645,14 +675,5 @@ func UnpackString(w []Word) (string, error) {
 	if 1+(n+1)/2 > len(w) {
 		return "", fmt.Errorf("ether: truncated string: %d bytes in %d words", n, len(w))
 	}
-	buf := make([]byte, n)
-	for i := 0; i < n; i++ {
-		word := w[1+i/2]
-		if i%2 == 0 {
-			buf[i] = byte(word >> 8)
-		} else {
-			buf[i] = byte(word)
-		}
-	}
-	return string(buf), nil
+	return string(AppendBytes(nil, w[1:], n)), nil
 }

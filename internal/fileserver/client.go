@@ -21,7 +21,8 @@ type Client struct {
 	busy    bool
 	done    bool
 	failure error
-	data    []byte        // fetch accumulator
+	in      packed        // fetch accumulator
+	data    []byte        // the fetched bytes, unpacked when the transfer ends
 	started time.Duration // transfer start on the simulated clock
 	flow    int64         // this transfer's causal flow id (0: tracing off)
 }
@@ -62,21 +63,15 @@ func (c *Client) Fetch(name string) error {
 }
 
 // Store begins pushing data to the server under name. The entire transfer
-// is queued here and drained by Poll as the send window allows; Done turns
-// true when the server confirms the file hit the disk.
+// is queued here, packed into words once, and drained by Poll as the send
+// window allows; Done turns true when the server confirms the file hit the
+// disk.
 func (c *Client) Store(name string, data []byte) error {
 	if err := c.begin(); err != nil {
 		return err
 	}
 	c.outq = append(c.outq, append([]ether.Word{MsgStore}, ether.PackString(name)...))
-	for off := 0; off < len(data); off += DataBytesPerMsg {
-		end := off + DataBytesPerMsg
-		if end > len(data) {
-			end = len(data)
-		}
-		c.outq = append(c.outq, packChunk(data[off:end]))
-	}
-	c.outq = append(c.outq, packTotal(len(data)))
+	c.outq = byteMessages(c.outq, data)
 	return nil
 }
 
@@ -88,6 +83,7 @@ func (c *Client) begin() error {
 		return ErrBusy
 	}
 	c.busy, c.done, c.failure, c.data = true, false, nil, nil
+	c.in.reset()
 	c.started = c.now()
 	// Each transfer is one causal flow: allocated here, carried by every
 	// packet of the request (retransmits included), adopted by the server's
@@ -142,14 +138,11 @@ func (c *Client) handle(msg []ether.Word) {
 	}
 	switch msg[0] {
 	case MsgData:
-		data, err := unpackChunk(msg)
-		if err != nil {
+		if err := c.in.add(msg); err != nil {
 			c.finish(err)
-			return
 		}
-		c.data = append(c.data, data...)
 	case MsgEnd:
-		if total, ok := unpackTotal(msg); !ok || total != len(c.data) {
+		if total, ok := unpackTotal(msg); !ok || total != c.in.n {
 			c.finish(fmt.Errorf("%w: fetch length mismatch", ErrProtocol))
 			return
 		}
@@ -162,12 +155,15 @@ func (c *Client) handle(msg []ether.Word) {
 	}
 }
 
+// finish ends the transfer. Whatever data arrived is unpacked once, here:
+// bytes appear only at the API edge.
 func (c *Client) finish(err error) {
 	c.done = true
 	c.failure = err
+	c.data = ether.AppendBytes(nil, c.in.words, c.in.n)
 	if c.busy {
 		c.rec().EmitSpanFlow(c.started, c.now()-c.started, trace.KindFSSession, "client",
-			int64(c.conn.Remote()), int64(len(c.data)), c.flow)
+			int64(c.conn.Remote()), int64(c.in.n), c.flow)
 	}
 	c.rec().Add("fs.client.done", 1)
 }

@@ -99,10 +99,18 @@ func (s *Server) digestTable() ([]byte, error) {
 	return out, nil
 }
 
+// longName escapes a name length byte: a 16-bit length follows. Directory
+// names run to 498 bytes; shorter ones keep the one-byte length.
+const longName = 0xFF
+
 // appendDigest serializes one record: name length and bytes, 32-bit size,
 // the checksum word, the write stamp in milliseconds, the Clean bit.
 func appendDigest(out []byte, d Digest) []byte {
-	out = append(out, byte(len(d.Name)))
+	if n := len(d.Name); n < longName {
+		out = append(out, byte(n))
+	} else {
+		out = append(out, longName, byte(n>>8), byte(n))
+	}
 	out = append(out, d.Name...)
 	out = append(out, byte(d.Size>>24), byte(d.Size>>16), byte(d.Size>>8), byte(d.Size))
 	out = append(out, byte(d.CRC>>8), byte(d.CRC))
@@ -120,12 +128,18 @@ func appendDigest(out []byte, d Digest) []byte {
 func ParseDigests(data []byte) ([]Digest, error) {
 	var out []Digest
 	for len(data) > 0 {
-		n := int(data[0])
-		if len(data) < 1+n+11 {
+		n, at := int(data[0]), 1
+		if n == longName {
+			if len(data) < 3 {
+				return nil, fmt.Errorf("%w: truncated digest table", ErrProtocol)
+			}
+			n, at = int(data[1])<<8|int(data[2]), 3
+		}
+		if len(data) < at+n+11 {
 			return nil, fmt.Errorf("%w: truncated digest table", ErrProtocol)
 		}
-		d := Digest{Name: string(data[1 : 1+n])}
-		p := data[1+n:]
+		d := Digest{Name: string(data[at : at+n])}
+		p := data[at+n:]
 		d.Size = int(p[0])<<24 | int(p[1])<<16 | int(p[2])<<8 | int(p[3])
 		d.CRC = disk.Word(p[4])<<8 | disk.Word(p[5])
 		ms := int64(p[6])<<24 | int64(p[7])<<16 | int64(p[8])<<8 | int64(p[9])

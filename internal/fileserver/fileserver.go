@@ -23,6 +23,7 @@ package fileserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"altoos/internal/dir"
@@ -103,7 +104,7 @@ type session struct {
 	// inbound transfer plus the disk chain that lands it.
 	storing    bool
 	storeName  string
-	in         []byte
+	in         packed
 	storeFlow  int64
 	storeStart time.Duration
 }
@@ -236,19 +237,19 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 		// the delayed ack first so the client's RTT estimator never sees a
 		// disk stall where a wire round trip should be.
 		ss.conn.FlushAck()
-		data, err := s.readFile(name)
+		words, n, err := s.readFile(name)
 		if err != nil {
 			ss.sendError(err.Error())
 			return
 		}
-		ss.queueData(data)
-		ss.moved += int64(len(data))
+		ss.queueData(words, n)
+		ss.moved += int64(n)
 		s.stats.Fetches++
-		s.stats.BytesOut += int64(len(data))
+		s.stats.BytesOut += int64(n)
 		if rec := s.rec(); rec != nil {
 			now := s.ep.Station().Clock().Now()
 			rec.EmitSpanFlow(start, now-start, trace.KindFSRequest, "fetch",
-				int64(ss.conn.Remote()), int64(len(data)), flow)
+				int64(ss.conn.Remote()), int64(n), flow)
 			rec.Add("fs.fetch", 1)
 		}
 	case MsgDigest:
@@ -261,7 +262,7 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 			ss.sendError(err.Error())
 			return
 		}
-		ss.queueData(data)
+		ss.outq = byteMessages(ss.outq, data)
 		ss.moved += int64(len(data))
 		s.stats.Digests++
 		s.stats.BytesOut += int64(len(data))
@@ -277,47 +278,44 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 			ss.sendError("bad store request")
 			return
 		}
-		ss.storing, ss.storeName, ss.in = true, name, nil
+		ss.storing, ss.storeName = true, name
+		ss.in.reset()
 		ss.storeFlow = flow
 		ss.storeStart = s.ep.Station().Clock().Now()
 	case MsgData:
 		if !ss.storing {
 			return // stray data: drop, as on a real wire
 		}
-		data, err := unpackChunk(msg)
-		if err != nil {
+		if err := ss.in.add(msg); err != nil {
 			ss.sendError(err.Error())
 			ss.storing = false
-			return
 		}
-		ss.in = append(ss.in, data...)
 	case MsgEnd:
 		if !ss.storing {
 			return
 		}
 		ss.storing = false
-		if total, ok := unpackTotal(msg); !ok || total != len(ss.in) {
+		if total, ok := unpackTotal(msg); !ok || total != ss.in.n {
 			ss.sendError("store length mismatch")
 			return
 		}
 		// As with fetch: ack the tail of the store before the long write
 		// so the client does not retransmit into a silent disk stall.
 		ss.conn.FlushAck()
-		if err := s.writeFile(ss.storeName, ss.in); err != nil {
+		if err := s.writeFile(ss.storeName, ss.in.words, ss.in.n); err != nil {
 			ss.sendError(err.Error())
 			return
 		}
-		ss.moved += int64(len(ss.in))
+		ss.moved += int64(ss.in.n)
 		s.stats.Stores++
-		s.stats.BytesIn += int64(len(ss.in))
+		s.stats.BytesIn += int64(ss.in.n)
 		if rec := s.rec(); rec != nil {
 			now := s.ep.Station().Clock().Now()
 			rec.EmitSpanFlow(ss.storeStart, now-ss.storeStart, trace.KindFSRequest, "store",
-				int64(ss.conn.Remote()), int64(len(ss.in)), ss.storeFlow)
+				int64(ss.conn.Remote()), int64(ss.in.n), ss.storeFlow)
 			rec.Add("fs.store", 1)
 		}
 		ss.outq = append(ss.outq, []ether.Word{MsgOK})
-		ss.in = nil
 	}
 }
 
@@ -326,31 +324,115 @@ func (ss *session) sendError(msg string) {
 	ss.outq = append(ss.outq, append([]ether.Word{MsgError}, ether.PackString(msg)...))
 }
 
-// queueData queues a full fetch reply: data chunks, then the end marker.
-func (ss *session) queueData(data []byte) {
-	for off := 0; off < len(data); off += DataBytesPerMsg {
-		end := off + DataBytesPerMsg
-		if end > len(data) {
-			end = len(data)
-		}
-		ss.outq = append(ss.outq, packChunk(data[off:end]))
-	}
-	ss.outq = append(ss.outq, packTotal(len(data)))
+// queueData queues a full fetch reply of n bytes, packed in words: data
+// chunks, then the end marker.
+func (ss *session) queueData(words []ether.Word, n int) {
+	ss.outq = dataMessages(ss.outq, n, func(dst []ether.Word, off, _ int) {
+		copy(dst, words[off/2:])
+	})
 }
 
-// readFile reads a whole named file: full interior pages in chained
-// batches, the partial last page on the one-page path.
-func (s *Server) readFile(name string) ([]byte, error) {
+// dataMessages appends a whole transfer of n bytes to q: a MsgData message
+// per DataBytesPerMsg bytes, then the MsgEnd marker, all sub-slices of one
+// backing array. fill packs bytes [off, off+count) into a message's payload
+// words; chunks are an even number of bytes apart, so off always starts a
+// word.
+func dataMessages(q [][]ether.Word, n int, fill func(dst []ether.Word, off, count int)) [][]ether.Word {
+	chunks := (n + DataBytesPerMsg - 1) / DataBytesPerMsg
+	backing := make([]ether.Word, 2*chunks+(n+1)/2+3)
+	q = slices.Grow(q, chunks+1)
+	for off := 0; off < n; off += DataBytesPerMsg {
+		count := min(n-off, DataBytesPerMsg)
+		size := 2 + (count+1)/2
+		msg := backing[:size:size]
+		backing = backing[size:]
+		msg[0], msg[1] = MsgData, ether.Word(count)
+		fill(msg[2:], off, count)
+		q = append(q, msg)
+	}
+	end := backing[:3:3]
+	end[0], end[1], end[2] = MsgEnd, ether.Word(n&0xFFFF), ether.Word(n>>16)
+	return append(q, end)
+}
+
+// byteMessages appends data as a whole transfer (see dataMessages), packing
+// each chunk's bytes straight into its message.
+func byteMessages(q [][]ether.Word, data []byte) [][]ether.Word {
+	return dataMessages(q, len(data), func(dst []ether.Word, off, count int) {
+		ether.PackBytes(dst, data[off:off+count])
+	})
+}
+
+// packed accumulates a transfer's MsgData payloads as packed words, the
+// layout they travel in and land on disk in, and reuses its buffers from
+// transfer to transfer. The server lands stores in one; the client
+// accumulates fetches in one.
+type packed struct {
+	words []ether.Word // (n+1)/2 words, the low half of an odd last byte's zero
+	n     int          // bytes held
+	spill []byte       // a misaligned chunk's bytes (see add)
+}
+
+// reset empties p for the next transfer.
+func (p *packed) reset() { p.words, p.n = p.words[:0], 0 }
+
+// add appends one MsgData message's payload. A chunk that starts on a word
+// boundary — every chunk a conforming sender sends, since only its last may
+// have an odd length — is one copy. The low half of a chunk's odd last
+// byte is masked, since the byte layout pads it with zero whatever the
+// sender put there.
+func (p *packed) add(msg []ether.Word) error {
+	words, n, err := chunkWords(msg)
+	if err != nil {
+		return err
+	}
+	if p.n%2 == 0 {
+		p.words = append(p.words, words...)
+		if n%2 == 1 {
+			p.words[len(p.words)-1] &= 0xFF00
+		}
+	} else if n > 0 {
+		// A chunk after an odd-length one shifts every byte by half a
+		// word: the first fills the pending low half, the rest pack anew.
+		p.spill = ether.AppendBytes(p.spill[:0], words, n)
+		p.words[len(p.words)-1] |= ether.Word(p.spill[0])
+		at := len(p.words)
+		p.words = slices.Grow(p.words, n/2)[:at+n/2]
+		ether.PackBytes(p.words[at:], p.spill[1:])
+	}
+	p.n += n
+	return nil
+}
+
+// chunkWords checks a MsgData message and returns its payload words and
+// byte count.
+func chunkWords(msg []ether.Word) ([]ether.Word, int, error) {
+	if len(msg) < 2 {
+		return nil, 0, fmt.Errorf("%w: short data message", ErrProtocol)
+	}
+	n := int(msg[1])
+	if 2+(n+1)/2 > len(msg) {
+		return nil, 0, fmt.Errorf("%w: truncated data message", ErrProtocol)
+	}
+	return msg[2 : 2+(n+1)/2], n, nil
+}
+
+// readFile reads a whole named file as words plus its byte length: full
+// interior pages in chained batches, the partial last page on the one-page
+// path. Page words copy straight across, since a page packs its bytes as a
+// message does; the low half of an odd last byte's word is masked, as the
+// byte layout pads it.
+func (s *Server) readFile(name string) ([]ether.Word, int, error) {
 	fn, err := dir.ResolveName(s.fs, name)
 	if err != nil {
-		return nil, fmt.Errorf("no such file %q", name)
+		return nil, 0, fmt.Errorf("no such file %q", name)
 	}
 	f, err := s.fs.Open(fn)
 	if err != nil {
-		return nil, fmt.Errorf("open %q failed", name)
+		return nil, 0, fmt.Errorf("open %q failed", name)
 	}
 	lastPN, lastLen := f.LastPage()
-	out := make([]byte, 0, (int(lastPN)-1)*disk.PageBytes+lastLen)
+	out := make([]ether.Word, 0, (int(lastPN)-1)*disk.PageWords+(lastLen+1)/2)
 	var pages [chainPages][disk.PageWords]disk.Word
 	for pn := disk.Word(1); pn < lastPN; {
 		n := int(lastPN - pn)
@@ -358,31 +440,41 @@ func (s *Server) readFile(name string) ([]byte, error) {
 			n = chainPages
 		}
 		if err := f.ReadPages(pn, pages[:n]); err != nil {
-			return nil, fmt.Errorf("read %q page %d failed", name, pn)
+			return nil, 0, fmt.Errorf("read %q page %d failed", name, pn)
 		}
-		for i := 0; i < n; i++ {
-			out = appendWords(out, pages[i][:], disk.PageBytes)
+		for i := range pages[:n] {
+			out = append(out, pages[i][:]...)
 		}
 		pn += disk.Word(n)
 	}
 	var buf [disk.PageWords]disk.Word
 	n, err := f.ReadPage(lastPN, &buf)
 	if err != nil {
-		return nil, fmt.Errorf("read %q last page failed", name)
+		return nil, 0, fmt.Errorf("read %q last page failed", name)
 	}
-	return appendWords(out, buf[:], n), nil
+	out = append(out, buf[:(n+1)/2]...)
+	if n%2 == 1 {
+		out[len(out)-1] &= 0xFF00
+	}
+	return out, (int(lastPN)-1)*disk.PageBytes + n, nil
 }
 
-// writeFile stores data under name: existing interior pages are overwritten
-// in chained batches, growth and the last page go through the one-page path,
-// and a shrinking store truncates the leftovers.
-func (s *Server) writeFile(name string, data []byte) error {
+// writeFile stores the n bytes packed in words under name: existing interior
+// pages are overwritten in chained batches, growth and the last page go
+// through the one-page path, and a shrinking store truncates the leftovers.
+// words must hold (n+1)/2 words, the low half of an odd last byte's zero.
+func (s *Server) writeFile(name string, words []ether.Word, n int) error {
 	root, err := dir.OpenRoot(s.fs)
 	if err != nil {
 		return errors.New("no root directory")
 	}
 	var f *file.File
 	if fn, err := root.Lookup(name); err == nil {
+		// Directories and the disk descriptor are the pack's own
+		// structure: a store over one would lose every name it holds.
+		if fn.FV.FID.IsDirectory() || fn.FV.FID == disk.DescriptorFID {
+			return fmt.Errorf("%q is a system file", name)
+		}
 		if f, err = s.fs.Open(fn); err != nil {
 			return fmt.Errorf("open %q failed", name)
 		}
@@ -396,9 +488,9 @@ func (s *Server) writeFile(name string, data []byte) error {
 	}
 
 	// The last page of a file is always partial (see File.WritePage), so
-	// len(data) lays out as full interior pages plus a partial tail.
-	full := len(data) / disk.PageBytes
-	lastLen := len(data) % disk.PageBytes
+	// n lays out as full interior pages plus a partial tail.
+	full := n / disk.PageBytes
+	lastLen := n % disk.PageBytes
 	lastPN := disk.Word((full + 1) & 0xFFFF)
 
 	// A shrinking store truncates first, so everything below is overwrite
@@ -425,7 +517,7 @@ func (s *Server) writeFile(name string, data []byte) error {
 			n = chainPages
 		}
 		for i := 0; i < n; i++ {
-			fillPage(&pages[i], data, int(pn)+i)
+			fillPage(&pages[i], words, int(pn)+i)
 		}
 		if err := f.WritePages(pn, pages[:n]); err != nil {
 			return fmt.Errorf("write %q page %d failed", name, pn)
@@ -435,7 +527,7 @@ func (s *Server) writeFile(name string, data []byte) error {
 	// Growth and the tail: each full write of the current last page
 	// appends a fresh page, so the file extends one page per pass.
 	for ; pn <= lastPN; pn++ {
-		fillPage(&pages[0], data, int(pn))
+		fillPage(&pages[0], words, int(pn))
 		length := disk.PageBytes
 		if pn == lastPN {
 			length = lastLen
@@ -450,78 +542,14 @@ func (s *Server) writeFile(name string, data []byte) error {
 	return nil
 }
 
-// fillPage packs the pn-th (1-based) page of data into buf, zero-padded.
-func fillPage(buf *[disk.PageWords]disk.Word, data []byte, pn int) {
-	off := (pn - 1) * disk.PageBytes
-	for i := range buf {
-		var w disk.Word
-		if off < len(data) {
-			w = disk.Word(data[off]) << 8
-		}
-		if off+1 < len(data) {
-			w |= disk.Word(data[off+1])
-		}
-		buf[i] = w
-		off += 2
-	}
+// fillPage copies the pn-th (1-based) page of packed file words into buf,
+// zero-padded.
+func fillPage(buf *[disk.PageWords]disk.Word, words []ether.Word, pn int) {
+	off := min((pn-1)*disk.PageWords, len(words))
+	clear(buf[copy(buf[:], words[off:]):])
 }
 
-// appendWords unpacks n bytes out of words (big-endian, as the disk stream
-// packs them) onto dst.
-func appendWords(dst []byte, words []disk.Word, n int) []byte {
-	for i := 0; i < n; i++ {
-		w := words[i/2]
-		if i%2 == 0 {
-			dst = append(dst, byte(w>>8))
-		} else {
-			dst = append(dst, byte(w))
-		}
-	}
-	return dst
-}
-
-// packChunk builds a MsgData message: opcode, byte count, packed bytes.
-func packChunk(data []byte) []ether.Word {
-	out := make([]ether.Word, 2+(len(data)+1)/2)
-	out[0] = MsgData
-	out[1] = ether.Word(len(data))
-	for i, b := range data {
-		if i%2 == 0 {
-			out[2+i/2] |= ether.Word(b) << 8
-		} else {
-			out[2+i/2] |= ether.Word(b)
-		}
-	}
-	return out
-}
-
-// unpackChunk is the inverse of packChunk.
-func unpackChunk(msg []ether.Word) ([]byte, error) {
-	if len(msg) < 2 {
-		return nil, fmt.Errorf("%w: short data message", ErrProtocol)
-	}
-	n := int(msg[1])
-	if 2+(n+1)/2 > len(msg) {
-		return nil, fmt.Errorf("%w: truncated data message", ErrProtocol)
-	}
-	data := make([]byte, n)
-	for i := range data {
-		w := msg[2+i/2]
-		if i%2 == 0 {
-			data[i] = byte(w >> 8)
-		} else {
-			data[i] = byte(w)
-		}
-	}
-	return data, nil
-}
-
-// packTotal builds a MsgEnd message carrying the 32-bit total byte count.
-func packTotal(n int) []ether.Word {
-	return []ether.Word{MsgEnd, ether.Word(n & 0xFFFF), ether.Word(n >> 16)}
-}
-
-// unpackTotal is the inverse of packTotal.
+// unpackTotal reads the 32-bit total byte count a MsgEnd message carries.
 func unpackTotal(msg []ether.Word) (int, bool) {
 	if len(msg) < 3 {
 		return 0, false

@@ -15,7 +15,7 @@ import (
 )
 
 // fixture builds a server machine and n client endpoints on one wire.
-func fixture(t *testing.T, n int) (*ether.Network, *Server, []*Client, *trace.Recorder) {
+func fixture(t testing.TB, n int) (*ether.Network, *Server, []*Client, *trace.Recorder) {
 	t.Helper()
 	clock := sim.NewClock()
 	wire := ether.New(clock)
@@ -255,5 +255,38 @@ func TestSessionSpanTraced(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Active != 0 {
 		t.Fatalf("active sessions = %d, want 0", st.Active)
+	}
+}
+
+// TestStoreRefusesSystemFiles stores over the root directory's and the
+// disk descriptor's names. The server once confirmed such a store, and the
+// root directory's pages then held file data: every name on the pack was
+// lost, the stored file's own included.
+func TestStoreRefusesSystemFiles(t *testing.T) {
+	_, srv, clients, _ := fixture(t, 1)
+	c := clients[0]
+	for _, name := range []string{"SysDir.", "DiskDescriptor."} {
+		if err := c.Store(name, pattern(100, 1)); err != nil {
+			t.Fatal(err)
+		}
+		pump(t, srv, clients)
+		if _, err := c.Result(); !errors.Is(err, ErrRemote) {
+			t.Fatalf("store %q: %v, want ErrRemote", name, err)
+		}
+	}
+	want := pattern(700, 2)
+	if err := c.Store("after", want); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, srv, clients)
+	if _, err := c.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fetch("after"); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, srv, clients)
+	if got, err := c.Result(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("fetch after refused stores: %d bytes, %v", len(got), err)
 	}
 }
