@@ -4,12 +4,17 @@
 
 GO ?= go
 
-.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke fuzz-smoke trace-check scope-check fleet-check cluster-check crash-check perf-check fmt
+.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke fuzz-smoke trace-check scope-check fleet-check cluster-check cluster-seeds crash-check perf-check fmt
 
-check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check perf-check race bench-diff bench-smoke fuzz-smoke
+check: build fmt-check vet altovet vet-stats trace-check scope-check fleet-check cluster-check cluster-seeds crash-check perf-check race bench-diff bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when any Go file is not gofmt-clean, naming the files;
+# `make fmt` rewrites them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: not formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -68,6 +73,13 @@ fleet-check:
 cluster-check:
 	$(GO) build -o /dev/null ./cmd/altocluster
 	$(GO) run ./cmd/altocluster -check -clients 6
+
+# cluster-seeds checks that E15's claim does not rest on its published wire
+# seed: the full E15 runs on wire seeds 0-199 at workers 1 and 2, and any
+# error (a stalled daemon), lost file, corrupted byte or difference between
+# the two widths fails the gate. About 20 s per width.
+cluster-seeds:
+	$(GO) run ./cmd/altocluster -seeds 0-199
 
 # crash-check is the §3.5 gate: a sampled sweep of crash points (clean and
 # torn) over the journaled directory workload; altocrash exits non-zero if

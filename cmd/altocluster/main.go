@@ -11,11 +11,18 @@
 // and every metric must come out byte-identical, or the process exits
 // nonzero. That is the make cluster-check gate.
 //
+// -seeds proves the claim does not rest on a lucky wire: the full E15 runs on
+// every wire fault seed in the range, at workers 1 and 2, and the process
+// exits nonzero if any run errors (a stalled daemon, say), loses a file,
+// corrupts a byte, or reports metrics that differ between the two widths.
+// That is the make cluster-seeds gate.
+//
 // Usage:
 //
 //	altocluster                      # the full E15 run, as a table
 //	altocluster -clients 6 -workers 1
 //	altocluster -check -clients 6
+//	altocluster -seeds 0-199
 package main
 
 import (
@@ -23,6 +30,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"strconv"
 	"strings"
 
 	"altoos/internal/experiments"
@@ -36,8 +44,21 @@ func main() {
 		workers = flag.Int("workers", 8, "worker-pool width for the windowed schedule")
 		events  = flag.Int("events", 1<<14, "per-machine ring capacity in events")
 		check   = flag.Bool("check", false, "prove determinism: run at workers 1, 1, 2, 8 and 8, and fail on any byte difference")
+		seeds   = flag.String("seeds", "", "sweep wire seeds `lo-hi` at workers 1 and 2, failing on any error, loss, corruption or width difference")
 	)
 	flag.Parse()
+
+	if *seeds != "" {
+		lo, hi, err := parseRange(*seeds)
+		if err != nil {
+			log.Fatalf("altocluster: -seeds: %v", err)
+		}
+		if err := sweep(*clients, lo, hi); err != nil {
+			log.Fatalf("altocluster: %v", err)
+		}
+		fmt.Printf("cluster-seeds ok: wire seeds %d-%d, %d clients, workers 1 and 2 agree, 0 files lost, 0 bytes corrupted\n", lo, hi, *clients)
+		return
+	}
 
 	if *check {
 		if err := selfCheck(*clients, *events); err != nil {
@@ -47,7 +68,7 @@ func main() {
 		return
 	}
 
-	res, err := experiments.E15Cluster(*clients, *workers, nil)
+	res, err := experiments.E15Cluster(*clients, *workers, experiments.E15WireSeed, nil)
 	if err != nil {
 		log.Fatalf("altocluster: %v", err)
 	}
@@ -59,7 +80,7 @@ func main() {
 func snapshot(clients, workers, events int) ([]byte, error) {
 	names := []string{}
 	recs := map[string]*trace.Recorder{}
-	res, err := experiments.E15Cluster(clients, workers, func(name string) *trace.Recorder {
+	res, err := experiments.E15Cluster(clients, workers, experiments.E15WireSeed, func(name string) *trace.Recorder {
 		rec := trace.New(events)
 		names = append(names, name)
 		recs[name] = rec
@@ -77,15 +98,79 @@ func snapshot(clients, workers, events int) ([]byte, error) {
 			fmt.Fprintf(&b, "%d %d %d %s %d %d %d\n", ev.T, ev.Dur, ev.Kind, ev.Name, ev.A0, ev.A1, ev.Flow)
 		}
 	}
+	writeMetrics(&b, res)
+	return []byte(b.String()), nil
+}
+
+// writeMetrics appends every metric of a run to b, one line each, in name
+// order.
+func writeMetrics(b *strings.Builder, res *experiments.Result) {
 	keys := make([]string, 0, len(res.Metrics))
 	for k := range res.Metrics {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "metric %s %v\n", k, res.Metrics[k])
+		fmt.Fprintf(b, "metric %s %v\n", k, res.Metrics[k])
 	}
-	return []byte(b.String()), nil
+}
+
+// parseRange reads "lo-hi" (or a single seed) as an inclusive range.
+func parseRange(s string) (lo, hi uint64, err error) {
+	a, b, ok := strings.Cut(s, "-")
+	if !ok {
+		b = a
+	}
+	if lo, err = strconv.ParseUint(a, 10, 64); err != nil {
+		return 0, 0, err
+	}
+	if hi, err = strconv.ParseUint(b, 10, 64); err != nil {
+		return 0, 0, err
+	}
+	if hi < lo {
+		return 0, 0, fmt.Errorf("empty range %q", s)
+	}
+	return lo, hi, nil
+}
+
+// sweep is the cluster-seeds gate: the full E15 on every wire seed in
+// [lo, hi] at workers 1 and 2. Every failing seed is reported, not just the
+// first.
+func sweep(clients int, lo, hi uint64) error {
+	var failed []string
+	for seed := lo; seed <= hi; seed++ {
+		if err := sweepSeed(clients, seed); err != nil {
+			log.Printf("seed %d: %v", seed, err)
+			failed = append(failed, strconv.FormatUint(seed, 10))
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("cluster-seeds: %d of %d wire seeds failed: %s", len(failed), hi-lo+1, strings.Join(failed, " "))
+	}
+	return nil
+}
+
+// sweepSeed runs one wire seed at workers 1 and 2: both must finish with no
+// file lost and no byte corrupted, and their metrics must agree.
+func sweepSeed(clients int, seed uint64) error {
+	var base string
+	for _, workers := range []int{1, 2} {
+		res, err := experiments.E15Cluster(clients, workers, seed, nil)
+		if err != nil {
+			return fmt.Errorf("workers=%d: %w", workers, err)
+		}
+		if lost, bad := res.Metrics["files_lost"], res.Metrics["bytes_corrupted"]; lost != 0 || bad != 0 {
+			return fmt.Errorf("workers=%d: %v files lost, %v bytes corrupted", workers, lost, bad)
+		}
+		var b strings.Builder
+		writeMetrics(&b, res)
+		if base == "" {
+			base = b.String()
+		} else if b.String() != base {
+			return fmt.Errorf("workers 1 and %d disagree:\n%s---\n%s", workers, base, b.String())
+		}
+	}
+	return nil
 }
 
 // selfCheck is the cluster-check gate: the same cluster runs twice at one

@@ -13,14 +13,20 @@ package cluster
 // the vote never dead-heats.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"altoos/internal/ether"
 	"altoos/internal/fileserver"
 	"altoos/internal/pup"
 	"altoos/internal/trace"
 )
+
+// errTimeout reports an audit call whose reply did not arrive within the
+// auditor's retry budget.
+var errTimeout = errors.New("cluster: audit call timed out")
 
 // AuditOutcome reports one round.
 type AuditOutcome struct {
@@ -29,7 +35,8 @@ type AuditOutcome struct {
 	Divergent int
 	// Healed counts files this replica refetched from a peer.
 	Healed int
-	// Unreachable counts peers that failed to answer the digest poll.
+	// Unreachable counts peers that failed to answer the digest poll, plus
+	// heals whose authority did not deliver the file.
 	Unreachable int
 }
 
@@ -77,8 +84,16 @@ func (r *Replica) AuditRound(sync, idle func()) (AuditOutcome, error) {
 	divergent, repairs := plan(r.Index, tables, have)
 	out.Divergent = len(divergent)
 	for _, rep := range repairs {
-		if err := r.heal(rep, flow, sync, idle); err != nil {
+		healed, err := r.heal(rep, flow, sync, idle)
+		if err != nil {
 			return out, err
+		}
+		if !healed {
+			// The authority went silent mid-heal: the file stays
+			// divergent, and the next round retries it.
+			out.Unreachable++
+			r.rec.Add("cluster.audit.unreachable", 1)
+			continue
 		}
 		out.Healed++
 	}
@@ -92,16 +107,17 @@ func (r *Replica) AuditRound(sync, idle func()) (AuditOutcome, error) {
 
 // heal refetches one file from its authority and rewrites the local copy
 // through the disciplined write path, which also refreshes the sector
-// checksums rot left stale.
-func (r *Replica) heal(rep repair, flow int64, sync, idle func()) error {
+// checksums rot left stale. It reports false when the authority did not
+// deliver the file; an error is a local failure.
+func (r *Replica) heal(rep repair, flow int64, sync, idle func()) (bool, error) {
 	start := r.clock.Now()
 	addr := r.authorityAddr(rep.authority)
 	data, err := r.call(addr, func(cl *fileserver.Client) error { return cl.Fetch(rep.name) }, sync, idle)
 	if err != nil {
-		return fmt.Errorf("%s: heal %q from r%d: %w", r.Name(), rep.name, rep.authority, err)
+		return false, nil
 	}
 	if err := StoreLocal(r.fs, rep.name, data); err != nil {
-		return fmt.Errorf("%s: heal %q store: %w", r.Name(), rep.name, err)
+		return false, fmt.Errorf("%s: heal %q store: %w", r.Name(), rep.name, err)
 	}
 	r.heals++
 	r.lastHealR = r.rounds
@@ -109,7 +125,7 @@ func (r *Replica) heal(rep repair, flow int64, sync, idle func()) error {
 		int64(rep.authority), int64(len(data)), flow)
 	r.rec.Add("cluster.heal", 1)
 	r.rec.Add("cluster.heal.bytes", int64(len(data)))
-	return nil
+	return true, nil
 }
 
 // authorityAddr maps a peer replica index to its server address.
@@ -142,8 +158,14 @@ func (r *Replica) call(addr ether.Addr, req func(*fileserver.Client) error, sync
 
 // awaitDone drives the replica until the RPC completes: poll the client,
 // keep serving inbound sessions (a peer may be auditing us right now), and
-// park when a sweep moved nothing.
+// park when a sweep moved nothing. The requester decides when to give up:
+// once the auditor's own retry budget (MaxRetries × MaxRTO) has passed
+// without a complete reply, the call fails with errTimeout. The peer's
+// transport may have abandoned the reply, and once the request is acked
+// nothing on the wire would wake the requester again.
 func (r *Replica) awaitDone(cl *fileserver.Client, sync, idle func()) ([]byte, error) {
+	cfg := r.audEp.Config()
+	deadline := r.clock.Now() + time.Duration(cfg.MaxRetries)*cfg.MaxRTO
 	for {
 		sync()
 		w1, err := cl.Poll()
@@ -157,13 +179,20 @@ func (r *Replica) awaitDone(cl *fileserver.Client, sync, idle func()) ([]byte, e
 		if cl.Done() {
 			return cl.Result()
 		}
+		if r.clock.Now() >= deadline {
+			return nil, errTimeout
+		}
 		if !w1 && !w2 {
+			r.clock.RequestWake(deadline)
 			idle()
 		}
 	}
 }
 
 // awaitClosed drives the close handshake to rest (an error also closes).
+// The state is checked again after the polls: a close that exhausts its
+// retries inside a poll requests no wake, so idling then would park the
+// replica for good.
 func (r *Replica) awaitClosed(cl *fileserver.Client, sync, idle func()) {
 	for cl.Conn().State() != pup.StateClosed {
 		sync()
@@ -175,7 +204,7 @@ func (r *Replica) awaitClosed(cl *fileserver.Client, sync, idle func()) {
 		if err != nil {
 			return
 		}
-		if !w1 && !w2 {
+		if !w1 && !w2 && cl.Conn().State() != pup.StateClosed {
 			idle()
 		}
 	}

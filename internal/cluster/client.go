@@ -96,7 +96,7 @@ func (c *Client) Store(name string, data []byte, wait WaitFunc) error {
 // failing over to the next on error.
 func (c *Client) Fetch(name string, wait WaitFunc) ([]byte, error) {
 	shard := c.place.Shard(name)
-	first := c.place.Shard(name + "#read") % c.place.Replicas
+	first := c.place.Shard(name+"#read") % c.place.Replicas
 	var lastErr error
 	for k := 0; k < c.place.Replicas; k++ {
 		idx := (first + k) % c.place.Replicas

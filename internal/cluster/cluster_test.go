@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -287,5 +288,131 @@ func TestAuditRoundReplay(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("empty snapshot")
+	}
+}
+
+// parkIdle is an idle for an audit round on the plain rig that parks the way
+// a fleet machine does: others runs the rest of the rig, and if that moved
+// nothing the clock jumps to the earliest requested wake. A machine that
+// parks with no wake requested and nothing arriving sleeps forever under the
+// fleet, so here the test fails instead, as it does when the round spins
+// through a million parks without returning.
+func (rg *rig) parkIdle(others func() bool) func() {
+	parks := 0
+	return func() {
+		if parks++; parks > 1_000_000 {
+			rg.t.Fatal("the round never returned")
+		}
+		if others() {
+			return
+		}
+		w, ok := rg.clock.NextWake()
+		if !ok {
+			rg.t.Fatal("parked with no wake requested: a fleet machine would sleep forever")
+		}
+		rg.clock.ClearWake()
+		rg.clock.AdvanceTo(w)
+	}
+}
+
+// pollExcept polls every replica but skip; a silent replica's transport
+// still runs (it opens connections and acks requests), but its server never
+// serves a session.
+func (rg *rig) pollExcept(skip *Replica, silent func() bool) bool {
+	worked := false
+	for _, r := range rg.c.Replicas {
+		var w bool
+		var err error
+		if r == skip && silent() {
+			w, err = r.Server().Endpoint().Poll()
+		} else {
+			w, err = r.Poll()
+		}
+		if err != nil {
+			rg.t.Fatal(err)
+		}
+		worked = worked || w
+	}
+	return worked
+}
+
+// TestAuditGivesUpOnSilentPeer audits against a peer whose server is never
+// polled: its transport acks the digest request, so no timer is left on the
+// auditor's side, but no reply ever comes. The requester's own deadline must
+// end the call, and the round must return with that peer unreachable.
+func TestAuditGivesUpOnSilentPeer(t *testing.T) {
+	rg := newRig(t, 1, 3, nil)
+	data := payload(4, disk.PageBytes+9)
+	if err := rg.cl.Store("log", data, rg.wait); err != nil {
+		t.Fatal(err)
+	}
+	auditor, silent := rg.c.Replicas[0], rg.c.Replicas[2]
+	start := rg.clock.Now()
+	out, err := auditor.AuditRound(func() {}, rg.parkIdle(func() bool {
+		return rg.pollExcept(silent, func() bool { return true })
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Unreachable != 1 || out.Divergent != 0 || out.Healed != 0 {
+		t.Fatalf("round saw %+v, want 1 unreachable, 0 divergent, 0 healed", out)
+	}
+	cfg := auditor.audEp.Config()
+	if budget := time.Duration(cfg.MaxRetries) * cfg.MaxRTO; rg.clock.Now()-start < budget {
+		t.Fatalf("round ended after %v, before the %v budget ran out", rg.clock.Now()-start, budget)
+	}
+}
+
+// TestAuditHealWithSilentAuthority lets the authority answer the digest poll
+// and then fall silent, so the heal's fetch gets no reply. The round must
+// return, counting the heal unreachable and leaving the file divergent; the
+// next round, with the authority back, heals it.
+func TestAuditHealWithSilentAuthority(t *testing.T) {
+	rg := newRig(t, 1, 2, nil)
+	if err := rg.cl.Store("doc", payload(1, 300), rg.wait); err != nil {
+		t.Fatal(err)
+	}
+	rg.clock.Advance(50 * time.Millisecond)
+	next := payload(2, disk.PageBytes+40)
+	rg.cl.SetSkip(func(_, replica int) bool { return replica == 1 })
+	if err := rg.cl.Store("doc", next, rg.wait); err != nil {
+		t.Fatal(err)
+	}
+	rg.cl.SetSkip(nil)
+
+	authority, stale := rg.c.Replicas[0], rg.c.Replicas[1]
+	digests := authority.Server().Stats().Digests
+	out, err := stale.AuditRound(func() {}, rg.parkIdle(func() bool {
+		return rg.pollExcept(authority, func() bool { return authority.Server().Stats().Digests > digests })
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Divergent != 1 || out.Healed != 0 || out.Unreachable != 1 {
+		t.Fatalf("round saw %+v, want 1 divergent, 0 healed, 1 unreachable", out)
+	}
+	if out := rg.audit(stale); out.Divergent != 1 || out.Healed != 1 {
+		t.Fatalf("retry round saw %+v, want 1 divergent, 1 healed", out)
+	}
+	rg.verifyAll("doc", next)
+}
+
+// TestAwaitClosedChecksBeforeParking closes a connection to a peer that
+// never answers. The close ends by exhausting its retries inside a poll,
+// which requests no wake; the loop must see the closed state before it
+// idles, or a fleet machine would park forever.
+func TestAwaitClosedChecksBeforeParking(t *testing.T) {
+	rg := newRig(t, 1, 2, nil)
+	r, peer := rg.c.Replicas[0], rg.c.Replicas[1]
+	cl := fileserver.NewClient(r.audEp)
+	if err := cl.Connect(rg.c.Place.ServerAddr(peer.Shard, peer.Index)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.awaitClosed(cl, func() {}, rg.parkIdle(func() bool { return false }))
+	if !errors.Is(cl.Conn().Err(), pup.ErrRetriesExhausted) {
+		t.Fatalf("conn error = %v, want retries exhausted", cl.Conn().Err())
 	}
 }

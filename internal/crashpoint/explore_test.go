@@ -131,12 +131,12 @@ func TestSamplePoints(t *testing.T) {
 		k    int
 		want []int
 	}{
-		{5, 0, []int{1, 2, 3, 4, 5}},  // k<=0: every point
-		{5, 9, []int{1, 2, 3, 4, 5}},  // k>=n: every point
-		{100, 1, []int{50}},           // single sample: the middle
-		{100, 2, []int{1, 100}},       // endpoints always included
-		{10, 4, []int{1, 4, 7, 10}},   // even spread
-		{3, 3, []int{1, 2, 3}},        // exact
+		{5, 0, []int{1, 2, 3, 4, 5}}, // k<=0: every point
+		{5, 9, []int{1, 2, 3, 4, 5}}, // k>=n: every point
+		{100, 1, []int{50}},          // single sample: the middle
+		{100, 2, []int{1, 100}},      // endpoints always included
+		{10, 4, []int{1, 4, 7, 10}},  // even spread
+		{3, 3, []int{1, 2, 3}},       // exact
 	}
 	for _, c := range cases {
 		got := samplePoints(c.n, c.k)

@@ -316,7 +316,9 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 					if err != nil {
 						return err
 					}
-					if !worked {
+					// A close that exhausts its retries inside the poll
+					// requests no wake: look again before parking.
+					if !worked && cl.Conn().State() != pup.StateClosed {
 						m.Idle()
 					}
 				}

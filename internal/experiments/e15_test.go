@@ -13,7 +13,7 @@ import (
 // and checks the headline acceptance: zero files lost, zero bytes corrupted,
 // every manufactured divergence detected and healed within a few rounds.
 func TestE15ClusterAudit(t *testing.T) {
-	r, err := E15Cluster(8, 1, nil)
+	r, err := E15Cluster(8, 1, E15WireSeed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func e15Snapshot(t *testing.T, clients, workers int) string {
 	t.Helper()
 	names := []string{}
 	recs := map[string]*trace.Recorder{}
-	r, err := E15Cluster(clients, workers, func(name string) *trace.Recorder {
+	r, err := E15Cluster(clients, workers, E15WireSeed, func(name string) *trace.Recorder {
 		rec := trace.New(1 << 14)
 		names = append(names, name)
 		recs[name] = rec

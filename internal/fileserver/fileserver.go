@@ -3,7 +3,10 @@
 // station, one file system, N concurrent sessions, each its own reliable
 // connection, multiplexed by (source address, connection id) and served
 // round-robin from the server's single poll loop (§2: the machine has no
-// scheduler, so concurrency is the server program's own business).
+// scheduler, so concurrency is the server program's own business). The
+// service rule: one Poll serves sessions from a cursor until one of them
+// does disk work, then returns, so the wire is read between any two disk
+// jobs and every session gets its turn at the disk in rotation.
 //
 // The wire protocol is word-level messages over pup connections:
 //
@@ -83,8 +86,10 @@ type Server struct {
 	ep *pup.Endpoint
 
 	// sessions in accept order: every sweep walks this slice, never a map,
-	// so service order — and with it the trace — is deterministic.
+	// so service order — and with it the trace — is deterministic. next is
+	// the round-robin cursor, the session the next sweep starts at.
 	sessions []*session
+	next     int
 	stats    Stats
 }
 
@@ -130,8 +135,15 @@ func (s *Server) Stats() Stats {
 func (s *Server) rec() *trace.Recorder { return s.ep.Station().TraceRecorder() }
 
 // Poll is the server's activity: one transport poll, new connections
-// accepted, every session advanced one step. Returns whether any work
-// happened, so activity-switching loops can tell busy from idle.
+// accepted, then sessions served round-robin from a cursor. A session whose
+// requests moved the server's clock did disk work, and the sweep ends right
+// after it: the next Poll reads the wire and accepts first, then resumes at
+// the following session. Sessions that only move packets are all served in
+// one sweep. With no scheduler to preempt a disk job (§2), this keeps the
+// wire read between jobs, so waiting clients see acks instead of timing
+// out, and no session waits more than one cycle of the others' disk work.
+// Returns whether any work happened, so activity-switching loops can tell
+// busy from idle.
 func (s *Server) Poll() (bool, error) {
 	worked, err := s.ep.Poll()
 	if err != nil {
@@ -149,17 +161,26 @@ func (s *Server) Poll() (bool, error) {
 		s.stats.Sessions++
 		worked = true
 	}
-	live := s.sessions[:0]
-	for _, ss := range s.sessions {
-		w := s.serve(ss)
+	// Each turn visits one session: retiring it leaves the cursor on its
+	// successor, serving it moves the cursor past, so nobody is skipped or
+	// served twice in one sweep.
+	for range len(s.sessions) {
+		if s.next >= len(s.sessions) {
+			s.next = 0
+		}
+		ss := s.sessions[s.next]
+		w, job := s.serve(ss)
 		worked = worked || w
 		if ss.conn.State() == pup.StateClosed {
 			s.closeSession(ss)
-			continue
+			s.sessions = slices.Delete(s.sessions, s.next, s.next+1)
+		} else {
+			s.next++
 		}
-		live = append(live, ss)
+		if job {
+			break
+		}
 	}
-	s.sessions = live
 	return worked, nil
 }
 
@@ -176,8 +197,12 @@ func (s *Server) closeSession(ss *session) {
 }
 
 // serve advances one session: drain inbound messages, push outbound ones.
-func (s *Server) serve(ss *session) bool {
-	worked := false
+// job reports whether handling the messages moved the clock: only a disk
+// job does (with the ack it flushes first), while pushing replies charges
+// wire time alone.
+func (s *Server) serve(ss *session) (worked, job bool) {
+	clock := s.ep.Station().Clock()
+	before := clock.Now()
 	for {
 		msg, flow, ok := ss.conn.RecvFlow()
 		if !ok {
@@ -186,10 +211,11 @@ func (s *Server) serve(ss *session) bool {
 		worked = true
 		s.handle(ss, msg, flow)
 	}
+	job = clock.Now() != before
 	if ss.push() {
 		worked = true
 	}
-	return worked
+	return worked, job
 }
 
 // push sends queued messages while the window has room; other errors kill

@@ -3,6 +3,7 @@ package fileserver
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"altoos/internal/dir"
@@ -289,4 +290,111 @@ func TestStoreRefusesSystemFiles(t *testing.T) {
 	if got, err := c.Result(); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("fetch after refused stores: %d bytes, %v", len(got), err)
 	}
+}
+
+// TestPollServesDiskWorkInRotation pins the service rule: with every session
+// holding a ready request, each Poll does the disk work of at most one
+// session, the sessions take their turns in accept order from wherever the
+// last Poll stopped, and a session retired mid-rotation neither skips nor
+// repeats anyone.
+func TestPollServesDiskWorkInRotation(t *testing.T) {
+	const n = 4
+	_, srv, clients, _ := fixture(t, n)
+	want := pattern(3*disk.PageBytes+5, 2)
+	if err := clients[0].Store("shared", want); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, srv, clients[:1])
+	if _, err := clients[0].Result(); err != nil {
+		t.Fatal(err)
+	}
+	if len(srv.sessions) != n {
+		t.Fatalf("%d sessions, want %d", len(srv.sessions), n)
+	}
+
+	// rotation puts a fetch in every listed client's session, then polls
+	// the server once per client and once more, and returns whom each poll
+	// did disk work for (the remote address; 0 for none).
+	rotation := func(cs []*Client) []ether.Addr {
+		t.Helper()
+		for _, c := range cs {
+			if err := c.Fetch("shared"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Poll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var served []ether.Addr
+		for range len(cs) + 1 {
+			before := srv.Stats().Fetches
+			moved := map[ether.Addr]int64{}
+			for _, ss := range srv.sessions {
+				moved[ss.conn.Remote()] = ss.moved
+			}
+			if _, err := srv.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			var who ether.Addr
+			for _, ss := range srv.sessions {
+				if ss.moved != moved[ss.conn.Remote()] {
+					if who != 0 {
+						t.Fatalf("one poll served both %d and %d", who, ss.conn.Remote())
+					}
+					who = ss.conn.Remote()
+				}
+			}
+			fetches := srv.Stats().Fetches - before
+			if (who == 0 && fetches != 0) || (who != 0 && fetches != 1) {
+				t.Fatalf("poll served %d fetches for session %d", fetches, who)
+			}
+			served = append(served, who)
+		}
+		pump(t, srv, cs)
+		for _, c := range cs {
+			if got, err := c.Result(); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("fetch: %d bytes, %v", len(got), err)
+			}
+		}
+		return served
+	}
+	// inTurn checks that served names every session once, each the one
+	// accepted after the last, wrapping, and then a poll with no disk work.
+	inTurn := func(served []ether.Addr) {
+		t.Helper()
+		order := make([]ether.Addr, len(srv.sessions))
+		for i, ss := range srv.sessions {
+			order[i] = ss.conn.Remote()
+		}
+		if served[len(served)-1] != 0 {
+			t.Fatalf("served %v: a poll after every request was served still did disk work", served)
+		}
+		first := slices.Index(order, served[0])
+		for i, who := range served[:len(order)] {
+			if want := order[(first+i)%len(order)]; who != want {
+				t.Fatalf("served %v, want a rotation of %v", served, order)
+			}
+		}
+	}
+	inTurn(rotation(clients))
+
+	// Retire one session, then rotate through the rest.
+	gone := clients[2]
+	if err := gone.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100000 && gone.Conn().State() != pup.StateClosed; i++ {
+		if _, err := srv.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gone.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rest := []*Client{clients[0], clients[1], clients[3]}
+	served := rotation(rest)
+	if len(srv.sessions) != len(rest) {
+		t.Fatalf("%d sessions after a close, want %d", len(srv.sessions), len(rest))
+	}
+	inTurn(served)
 }

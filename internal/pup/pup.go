@@ -251,6 +251,10 @@ func NewEndpoint(st *ether.Station, cfg Config) *Endpoint {
 // Station returns the endpoint's station.
 func (e *Endpoint) Station() *ether.Station { return e.st }
 
+// Config returns the endpoint's configuration with every default filled in,
+// so a layer above can size its own patience from the transport's budget.
+func (e *Endpoint) Config() Config { return e.cfg }
+
 // rec reaches the medium's flight recorder (nil when tracing is off).
 func (e *Endpoint) rec() *trace.Recorder { return e.st.TraceRecorder() }
 
@@ -393,8 +397,13 @@ func (e *Endpoint) dispatch(pkt ether.Packet) error {
 	case TypeOpen:
 		return e.handleOpen(pkt.Src, id, flow, c)
 	case TypeOpenAck:
-		if c != nil && c.state == StateOpening {
-			c.state = StateOpen
+		// An OpenAck settles a pending Open in any state: a conn closed
+		// before its first OpenAck arrived still needs the Open off its
+		// control timer, or its Close handshake never starts.
+		if c != nil && c.ctrl.kind == TypeOpen {
+			if c.state == StateOpening {
+				c.state = StateOpen
+			}
 			c.peerAwnd = awnd
 			c.ctrl = ctrlState{}
 		}

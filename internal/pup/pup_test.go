@@ -746,3 +746,48 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatalf("same-seed runs diverged: retransmits %d vs %d, clock %d vs %d", r1, r2, t1, t2)
 	}
 }
+
+// TestCloseAfterLostOpenAck loses the server's first OpenAck and closes the
+// dialer before any retransmitted Open is answered. The Open stays pending
+// on the closing conn's control timer; the OpenAck that answers its
+// retransmission must settle it, so the Close handshake runs and the conn
+// closes cleanly instead of dying of exhausted retries.
+func TestCloseAfterLostOpenAck(t *testing.T) {
+	net, srv, cli, rec := pair(t, Config{})
+	// Delivery 0 is the client's Open, 1 the server's OpenAck.
+	net.InjectFaults(ether.FaultConfig{
+		Force: map[int64]ether.Fault{1: ether.FaultDrop},
+	})
+	conn, err := cli.Dial(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	acc, ok := srv.Accept()
+	if !ok {
+		t.Fatal("server accepted nothing")
+	}
+	if err := conn.Send([]ether.Word{7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, srv, cli, 100000, func() bool {
+		return conn.State() == StateClosed && acc.State() == StateClosed
+	})
+	if err := conn.Err(); err != nil {
+		t.Fatalf("close ended in error: %v", err)
+	}
+	if m, ok := acc.Recv(); !ok || len(m) != 1 || m[0] != 7 {
+		t.Fatalf("server got %v, want [7]", m)
+	}
+	if n := rec.Counter("ether.drop"); n != 1 {
+		t.Fatalf("ether.drop = %d, want 1", n)
+	}
+	if n := rec.Counter("pup.close"); n != 1 {
+		t.Fatalf("pup.close = %d, want 1", n)
+	}
+}
