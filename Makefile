@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke fuzz-smoke trace-check scope-check fleet-check cluster-check cluster-seeds crash-check perf-check fmt
+.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke fuzz-smoke determinism-check cluster-seeds crash-check perf-check fmt
 
-check: build fmt-check vet altovet vet-stats trace-check scope-check fleet-check cluster-check cluster-seeds crash-check perf-check race bench-diff bench-smoke fuzz-smoke
+check: build fmt-check vet altovet vet-stats determinism-check cluster-seeds crash-check perf-check race bench-diff bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -42,37 +42,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# trace-check guards the observability contract: the tracing driver builds,
-# and two runs of the same experiment export byte-identical traces.
-trace-check:
-	$(GO) build -o /dev/null ./cmd/altotrace
-	$(GO) test -run TestTracesAreByteIdentical ./cmd/altotrace
-
-# scope-check guards the fleet observability contract: altoscope builds, and
-# the merged trace, collapsed profile and top table come out byte-identical
-# across runs, merge input orders and worker counts. E10 covers the file
-# server fleet; E13 covers the 26-machine saturation fleet (bounded ring so
-# the two dozen recorders stay cheap).
-scope-check:
-	$(GO) build -o /dev/null ./cmd/altoscope
-	$(GO) run ./cmd/altoscope -experiment e10 -check
-	$(GO) run ./cmd/altoscope -experiment e13 -events 8192 -check
-
-# fleet-check guards the parallel scheduler's contract: altofleet builds, and
-# a 100-Alto fan-in produces byte-identical per-machine event streams and
-# metrics across repeated runs and across worker-pool widths (1, 2 and 8).
-fleet-check:
-	$(GO) build -o /dev/null ./cmd/altofleet
-	$(GO) run ./cmd/altofleet -check -machines 100 -events 16384
-
-# cluster-check guards the replicated file service's contract: altocluster
-# builds, and a reduced E15 run (4 shards x 3 replicas, 6 clients, 10% wire
-# loss, seeded rot, distributed audit and heal) produces byte-identical
-# per-machine event streams and metrics across repeated runs and across
-# worker-pool widths (1, 2 and 8).
-cluster-check:
-	$(GO) build -o /dev/null ./cmd/altocluster
-	$(GO) run ./cmd/altocluster -check -clients 6
+# determinism-check is the replay contract: every experiment runs at
+# worker-pool widths 1, 1, 2, 4, 8 and 8 with one flight recorder per
+# simulated machine, and every machine's events, every recorder's metrics
+# snapshot and every result metric must match the first run. A failure names
+# the experiment, the two runs, the machine and the first differing event,
+# with the events before it.
+determinism-check:
+	$(GO) test -count=1 -run '^TestDeterminism$$' ./internal/experiments
 
 # cluster-seeds checks that E15's claim does not rest on its published wire
 # seed: the full E15 runs on wire seeds 0-199 at workers 1 and 2, and any

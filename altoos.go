@@ -47,7 +47,6 @@ import (
 	"altoos/internal/fileserver"
 	"altoos/internal/junta"
 	"altoos/internal/mem"
-	"altoos/internal/netfile"
 	"altoos/internal/pup"
 	"altoos/internal/scavenge"
 	"altoos/internal/sim"
@@ -256,10 +255,11 @@ type (
 	Station = ether.Station
 	// Packet is the standardized wire representation.
 	Packet = ether.Packet
-	// FileServer serves files over the network (the §1 remote facilities).
-	FileServer = netfile.Server
+	// FileServer serves files over the network (the §1 remote facilities);
+	// it is the PageServer.
+	FileServer = fileserver.Server
 	// FileClient fetches and stores files against a FileServer.
-	FileClient = netfile.Client
+	FileClient = fileserver.Client
 	// FaultConfig parameterizes the deterministic lossy-wire model.
 	FaultConfig = ether.FaultConfig
 	// FaultMedium injects seeded drops, duplicates, delays and bit flips

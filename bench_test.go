@@ -1,8 +1,8 @@
 package altoos
 
-// One benchmark per experiment (E1..E9) — the paper's quantitative claims.
+// One benchmark per experiment (E1..E15) — the paper's quantitative claims.
 // Each benchmark runs the corresponding workload generator from
-// internal/experiments and reports the *simulated* quantities the paper
+// internal/experiments, untraced at one worker, and reports the *simulated* quantities the paper
 // talks about via b.ReportMetric; the wall-clock ns/op that testing.B
 // prints measures only the host's simulation speed and is not a
 // reproduction target. cmd/altobench prints the same results as tables,
@@ -16,11 +16,11 @@ import (
 )
 
 // report runs one experiment per iteration and republishes its metrics.
-func report(b *testing.B, f func() (*experiments.Result, error), keys ...string) {
+func report(b *testing.B, id string, keys ...string) {
 	b.Helper()
 	var last *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r, err := f()
+		r, err := experiments.Run(id, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,58 +37,58 @@ func report(b *testing.B, f func() (*experiments.Result, error), keys ...string)
 
 // BenchmarkE1RawTransfer — §2: "can transfer 64k words in about one second".
 func BenchmarkE1RawTransfer(b *testing.B) {
-	report(b, experiments.E1RawTransfer, "sim_seconds_64kwords", "words_per_sec")
+	report(b, "e1", "sim_seconds_64kwords", "words_per_sec")
 }
 
 // BenchmarkE2AllocFreeCost — §3.3: alloc/free cost one revolution; ordinary
 // writes check labels for free.
 func BenchmarkE2AllocFreeCost(b *testing.B) {
-	report(b, experiments.E2AllocFreeCost, "alloc_overhead_revs", "free_overhead_revs")
+	report(b, "e2", "alloc_overhead_revs", "free_overhead_revs")
 }
 
 // BenchmarkE3Scavenge — §3.5: "about a minute for a 2.5 megabyte disk".
 func BenchmarkE3Scavenge(b *testing.B) {
-	report(b, experiments.E3Scavenge, "scavenge_seconds_Diablo31", "scavenge_seconds_Trident")
+	report(b, "e3", "scavenge_seconds_Diablo31", "scavenge_seconds_Trident")
 }
 
 // BenchmarkE4CompactionSpeedup — §3.5: order-of-magnitude sequential-read
 // speedup after the compacting scavenger.
 func BenchmarkE4CompactionSpeedup(b *testing.B) {
-	report(b, experiments.E4Compaction, "speedup", "aged_speedup")
+	report(b, "e4", "speedup", "aged_speedup")
 }
 
 // BenchmarkE5HintLadder — §3.6: the cost of each recovery level.
 func BenchmarkE5HintLadder(b *testing.B) {
-	report(b, experiments.E5HintLadder,
+	report(b, "e5",
 		"ms_direct_hint", "ms_link_chase", "ms_kth_page", "ms_fv_lookup", "ms_string_lookup", "ms_scavenge")
 }
 
 // BenchmarkE6WorldSwap — §4.1: OutLoad/InLoad take about a second each.
 func BenchmarkE6WorldSwap(b *testing.B) {
-	report(b, experiments.E6WorldSwap, "outload_seconds", "inload_seconds")
+	report(b, "e6", "outload_seconds", "inload_seconds")
 }
 
 // BenchmarkE7Junta — §5.2: storage freed per retained level.
 func BenchmarkE7Junta(b *testing.B) {
-	report(b, experiments.E7Junta, "max_words_freed", "full_resident_words")
+	report(b, "e7", "max_words_freed", "full_resident_words")
 }
 
 // BenchmarkE8FaultInjection — §3.3/§6: label checks reject every wild
 // write; the Scavenger recovers everything damage didn't directly destroy.
 func BenchmarkE8FaultInjection(b *testing.B) {
-	report(b, experiments.E8Robustness,
+	report(b, "e8",
 		"wild_writes_rejected_pct", "map_lie_retries", "undamaged_recovery_pct")
 }
 
 // BenchmarkE9InstalledHints — §3.6: warm starts at maximum disk speed.
 func BenchmarkE9InstalledHints(b *testing.B) {
-	report(b, experiments.E9InstalledHints, "warm_ms", "cold_ms", "warm_advantage")
+	report(b, "e9", "warm_ms", "cold_ms", "warm_advantage")
 }
 
 // BenchmarkE10LoadedServer — §1: eight clients hammering one file server
 // over a 10%-loss wire; the reliable transport hides every fault.
 func BenchmarkE10LoadedServer(b *testing.B) {
-	report(b, experiments.E10LoadedServer,
+	report(b, "e10",
 		"sim_seconds", "goodput_words_per_sec", "retransmits")
 }
 
@@ -96,7 +96,7 @@ func BenchmarkE10LoadedServer(b *testing.B) {
 // 0% to 20%, plus the waste metrics: what fraction of data words were
 // resent, and what fraction of the phase the wire sat idle.
 func BenchmarkE11LossSweep(b *testing.B) {
-	report(b, experiments.E11LossSweep,
+	report(b, "e11",
 		"goodput_words_per_sec_loss0", "goodput_words_per_sec_loss10",
 		"goodput_words_per_sec_loss20", "retransmits_loss20",
 		"retransmitted_words_ratio_loss20", "wire_idle_frac_loss20")
@@ -106,7 +106,7 @@ func BenchmarkE11LossSweep(b *testing.B) {
 // and compaction workloads, clean and torn, recovers to a pack fsck
 // certifies violation-free.
 func BenchmarkE12CrashSweep(b *testing.B) {
-	report(b, experiments.E12CrashSweep,
+	report(b, "e12",
 		"crash_points_total", "violations_total", "recovered_pct")
 }
 
@@ -114,7 +114,7 @@ func BenchmarkE12CrashSweep(b *testing.B) {
 // segment; AIMD keeps them live and fair (Jain's index) with zero
 // corrupted deliveries.
 func BenchmarkE13Saturation(b *testing.B) {
-	report(b, experiments.E13Saturation,
+	report(b, "e13",
 		"jain_fairness_pct", "goodput_words_per_sec_total", "retransmits")
 }
 
@@ -155,7 +155,7 @@ func BenchmarkE14FleetFanIn(b *testing.B) {
 // exact — the manufactured damage is part of the deterministic schedule, so
 // any drift in what the audit saw is a behavior change, not noise.
 func BenchmarkE15ClusterAudit(b *testing.B) {
-	report(b, experiments.E15ClusterAudit,
+	report(b, "e15",
 		"files_lost", "bytes_corrupted", "divergence_detected",
 		"heals", "audit_rounds_to_heal", "sim_seconds")
 }

@@ -23,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"altoos/internal/experiments"
 )
@@ -46,39 +45,16 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	funcs := map[string]func() (*experiments.Result, error){
-		"E1":  experiments.E1RawTransfer,
-		"E2":  experiments.E2AllocFreeCost,
-		"E3":  experiments.E3Scavenge,
-		"E4":  experiments.E4Compaction,
-		"E5":  experiments.E5HintLadder,
-		"E6":  experiments.E6WorldSwap,
-		"E7":  experiments.E7Junta,
-		"E8":  experiments.E8Robustness,
-		"E9":  experiments.E9InstalledHints,
-		"E10": experiments.E10LoadedServer,
-		"E11": experiments.E11LossSweep,
-		"E12": experiments.E12CrashSweep,
-		"E13": experiments.E13Saturation,
-		"E14": experiments.E14FleetFanIn,
-		"E15": experiments.E15ClusterAudit,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
-
 	want := flag.Args()
 	if len(want) == 0 {
-		want = order
+		want = experiments.IDs()
 	}
 	fmt.Println("Reproducing the quantitative claims of Lampson & Sproull,")
 	fmt.Println("\"An Open Operating System for a Single-User Machine\" (SOSP 1979).")
 	fmt.Println("All times are simulated (virtual disk/CPU clock).")
 	fmt.Println()
 	for _, id := range want {
-		f, ok := funcs[strings.ToUpper(id)]
-		if !ok {
-			log.Fatalf("unknown experiment %q (have %s)", id, strings.Join(order, " "))
-		}
-		res, err := f()
+		res, err := experiments.Run(id, 1, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", id, err)
 		}

@@ -6,10 +6,8 @@
 // The cluster inherits the fleet scheduler's contract: the whole two-phase
 // run — every store, every packet, every audit round, every heal — is a pure
 // function of the configuration, byte-identical across repeated runs and
-// across -workers counts. -check proves it: the cluster runs twice at one
-// worker, once at two and twice at eight, and every per-machine event stream
-// and every metric must come out byte-identical, or the process exits
-// nonzero. That is the make cluster-check gate.
+// across -workers counts. The experiments package's TestDeterminism proves
+// it for E15 (make determinism-check).
 //
 // -seeds proves the claim does not rest on a lucky wire: the full E15 runs on
 // every wire fault seed in the range, at workers 1 and 2, and the process
@@ -21,7 +19,6 @@
 //
 //	altocluster                      # the full E15 run, as a table
 //	altocluster -clients 6 -workers 1
-//	altocluster -check -clients 6
 //	altocluster -seeds 0-199
 package main
 
@@ -34,7 +31,6 @@ import (
 	"strings"
 
 	"altoos/internal/experiments"
-	"altoos/internal/trace"
 )
 
 func main() {
@@ -42,8 +38,6 @@ func main() {
 	var (
 		clients = flag.Int("clients", 24, "client machines (each runs several store sessions)")
 		workers = flag.Int("workers", 8, "worker-pool width for the windowed schedule")
-		events  = flag.Int("events", 1<<14, "per-machine ring capacity in events")
-		check   = flag.Bool("check", false, "prove determinism: run at workers 1, 1, 2, 8 and 8, and fail on any byte difference")
 		seeds   = flag.String("seeds", "", "sweep wire seeds `lo-hi` at workers 1 and 2, failing on any error, loss, corruption or width difference")
 	)
 	flag.Parse()
@@ -60,46 +54,21 @@ func main() {
 		return
 	}
 
-	if *check {
-		if err := selfCheck(*clients, *events); err != nil {
-			log.Fatalf("altocluster: %v", err)
-		}
-		fmt.Printf("cluster-check ok: %d-client audit-and-heal schedule byte-identical across runs and worker counts\n", *clients)
-		return
-	}
-
-	res, err := experiments.E15Cluster(*clients, *workers, experiments.E15WireSeed, nil)
+	out, err := report(*clients, *workers)
 	if err != nil {
 		log.Fatalf("altocluster: %v", err)
 	}
-	fmt.Println(res.Table())
+	fmt.Println(out)
 }
 
-// snapshot flattens a run — every machine's full event stream plus every
-// metric — into one byte slice, the artifact selfCheck compares.
-func snapshot(clients, workers, events int) ([]byte, error) {
-	names := []string{}
-	recs := map[string]*trace.Recorder{}
-	res, err := experiments.E15Cluster(clients, workers, experiments.E15WireSeed, func(name string) *trace.Recorder {
-		rec := trace.New(events)
-		names = append(names, name)
-		recs[name] = rec
-		return rec
-	})
+// report runs the published E15 with the given client count and pool width
+// and returns the table altocluster prints.
+func report(clients, workers int) (string, error) {
+	res, err := experiments.E15Cluster(clients, workers, experiments.E15WireSeed, nil)
 	if err != nil {
-		return nil, fmt.Errorf("workers=%d: %w", workers, err)
+		return "", err
 	}
-	var b strings.Builder
-	sort.Strings(names)
-	for _, name := range names {
-		rec := recs[name]
-		fmt.Fprintf(&b, "== %s events=%d\n", name, rec.Len())
-		for _, ev := range rec.Events() {
-			fmt.Fprintf(&b, "%d %d %d %s %d %d %d\n", ev.T, ev.Dur, ev.Kind, ev.Name, ev.A0, ev.A1, ev.Flow)
-		}
-	}
-	writeMetrics(&b, res)
-	return []byte(b.String()), nil
+	return res.Table(), nil
 }
 
 // writeMetrics appends every metric of a run to b, one line each, in name
@@ -168,32 +137,6 @@ func sweepSeed(clients int, seed uint64) error {
 			base = b.String()
 		} else if b.String() != base {
 			return fmt.Errorf("workers 1 and %d disagree:\n%s---\n%s", workers, base, b.String())
-		}
-	}
-	return nil
-}
-
-// selfCheck is the cluster-check gate: the same cluster runs twice at one
-// worker, once at two and twice at eight, and every event stream and metric
-// must be byte-identical across all five runs.
-func selfCheck(clients, events int) error {
-	var base []byte
-	var baseLabel string
-	for i, workers := range []int{1, 1, 2, 8, 8} {
-		snap, err := snapshot(clients, workers, events)
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("run %d (workers=%d)", i+1, workers)
-		if base == nil {
-			if !strings.Contains(string(snap), "== shard0/r0") {
-				return fmt.Errorf("%s: no replica event stream in the snapshot — tracing is not wired in", label)
-			}
-			base, baseLabel = snap, label
-			continue
-		}
-		if string(snap) != string(base) {
-			return fmt.Errorf("schedule diverged: %s differs from %s (%d vs %d bytes)", label, baseLabel, len(snap), len(base))
 		}
 	}
 	return nil

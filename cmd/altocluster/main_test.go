@@ -1,13 +1,31 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
-// TestSelfCheck exercises the cluster-check gate at a reduced client count:
-// five full two-phase runs (store sessions, rot, audit, heal) whose event
-// streams and metrics must be byte-identical across worker widths 1, 2 and 8.
+// TestSelfCheck holds the tool to its -workers claim at a reduced client
+// count: the table altocluster prints at widths 1, 2 and 8 differs only in
+// the width it names.
 func TestSelfCheck(t *testing.T) {
-	if err := selfCheck(4, 1<<14); err != nil {
-		t.Fatal(err)
+	var base string
+	for _, workers := range []int{1, 2, 8} {
+		got, err := report(4, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		width := fmt.Sprintf("%d-worker", workers)
+		if !strings.Contains(got, width) {
+			t.Fatalf("workers=%d: table does not name its width:\n%s", workers, got)
+		}
+		got = strings.ReplaceAll(got, width, "N-worker")
+		if base == "" {
+			base = got
+		} else if got != base {
+			t.Fatalf("workers=1 and workers=%d print different tables:\n%s\n---\n%s", workers, base, got)
+		}
 	}
 }
 

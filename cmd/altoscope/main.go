@@ -12,13 +12,13 @@
 //   - <id>.metrics.txt: each machine's counters and histograms.
 //
 // Every artifact is a deterministic function of the workload: byte-identical
-// across runs, merge input orders and -workers counts. -check proves it by
-// running everything twice and comparing, which is the make scope-check gate.
+// across runs, merge input orders and -workers counts. The experiments
+// package's TestDeterminism pins the per-machine recordings for every
+// experiment (make determinism-check); this package's tests pin the merge.
 //
 // Usage:
 //
 //	altoscope -experiment e10 -out .
-//	altoscope -experiment e10 -check
 //	altoscope -list
 package main
 
@@ -41,11 +41,10 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "e10", "experiment id to run (see -list)")
 		out        = flag.String("out", ".", "directory for the merged artifacts")
-		workers    = flag.Int("workers", 4, "parallel per-machine merge workers")
+		workers    = flag.Int("workers", 8, "worker-pool width for the fleet schedule and the per-machine merge")
 		top        = flag.Int("top", 20, "rows in the top-by-self-time table")
 		events     = flag.Int("events", trace.DefaultEvents, "per-machine ring capacity in events")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		check      = flag.Bool("check", false, "run twice and fail unless all artifacts are byte-identical")
 	)
 	flag.Parse()
 
@@ -53,15 +52,7 @@ func main() {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 		return
 	}
-	if *check {
-		if err := selfCheck(*experiment, *events, *top); err != nil {
-			log.Fatalf("altoscope: %v", err)
-		}
-		fmt.Printf("scope-check ok: %s artifacts byte-identical across runs, merge orders and worker counts\n", *experiment)
-		return
-	}
-
-	res, fleet, err := runFleet(*experiment, *events)
+	res, fleet, err := runFleet(*experiment, *workers, *events)
 	if err != nil {
 		log.Fatalf("altoscope: %v", err)
 	}
@@ -106,9 +97,9 @@ func main() {
 }
 
 // runFleet executes the experiment with one recorder per machine.
-func runFleet(id string, events int) (*experiments.Result, *scope.Fleet, error) {
+func runFleet(id string, workers, events int) (*experiments.Result, *scope.Fleet, error) {
 	fleet := scope.NewFleet(events)
-	res, err := experiments.RunScoped(id, fleet.Machine)
+	res, err := experiments.Run(id, workers, fleet.Machine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,54 +130,4 @@ func metricsText(machines []scope.MachineTrace) []byte {
 		b.WriteString(m.Rec.Snapshot().Text())
 	}
 	return b.Bytes()
-}
-
-// selfCheck is the scope-check gate: the experiment runs twice on fresh
-// fleets, and every artifact must come out byte-identical across the two
-// runs, across merge input orders (reversed machine list), and across
-// worker counts (1 vs 8).
-func selfCheck(id string, events, top int) error {
-	_, fleet1, err := runFleet(id, events)
-	if err != nil {
-		return err
-	}
-	_, fleet2, err := runFleet(id, events)
-	if err != nil {
-		return err
-	}
-	m1 := fleet1.Machines()
-	m2 := fleet2.Machines()
-	reversed := make([]scope.MachineTrace, len(m1))
-	for i, m := range m1 {
-		reversed[len(m1)-1-i] = m
-	}
-
-	variants := []struct {
-		label    string
-		machines []scope.MachineTrace
-		workers  int
-	}{
-		{"run 1, workers 1", m1, 1},
-		{"run 1, workers 8", m1, 8},
-		{"run 1, reversed merge order", reversed, 4},
-		{"run 2, workers 4", m2, 4},
-	}
-	var base [3][]byte
-	for i, v := range variants {
-		t, c, p, err := render(scope.Merge(v.machines, v.workers), top)
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.label, err)
-		}
-		if i == 0 {
-			base = [3][]byte{t, c, p}
-			continue
-		}
-		for j, pair := range [][2][]byte{{base[0], t}, {base[1], c}, {base[2], p}} {
-			names := [3]string{"merged trace", "collapsed profile", "top table"}
-			if !bytes.Equal(pair[0], pair[1]) {
-				return fmt.Errorf("%s differs between %q and %q", names[j], variants[0].label, v.label)
-			}
-		}
-	}
-	return nil
 }

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"testing"
 
-	"altoos/internal/experiments"
 	"altoos/internal/scope"
 	"altoos/internal/trace"
 )
@@ -11,8 +11,8 @@ import (
 // runE10Fleet runs E10 with one recorder per machine.
 func runE10Fleet(t *testing.T) []scope.MachineTrace {
 	t.Helper()
-	fleet := scope.NewFleet(trace.DefaultEvents)
-	if _, err := experiments.RunScoped("e10", fleet.Machine); err != nil {
+	_, fleet, err := runFleet("e10", 4, trace.DefaultEvents)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return fleet.Machines()
@@ -122,11 +122,40 @@ func TestE10ProfileAccountsSpanTime(t *testing.T) {
 	}
 }
 
-// TestE10MergedArtifactsAreByteIdentical is the determinism acceptance bar,
-// the same property make scope-check gates from the command line: two runs,
-// reversed merge order and different worker counts, identical bytes.
+// TestE10MergedArtifactsAreByteIdentical pins the merge's half of the
+// determinism contract: one E10 run's merged trace, collapsed profile and top
+// table come out byte-identical whatever the merge's input order and worker
+// count. (That the recordings themselves replay is TestDeterminism's job.)
 func TestE10MergedArtifactsAreByteIdentical(t *testing.T) {
-	if err := selfCheck("e10", trace.DefaultEvents, 20); err != nil {
-		t.Fatal(err)
+	machines := runE10Fleet(t)
+	reversed := make([]scope.MachineTrace, len(machines))
+	for i, m := range machines {
+		reversed[len(machines)-1-i] = m
+	}
+	variants := []struct {
+		label    string
+		machines []scope.MachineTrace
+		workers  int
+	}{
+		{"workers 1", machines, 1},
+		{"workers 8", machines, 8},
+		{"reversed merge order", reversed, 4},
+	}
+	var base [3][]byte
+	for i, v := range variants {
+		tr, c, p, err := render(scope.Merge(v.machines, v.workers), 20)
+		if err != nil {
+			t.Fatalf("%s: %v", v.label, err)
+		}
+		got := [3][]byte{tr, c, p}
+		if i == 0 {
+			base = got
+			continue
+		}
+		for j, name := range [3]string{"merged trace", "collapsed profile", "top table"} {
+			if !bytes.Equal(base[j], got[j]) {
+				t.Errorf("%s differs between %q and %q", name, variants[0].label, v.label)
+			}
+		}
 	}
 }

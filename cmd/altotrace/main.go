@@ -42,8 +42,11 @@ func main() {
 		log.Fatalf("altotrace: -experiment is required (one of %s)", strings.Join(experiments.IDs(), ", "))
 	}
 
+	// Every machine records into the one recorder, so the run keeps to one
+	// worker: that is what keeps a shared recorder's event order
+	// deterministic.
 	rec := trace.New(*events)
-	res, err := experiments.Run(*experiment, rec)
+	res, err := experiments.Run(*experiment, 1, func(string) *trace.Recorder { return rec })
 	if err != nil {
 		log.Fatalf("altotrace: %v", err)
 	}

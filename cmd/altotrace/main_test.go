@@ -14,7 +14,7 @@ import (
 func runOnce(t *testing.T, id string) (traceJSON, metricsJSON []byte) {
 	t.Helper()
 	rec := trace.New(trace.DefaultEvents)
-	if _, err := experiments.Run(id, rec); err != nil {
+	if _, err := experiments.Run(id, 1, func(string) *trace.Recorder { return rec }); err != nil {
 		t.Fatalf("run %s: %v", id, err)
 	}
 	var tb, mb bytes.Buffer
@@ -52,7 +52,7 @@ func TestTracesAreByteIdentical(t *testing.T) {
 // disk actually lands events and counters in the export.
 func TestTraceCarriesDiskEvents(t *testing.T) {
 	rec := trace.New(trace.DefaultEvents)
-	if _, err := experiments.Run("e1", rec); err != nil {
+	if _, err := experiments.Run("e1", 1, func(string) *trace.Recorder { return rec }); err != nil {
 		t.Fatalf("run e1: %v", err)
 	}
 	if rec.Len() == 0 {
@@ -84,7 +84,7 @@ func TestTraceCarriesDiskEvents(t *testing.T) {
 
 // TestUnknownExperiment keeps the by-id error path honest for the CLI.
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := experiments.Run("e99", nil); err == nil {
+	if _, err := experiments.Run("e99", 1, nil); err == nil {
 		t.Fatal("expected an error for an unknown experiment id")
 	}
 }

@@ -7,7 +7,7 @@
 //
 // The wire is deliberately faulty: the medium drops, duplicates and
 // corrupts packets at a healthy rate, and every transfer still completes
-// intact, because the file protocol rides the reliable transport. The
+// intact, because the file protocol rides the reliable transport (pup). The
 // fault counters printed at the end are the proof the faults were real.
 package main
 
@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"altoos"
-	"altoos/internal/netfile"
 )
 
 func main() {
@@ -57,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := netfile.NewServer(server.FS, sst, server.Zone, server.Mem)
+	srv := altoos.NewPageServer(server.FS, altoos.NewEndpoint(sst, altoos.TransportConfig{}))
 
 	// The client machine, with its own pack and its own station.
 	cliDrive, err := altoos.NewDrive(altoos.Diablo31(), 2, wire.Clock())
@@ -75,11 +74,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cli := netfile.NewClient(cst)
+	cli := altoos.NewPageClient(altoos.NewEndpoint(cst, altoos.TransportConfig{}))
+	if err := cli.Connect(1); err != nil {
+		log.Fatal(err)
+	}
 
 	// Fetch: request, then alternate polls — the machine is single-user and
 	// poll-driven, so the "concurrency" is explicit activity switching.
-	if err := cli.Request(1, "paper.txt"); err != nil {
+	if err := cli.Fetch("paper.txt"); err != nil {
 		log.Fatal(err)
 	}
 	for !cli.Done() {
@@ -110,7 +112,7 @@ func main() {
 
 	// Edit and store back under a new name.
 	edited := string(body) + "every access checks the page label\n"
-	if err := cli.Store(1, "paper-v2.txt", []byte(edited)); err != nil {
+	if err := cli.Store("paper-v2.txt", []byte(edited)); err != nil {
 		log.Fatal(err)
 	}
 	// A store is reliable now: poll both ends until the server's

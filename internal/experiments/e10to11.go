@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"altoos/internal/ether"
 	"altoos/internal/file"
 	"altoos/internal/fileserver"
-	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/sim"
 	"altoos/internal/trace"
@@ -33,19 +31,12 @@ type netRig struct {
 	clients []*fileserver.Client
 }
 
-// newNetRig wires everything to one clock and one recorder, so the disk and
-// the network advance the same simulated time and trace into one stream.
-func newNetRig(n int, rec *trace.Recorder) (*netRig, error) {
-	return newNetRigFleet(n, func(string) *trace.Recorder { return rec })
-}
-
-// newNetRigFleet wires the machine room with per-machine recorders: the wire
-// is its own machine (sends, collisions and fault verdicts belong to the
-// medium), the server's disk and station record into "server", and each
-// client station into "clientN". Everything still shares one clock. Handing
-// in a constant function collapses the fleet back onto a single recorder —
-// the single-machine rig above — with identical event streams.
-func newNetRigFleet(n int, machine func(string) *trace.Recorder) (*netRig, error) {
+// newNetRig wires the machine room to one clock with per-machine recorders:
+// the wire is its own machine (sends, collisions and fault verdicts belong
+// to the medium), the server's disk and station record into "server", and
+// each client station into "clientN". Handing in a constant function
+// collapses the room onto a single recorder with identical event streams.
+func newNetRig(n int, machine func(string) *trace.Recorder) (*netRig, error) {
 	clock := sim.NewClock()
 	wire := ether.New(clock)
 	wire.SetRecorder(machine("wire"))
@@ -95,80 +86,59 @@ type netOp struct {
 	data  []byte
 }
 
-// runScripts drives every client through its op list concurrently, as
-// actors on a coupled fleet engine round-robined with the server — the
-// loaded-server shape: one poll per machine per round, many sessions. It
-// returns the number of corrupted fetches (payload mismatches the reliable
-// transport failed to hide) and the total data bytes moved.
+// runScripts drives every client through its op list concurrently: one
+// poll loop over the whole machine room, the server first and then each
+// client, round after round, until a round finds no client with work left —
+// the loaded-server shape, many sessions on one clock (§2: the program is
+// its own scheduler). It returns the number of corrupted fetches (payload
+// mismatches the reliable transport failed to hide) and the total data
+// bytes moved.
 func (r *netRig) runScripts(scripts [][]netOp) (corrupt int, bytesMoved int64, err error) {
-	// Round state shared between the actors: machines run one at a time on
-	// a coupled engine, and the exit decision is made between rounds —
-	// exactly the hand-written loop this replaces.
-	running, stop := false, false
-	eng := fleet.NewCoupled(fleet.AfterRound(func() {
+	idx := make([]int, len(scripts))
+	started := make([]bool, len(scripts))
+	for round := 0; round < 4_000_000; round++ {
+		if _, err := r.srv.Poll(); err != nil {
+			return corrupt, bytesMoved, err
+		}
+		running := false
+		for i, c := range r.clients {
+			if _, err := c.Poll(); err != nil {
+				return corrupt, bytesMoved, err
+			}
+			if idx[i] >= len(scripts[i]) {
+				continue
+			}
+			running = true
+			op := scripts[i][idx[i]]
+			switch {
+			case !started[i]:
+				if op.store {
+					err = c.Store(op.name, op.data)
+				} else {
+					err = c.Fetch(op.name)
+				}
+				if err != nil {
+					return corrupt, bytesMoved, err
+				}
+				started[i] = true
+			case c.Done():
+				got, err := c.Result()
+				if err != nil {
+					return corrupt, bytesMoved, fmt.Errorf("client %d %s %q: %w", i, opName(op), op.name, err)
+				}
+				if !op.store && !bytes.Equal(got, op.data) {
+					corrupt++
+				}
+				bytesMoved += int64(len(op.data))
+				idx[i]++
+				started[i] = false
+			}
+		}
 		if !running {
-			stop = true
+			return corrupt, bytesMoved, nil
 		}
-		running = false
-	}))
-	eng.Add(fleet.MachineConfig{Name: "server", Program: func(m *fleet.Machine) error {
-		for !stop {
-			if _, err := r.srv.Poll(); err != nil {
-				return err
-			}
-			m.Yield()
-		}
-		return nil
-	}})
-	for i := range r.clients {
-		i := i
-		c := r.clients[i]
-		idx, started := 0, false
-		eng.Add(fleet.MachineConfig{Name: fmt.Sprintf("client%d", i), Program: func(m *fleet.Machine) error {
-			for !stop {
-				if _, err := c.Poll(); err != nil {
-					return err
-				}
-				if idx < len(scripts[i]) {
-					running = true
-					op := scripts[i][idx]
-					switch {
-					case !started:
-						var err error
-						if op.store {
-							err = c.Store(op.name, op.data)
-						} else {
-							err = c.Fetch(op.name)
-						}
-						if err != nil {
-							return err
-						}
-						started = true
-					case c.Done():
-						got, err := c.Result()
-						if err != nil {
-							return fmt.Errorf("client %d %s %q: %w", i, opName(op), op.name, err)
-						}
-						if !op.store && !bytes.Equal(got, op.data) {
-							corrupt++
-						}
-						bytesMoved += int64(len(op.data))
-						idx++
-						started = false
-					}
-				}
-				m.Yield()
-			}
-			return nil
-		}})
 	}
-	if err := eng.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
-			return corrupt, bytesMoved, fmt.Errorf("experiments: transfers never completed")
-		}
-		return corrupt, bytesMoved, err
-	}
-	return corrupt, bytesMoved, nil
+	return corrupt, bytesMoved, fmt.Errorf("experiments: transfers never completed")
 }
 
 func opName(op netOp) string {
@@ -178,54 +148,33 @@ func opName(op netOp) string {
 	return "fetch"
 }
 
-// closeAll closes every client connection and runs a coupled teardown
-// fleet — clients first, server last, the legacy round order — until the
-// server has retired the sessions, so the per-session trace spans are
-// emitted.
+// closeAll closes every client connection and polls the room — clients
+// first, server last — until every connection is closed and the server has
+// retired the sessions, so the per-session trace spans are emitted.
 func (r *netRig) closeAll() error {
 	for _, c := range r.clients {
 		if err := c.Close(); err != nil {
 			return err
 		}
 	}
-	open, stop := false, false
-	eng := fleet.NewCoupled(fleet.MaxRounds(1_000_000), fleet.AfterRound(func() {
-		if !open && r.srv.Stats().Active == 0 {
-			stop = true
-		}
-		open = false
-	}))
-	for i, c := range r.clients {
-		c := c
-		eng.Add(fleet.MachineConfig{Name: fmt.Sprintf("client%d", i), Program: func(m *fleet.Machine) error {
-			for !stop {
-				if _, err := c.Poll(); err != nil {
-					return err
-				}
-				if c.Conn().State() != pup.StateClosed {
-					open = true
-				}
-				m.Yield()
-			}
-			return nil
-		}})
-	}
-	eng.Add(fleet.MachineConfig{Name: "server", Program: func(m *fleet.Machine) error {
-		for !stop {
-			if _, err := r.srv.Poll(); err != nil {
+	for round := 0; round < 1_000_000; round++ {
+		open := false
+		for _, c := range r.clients {
+			if _, err := c.Poll(); err != nil {
 				return err
 			}
-			m.Yield()
+			if c.Conn().State() != pup.StateClosed {
+				open = true
+			}
 		}
-		return nil
-	}})
-	if err := eng.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
-			return fmt.Errorf("experiments: sessions never closed")
+		if _, err := r.srv.Poll(); err != nil {
+			return err
 		}
-		return err
+		if !open && r.srv.Stats().Active == 0 {
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("experiments: sessions never closed")
 }
 
 // netPattern builds deterministic transfer content.
@@ -237,50 +186,21 @@ func netPattern(n, salt int) []byte {
 	return out
 }
 
-// E10LoadedServer runs 8 client stations hammering one file server over a
-// wire losing 10% of its packets (§1's open-system claim, under load).
-func E10LoadedServer() (*Result, error) { return e10LoadedServer(nil) }
-
-func e10LoadedServer(tr *trace.Recorder) (*Result, error) {
-	// The retransmit evidence comes from trace counters, so the experiment
-	// runs a private recorder when the caller brings none.
-	rec := tr
-	if rec == nil {
-		rec = trace.New(1 << 16)
+// e10LoadedServer runs 8 client stations hammering one file server over a
+// wire losing 10% of its packets (§1's open-system claim, under load). The
+// wire, the server and each client record into their own machine's
+// recorder; counters are summed across every distinct recorder, so the
+// numbers come out the same whether the run traced into one recorder or
+// ten. The retransmit evidence comes from those counters, so the run keeps
+// a private recorder when tracing is off.
+func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+	if machine == nil {
+		rec := trace.New(1 << 16)
+		machine = func(string) *trace.Recorder { return rec }
 	}
-	return e10Run(func(string) *trace.Recorder { return rec })
-}
-
-// e10Scoped is the fleet-aware entry point (cmd/altoscope): every machine
-// gets its own recorder, merged afterwards by internal/scope.
-func e10Scoped(machine func(string) *trace.Recorder) (*Result, error) {
-	return e10Run(machine)
-}
-
-// e10Run is the E10 workload over any recorder assignment. Counters are
-// summed across every distinct recorder the rig was given, so the numbers
-// come out the same whether the run was one machine or ten: retransmits live
-// on the client and server machines, drops on the wire.
-func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
+	recs := newRecorders(machine)
 	const clients = 8
-	r, err := newNetRigFleet(clients, collect)
+	r, err := newNetRig(clients, recs.get)
 	if err != nil {
 		return nil, err
 	}
@@ -321,8 +241,8 @@ func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
 	if corrupt != 0 {
 		return nil, fmt.Errorf("e10: %d corrupted transfers leaked through the reliable transport", corrupt)
 	}
-	retrans := counter("pup.retransmit")
-	drops := counter("ether.drop")
+	retrans := recs.counter("pup.retransmit")
+	drops := recs.counter("ether.drop")
 	if retrans == 0 {
 		return nil, fmt.Errorf("e10: 10%% loss produced no retransmissions; the fault medium is not wired in")
 	}
@@ -338,7 +258,7 @@ func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
 	res.add("clients x transfers", "%d x %d, %d bytes of payload", clients, len(scripts[0]), moved)
 	res.add("corrupted transfers", "%d (checksum + retransmission hid every fault)", corrupt)
 	res.add("packets dropped by the medium", "%d (plus %d duplicated, %d corrupted)",
-		drops, counter("ether.dup"), counter("ether.corrupt"))
+		drops, recs.counter("ether.dup"), recs.counter("ether.corrupt"))
 	res.add("retransmissions", "%d (bounded: %.2f per drop)", retrans, float64(retrans)/float64(drops))
 	res.add("sessions served", "%d concurrent, %d stores, %d fetches", st.Sessions, st.Stores, st.Fetches)
 	res.add("simulated completion time", "%.2f s", simSec)
@@ -349,10 +269,8 @@ func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E11LossSweep measures steady-state goodput against loss rate, 0% to 20%.
-func E11LossSweep() (*Result, error) { return e11LossSweep(nil) }
-
-// e11LossSweep primes each client's file once (uncounted: disk formatting
+// e11LossSweep measures steady-state goodput against loss rate, 0% to 20%.
+// It primes each client's file once (uncounted: disk formatting
 // and page-growth writes say nothing about the transport) and then measures
 // a phase of same-size overwrites and fetches — warm congestion windows,
 // chained interior disk transfers, the wire under real pressure. All
@@ -373,7 +291,7 @@ func e11LossSweep(tr *trace.Recorder) (*Result, error) {
 		if rec == nil {
 			rec = trace.New(1 << 16)
 		}
-		r, err := newNetRig(2, rec)
+		r, err := newNetRig(2, func(string) *trace.Recorder { return rec })
 		if err != nil {
 			return nil, err
 		}

@@ -7,15 +7,13 @@ import (
 	"altoos/internal/trace"
 )
 
-// E12CrashSweep exhaustively explores crash points: the paper claims a
+// e12CrashSweep exhaustively explores crash points: the paper claims a
 // crash at an arbitrary point costs at most recent work, never consistency
 // (§3.5). The explorer enumerates every point — power failing after write
 // 1, 2, …, N of a journaled directory workload and of a pack compaction,
 // each write also replayed as a torn (garbled mid-sector) landing — and
 // after each crash the Scavenger repairs the pack and fsck re-proves every
 // invariant.
-func E12CrashSweep() (*Result, error) { return e12CrashSweep(nil) }
-
 func e12CrashSweep(tr *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E12",

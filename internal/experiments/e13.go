@@ -9,12 +9,10 @@ package experiments
 // delivered word differs from what its sender put in.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"altoos/internal/ether"
-	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/sim"
 	"altoos/internal/trace"
@@ -33,50 +31,25 @@ func e13Word(sender, msg, i int) ether.Word {
 	return ether.Word((sender*31 + msg*7 + i*3) & 0xFFFF)
 }
 
-// E13Saturation runs the saturation + fairness experiment.
-func E13Saturation() (*Result, error) { return e13Saturation(nil) }
-
-func e13Saturation(tr *trace.Recorder) (*Result, error) {
-	rec := tr
-	if rec == nil {
-		rec = trace.New(1 << 16)
+// e13Saturation runs the saturation + fairness experiment. The wire, the
+// sink and all 24 senders each trace into their own machine's recorder; the
+// run keeps a private one when tracing is off, since its counters are
+// evidence.
+func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+	if machine == nil {
+		rec := trace.New(1 << 16)
+		machine = func(string) *trace.Recorder { return rec }
 	}
-	return e13Run(func(string) *trace.Recorder { return rec })
-}
-
-// e13Scoped is the fleet-aware entry point (cmd/altoscope): the wire, the
-// sink and all 24 senders each trace into their own recorder.
-func e13Scoped(machine func(string) *trace.Recorder) (*Result, error) {
-	return e13Run(machine)
-}
-
-func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
+	recs := newRecorders(machine)
 
 	clock := sim.NewClock()
 	wire := ether.New(clock)
-	wire.SetRecorder(collect("wire"))
+	wire.SetRecorder(recs.get("wire"))
 	sinkSt, err := wire.Attach(1)
 	if err != nil {
 		return nil, err
 	}
-	sinkSt.SetRecorder(collect("sink"))
+	sinkSt.SetRecorder(recs.get("sink"))
 	sink := pup.NewEndpoint(sinkSt, pup.Config{})
 	sink.Listen()
 	wire.InjectFaults(ether.FaultConfig{
@@ -96,7 +69,7 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mrec := collect(fmt.Sprintf("sender%02d", i))
+		mrec := recs.get(fmt.Sprintf("sender%02d", i))
 		ep := pup.NewEndpoint(st, pup.Config{Seed: uint64(i + 1)})
 		conn, err := ep.Dial(1)
 		if err != nil {
@@ -112,91 +85,69 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 		senders[i] = &sender{ep: ep, conn: conn}
 	}
 
-	// Drive everything as actors on a coupled fleet engine: the sink
-	// accepts and drains, each sender keeps its window full until its
-	// stream is done, one activation per machine per round in creation
-	// order — the hand-written poll loop this replaces. Per-flow completion
-	// is the sim time the sink delivered the flow's last message, in order
-	// and intact.
+	// Drive everything in one poll loop on the shared clock: the sink
+	// accepts and drains, then each sender keeps its window full until its
+	// stream is done. Per-flow completion is the sim time the sink
+	// delivered the flow's last message, in order and intact.
 	accepted := make([]*pup.Conn, e13Senders)
 	delivered := make([]int, e13Senders)
 	completion := make([]time.Duration, e13Senders)
 	finished, corrupt := 0, 0
 	msg := make([]ether.Word, e13MsgWords)
-	stop := false
-	eng := fleet.NewCoupled(fleet.AfterRound(func() {
-		if finished >= e13Senders {
-			stop = true
+	for round := 0; finished < e13Senders; round++ {
+		if round >= 4_000_000 {
+			return nil, fmt.Errorf("e13: saturation run never completed (%d/%d flows)", finished, e13Senders)
 		}
-	}))
-	eng.Add(fleet.MachineConfig{Name: "sink", Program: func(m *fleet.Machine) error {
-		for !stop {
-			if _, err := sink.Poll(); err != nil {
-				return err
+		if _, err := sink.Poll(); err != nil {
+			return nil, err
+		}
+		for {
+			conn, ok := sink.Accept()
+			if !ok {
+				break
+			}
+			accepted[int(conn.Remote())-2] = conn
+		}
+		for i, conn := range accepted {
+			if conn == nil {
+				continue
 			}
 			for {
-				conn, ok := sink.Accept()
+				data, ok := conn.Recv()
 				if !ok {
 					break
 				}
-				accepted[int(conn.Remote())-2] = conn
-			}
-			for i, conn := range accepted {
-				if conn == nil {
-					continue
-				}
-				for {
-					data, ok := conn.Recv()
-					if !ok {
-						break
-					}
-					if len(data) != e13MsgWords {
-						corrupt++
-					} else {
-						for j, w := range data {
-							if w != e13Word(i, delivered[i], j) {
-								corrupt++
-								break
-							}
+				if len(data) != e13MsgWords {
+					corrupt++
+				} else {
+					for j, w := range data {
+						if w != e13Word(i, delivered[i], j) {
+							corrupt++
+							break
 						}
 					}
-					delivered[i]++
-					if delivered[i] == e13Messages {
-						completion[i] = clock.Now()
-						finished++
-					}
+				}
+				delivered[i]++
+				if delivered[i] == e13Messages {
+					completion[i] = clock.Now()
+					finished++
 				}
 			}
-			m.Yield()
 		}
-		return nil
-	}})
-	for i, s := range senders {
-		i, s := i, s
-		eng.Add(fleet.MachineConfig{Name: fmt.Sprintf("sender%02d", i), Program: func(m *fleet.Machine) error {
-			for !stop {
-				if _, err := s.ep.Poll(); err != nil {
-					return err
-				}
-				for s.sent < e13Messages && s.conn.Avail() > 0 {
-					for j := range msg {
-						msg[j] = e13Word(i, s.sent, j)
-					}
-					if err := s.conn.Send(msg); err != nil {
-						return fmt.Errorf("e13 sender %d: %w", i, err)
-					}
-					s.sent++
-				}
-				m.Yield()
+		for i, s := range senders {
+			if _, err := s.ep.Poll(); err != nil {
+				return nil, err
 			}
-			return nil
-		}})
-	}
-	if err := eng.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
-			return nil, fmt.Errorf("e13: saturation run never completed (%d/%d flows)", finished, e13Senders)
+			for s.sent < e13Messages && s.conn.Avail() > 0 {
+				for j := range msg {
+					msg[j] = e13Word(i, s.sent, j)
+				}
+				if err := s.conn.Send(msg); err != nil {
+					return nil, fmt.Errorf("e13 sender %d: %w", i, err)
+				}
+				s.sent++
+			}
 		}
-		return nil, err
 	}
 	total := clock.Now()
 	if corrupt != 0 {
@@ -204,48 +155,31 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 	}
 
 	// Tear down cleanly so the conns' final state is part of the trace:
-	// senders first, sink last, the legacy round order.
+	// senders first, sink last.
 	for _, s := range senders {
 		if err := s.conn.Close(); err != nil {
 			return nil, err
 		}
 	}
-	open, closed := false, false
-	down := fleet.NewCoupled(fleet.MaxRounds(1_000_000), fleet.AfterRound(func() {
-		if !open {
-			closed = true
-		}
-		open = false
-	}))
-	for i, s := range senders {
-		s := s
-		down.Add(fleet.MachineConfig{Name: fmt.Sprintf("sender%02d", i), Program: func(m *fleet.Machine) error {
-			for !closed {
-				if _, err := s.ep.Poll(); err != nil {
-					return err
-				}
-				if s.conn.State() != pup.StateClosed {
-					open = true
-				}
-				m.Yield()
-			}
-			return nil
-		}})
-	}
-	down.Add(fleet.MachineConfig{Name: "sink", Program: func(m *fleet.Machine) error {
-		for !closed {
-			if _, err := sink.Poll(); err != nil {
-				return err
-			}
-			m.Yield()
-		}
-		return nil
-	}})
-	if err := down.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
+	for round := 0; ; round++ {
+		if round >= 1_000_000 {
 			return nil, fmt.Errorf("e13: close handshakes never completed")
 		}
-		return nil, err
+		open := false
+		for _, s := range senders {
+			if _, err := s.ep.Poll(); err != nil {
+				return nil, err
+			}
+			if s.conn.State() != pup.StateClosed {
+				open = true
+			}
+		}
+		if _, err := sink.Poll(); err != nil {
+			return nil, err
+		}
+		if !open {
+			break
+		}
 	}
 
 	// Per-flow goodput and Jain's fairness index: J = (Σx)² / (n·Σx²),
@@ -268,8 +202,8 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 	}
 	jain := sum * sum / (float64(e13Senders) * sumSq)
 	goodput := float64(e13Senders*flowWords) / total.Seconds()
-	retrans := counter("pup.retransmit")
-	drops := counter("ether.drop")
+	retrans := recs.counter("pup.retransmit")
+	drops := recs.counter("ether.drop")
 
 	res := &Result{
 		ID:    "E13",
@@ -278,7 +212,7 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 	}
 	res.add("flows x messages", "%d x %d full packets (%d words each)", e13Senders, e13Messages, e13MsgWords)
 	res.add("corrupted deliveries", "%d (checksum + retransmission hid every fault)", corrupt)
-	res.add("packets dropped/corrupted by the medium", "%d / %d", drops, counter("ether.corrupt"))
+	res.add("packets dropped/corrupted by the medium", "%d / %d", drops, recs.counter("ether.corrupt"))
 	res.add("retransmissions", "%d", retrans)
 	res.add("aggregate goodput", "%.0f words/s over %.2f s simulated", goodput, total.Seconds())
 	res.add("per-flow goodput", "min %.0f, max %.0f words/s", minX, maxX)

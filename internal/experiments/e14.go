@@ -31,9 +31,6 @@ const (
 	// e14Machines is the default fleet size: one server plus this many
 	// client Altos.
 	e14Machines = 100
-	// e14Workers is the scoped (cmd/altoscope, cmd/altofleet) worker-pool
-	// width; the schedule is identical at any width.
-	e14Workers = 8
 	// e14BootStagger separates the client boot wakes so the event queue
 	// tie-breaks on time, not only on machine sequence.
 	e14BootStagger = 160 * time.Nanosecond
@@ -68,23 +65,9 @@ func e14Payload(i int) []byte {
 	return data
 }
 
-// E14FleetFanIn runs the experiment at its default scale with tracing off.
-func E14FleetFanIn() (*Result, error) { return E14FanIn(e14Machines, 1, nil) }
-
-// e14FleetFanIn is the registry entry: one shared recorder, one worker (a
-// shared recorder is only safe when the window executes serially).
-func e14FleetFanIn(rec *trace.Recorder) (*Result, error) {
-	if rec == nil {
-		return E14FanIn(e14Machines, 1, nil)
-	}
-	return E14FanIn(e14Machines, 1, func(string) *trace.Recorder { return rec })
-}
-
-// e14Scoped is the fleet-aware entry (cmd/altoscope, cmd/altofleet): one
-// recorder per machine, and the full worker pool — per-machine recorders are
-// only ever written by their own machine, so parallel windows are safe.
-func e14Scoped(machine func(string) *trace.Recorder) (*Result, error) {
-	return E14FanIn(e14Machines, e14Workers, machine)
+// e14FleetFanIn is the registry entry: the experiment at its default scale.
+func e14FleetFanIn(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	return E14FanIn(e14Machines, workers, machine)
 }
 
 // E14FanIn runs machines client Altos against one file server on a windowed
@@ -99,30 +82,14 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	if machine == nil {
 		machine = func(string) *trace.Recorder { return trace.New(1 << 10) }
 	}
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
+	recs := newRecorders(machine)
 
 	// The wire is shared; the fleet engine switches it into fleet mode and
 	// feeds it each window's horizon. The loss rates are modest — enough to
 	// exercise retransmission on a hundred concurrent flows without turning
 	// the run into a retransmission benchmark.
 	wire := ether.New(nil)
-	wire.SetRecorder(collect("wire"))
+	wire.SetRecorder(recs.get("wire"))
 	wire.InjectFaults(ether.FaultConfig{
 		Seed:    14,
 		Drop:    ether.Rate{Num: 1, Den: 200},
@@ -136,7 +103,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	var clocks []*sim.Clock
 	srvClock := sim.NewClock()
 	clocks = append(clocks, srvClock)
-	srvRec := collect("server")
+	srvRec := recs.get("server")
 	srvSt, err := wire.Attach(1)
 	if err != nil {
 		return nil, err
@@ -194,7 +161,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 			return nil, err
 		}
 		st.SetClock(clk)
-		mrec := collect(fmt.Sprintf("alto%03d", i))
+		mrec := recs.get(fmt.Sprintf("alto%03d", i))
 		st.SetRecorder(mrec)
 		eng.Add(fleet.MachineConfig{
 			Name:    fmt.Sprintf("alto%03d", i),
@@ -344,9 +311,9 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 		bytesMoved += 2 * int64(len(e14Payload(i))) // stored + fetched
 	}
 	steps := eng.Steps()
-	retrans := counter("pup.retransmit")
-	drops := counter("ether.drop")
-	sends := counter("ether.send")
+	retrans := recs.counter("pup.retransmit")
+	drops := recs.counter("ether.drop")
+	sends := recs.counter("ether.send")
 
 	res := &Result{
 		ID:    "E14",

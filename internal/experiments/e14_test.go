@@ -1,19 +1,9 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"testing"
-
-	"altoos/internal/trace"
-)
+import "testing"
 
 func TestE14FleetFanIn(t *testing.T) {
-	r, err := E14FleetFanIn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e14")
 	// The run errors internally on any corrupted journal page or network
 	// payload; the metrics guard the shape. A hundred clients against one
 	// disk-bound server queue up minutes of simulated time, and the lossy
@@ -24,67 +14,5 @@ func TestE14FleetFanIn(t *testing.T) {
 	check(t, r, "bytes_moved", 100_000, 200_000)
 	if r.Metrics["retransmits"] < 1 {
 		t.Error("a lossy wire and a backlogged server produced no retransmissions")
-	}
-}
-
-// e14Snapshot runs the fleet with per-machine recorders and flattens every
-// machine's full event stream plus the Result metrics into one string — the
-// byte-level artifact the determinism tests compare.
-func e14Snapshot(t *testing.T, machines, workers int) string {
-	t.Helper()
-	names := []string{}
-	recs := map[string]*trace.Recorder{}
-	r, err := E14FanIn(machines, workers, func(name string) *trace.Recorder {
-		rec := trace.New(1 << 14)
-		names = append(names, name)
-		recs[name] = rec
-		return rec
-	})
-	if err != nil {
-		t.Fatalf("E14 (workers=%d): %v", workers, err)
-	}
-	var b strings.Builder
-	sort.Strings(names)
-	for _, name := range names {
-		rec := recs[name]
-		fmt.Fprintf(&b, "== %s events=%d\n", name, rec.Len())
-		for _, ev := range rec.Events() {
-			fmt.Fprintf(&b, "%d %d %d %s %d %d %d\n", ev.T, ev.Dur, ev.Kind, ev.Name, ev.A0, ev.A1, ev.Flow)
-		}
-	}
-	keys := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "metric %s %v\n", k, r.Metrics[k])
-	}
-	return b.String()
-}
-
-// TestE14Determinism is the subsystem's acceptance gate: the merged
-// per-machine trace and every metric of a 20-Alto fan-in are byte-identical
-// across repeated runs and across worker-pool widths.
-func TestE14Determinism(t *testing.T) {
-	const machines = 20
-	base := e14Snapshot(t, machines, 1)
-	if !strings.Contains(base, "== server") || len(base) < 10_000 {
-		t.Fatalf("baseline snapshot implausibly small (%d bytes) — tracing is not wired in", len(base))
-	}
-	for _, workers := range []int{1, 4, 8} {
-		for run := 0; run < 2; run++ {
-			got := e14Snapshot(t, machines, workers)
-			if got == base {
-				continue
-			}
-			bl, gl := strings.Split(base, "\n"), strings.Split(got, "\n")
-			for i := 0; i < len(bl) && i < len(gl); i++ {
-				if bl[i] != gl[i] {
-					t.Fatalf("workers=%d run=%d diverged at line %d:\nbase: %s\ngot:  %s", workers, run, i, bl[i], gl[i])
-				}
-			}
-			t.Fatalf("workers=%d run=%d diverged in length: %d vs %d lines", workers, run, len(bl), len(gl))
-		}
 	}
 }

@@ -41,9 +41,6 @@ const (
 	// e15RotSectors is how many user-data sectors rot on each shard's
 	// designated victim replica between the load and audit phases.
 	e15RotSectors = 2
-	// e15Workers is the scoped worker-pool width; the schedule is identical
-	// at any width.
-	e15Workers = 8
 	// e15BootStagger separates client boot wakes; e15AuditStagger separates
 	// the replicas' first audit deadlines so rounds interleave.
 	e15BootStagger  = 160 * time.Nanosecond
@@ -80,20 +77,10 @@ func e15Payload(i, f, v int) []byte {
 // e15Name is client i's file f on the cluster namespace.
 func e15Name(i, f int) string { return fmt.Sprintf("c%02d.f%d", i, f) }
 
-// E15ClusterAudit runs the experiment at its default scale with tracing off.
-func E15ClusterAudit() (*Result, error) { return E15Cluster(e15Clients, 1, E15WireSeed, nil) }
-
-// e15ClusterAudit is the registry entry: one shared recorder, one worker.
-func e15ClusterAudit(rec *trace.Recorder) (*Result, error) {
-	if rec == nil {
-		return E15Cluster(e15Clients, 1, E15WireSeed, nil)
-	}
-	return E15Cluster(e15Clients, 1, E15WireSeed, func(string) *trace.Recorder { return rec })
-}
-
-// e15Scoped is the fleet-aware entry: one recorder per machine, full pool.
-func e15Scoped(machine func(string) *trace.Recorder) (*Result, error) {
-	return E15Cluster(e15Clients, e15Workers, E15WireSeed, machine)
+// e15ClusterAudit is the registry entry: the experiment at its default
+// scale on the published wire seed.
+func e15ClusterAudit(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	return E15Cluster(e15Clients, workers, E15WireSeed, machine)
 }
 
 // E15Cluster runs the two-phase cluster experiment: a load phase (clients
@@ -111,27 +98,11 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	if machine == nil {
 		machine = func(string) *trace.Recorder { return trace.New(1 << 10) }
 	}
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
+	recs := newRecorders(machine)
 
 	// One wire for both phases, losing a tenth of everything on it.
 	wire := ether.New(nil)
-	wire.SetRecorder(collect("wire"))
+	wire.SetRecorder(recs.get("wire"))
 	wire.InjectFaults(ether.FaultConfig{
 		Seed: wireSeed,
 		Drop: ether.Rate{Num: 1, Den: 10},
@@ -151,7 +122,7 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 			MaxRTO:     time.Second,
 			MaxRetries: 300,
 		},
-		Recorder: collect,
+		Recorder: recs.get,
 	})
 	if err != nil {
 		return nil, err
@@ -191,7 +162,7 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 			return nil, err
 		}
 		st.SetClock(clk)
-		st.SetRecorder(collect(fmt.Sprintf("client%02d", i)))
+		st.SetRecorder(recs.get(fmt.Sprintf("client%02d", i)))
 		sessions += (e15Files + e15Overwrites) * e15Replicas
 		eng1.Add(fleet.MachineConfig{
 			Name:    fmt.Sprintf("client%02d", i),
@@ -334,9 +305,9 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 		}
 	}
 	steps := eng1.Steps() + eng2.Steps()
-	divergence := counter("cluster.divergence")
-	heals := counter("cluster.heal")
-	rounds := counter("cluster.round")
+	divergence := recs.counter("cluster.divergence")
+	heals := recs.counter("cluster.heal")
+	rounds := recs.counter("cluster.round")
 	if divergence == 0 {
 		return nil, fmt.Errorf("e15: no divergence detected despite %d rotted sectors and the skipped overwrites", rotted)
 	}
@@ -362,6 +333,6 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	res.metric("audit_rounds_to_heal", float64(maxHealRound))
 	res.metric("sim_seconds", simEnd.Seconds())
 	res.metric("scheduler_steps", float64(steps))
-	res.metric("retransmits", float64(counter("pup.retransmit")))
+	res.metric("retransmits", float64(recs.counter("pup.retransmit")))
 	return res, nil
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"altoos/internal/trace"
@@ -34,63 +31,15 @@ func TestE15ClusterAudit(t *testing.T) {
 	}
 }
 
-// e15Snapshot runs the cluster fleet with per-machine recorders and flattens
-// every machine's full event stream plus the Result metrics into one string.
-func e15Snapshot(t *testing.T, clients, workers int) string {
-	t.Helper()
-	names := []string{}
-	recs := map[string]*trace.Recorder{}
-	r, err := E15Cluster(clients, workers, E15WireSeed, func(name string) *trace.Recorder {
-		rec := trace.New(1 << 14)
-		names = append(names, name)
-		recs[name] = rec
-		return rec
-	})
-	if err != nil {
-		t.Fatalf("E15 (workers=%d): %v", workers, err)
-	}
-	var b strings.Builder
-	sort.Strings(names)
-	for _, name := range names {
-		rec := recs[name]
-		fmt.Fprintf(&b, "== %s events=%d\n", name, rec.Len())
-		for _, ev := range rec.Events() {
-			fmt.Fprintf(&b, "%d %d %d %s %d %d %d\n", ev.T, ev.Dur, ev.Kind, ev.Name, ev.A0, ev.A1, ev.Flow)
-		}
-	}
-	keys := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "metric %s %v\n", k, r.Metrics[k])
-	}
-	return b.String()
-}
-
-// TestE15Determinism pins the cluster's replay claim: the merged per-machine
-// trace — every audit round, every heal, every packet of a two-phase run —
-// and every metric are byte-identical across repeated runs and widths.
+// TestE15Determinism runs the shared determinism harness on the cluster at
+// a reduced client count, a second scale beside TestDeterminism's full-size
+// E15, so the replay claim is not tied to one load.
 func TestE15Determinism(t *testing.T) {
 	const clients = 6
-	base := e15Snapshot(t, clients, 1)
-	if !strings.Contains(base, "== shard0/r0") || len(base) < 10_000 {
-		t.Fatalf("baseline snapshot implausibly small (%d bytes) — tracing is not wired in", len(base))
+	run := func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+		return E15Cluster(clients, workers, E15WireSeed, machine)
 	}
-	for _, workers := range []int{1, 8} {
-		for run := 0; run < 2; run++ {
-			got := e15Snapshot(t, clients, workers)
-			if got == base {
-				continue
-			}
-			bl, gl := strings.Split(base, "\n"), strings.Split(got, "\n")
-			for i := 0; i < len(bl) && i < len(gl); i++ {
-				if bl[i] != gl[i] {
-					t.Fatalf("workers=%d run=%d diverged at line %d:\nbase: %s\ngot:  %s", workers, run, i, bl[i], gl[i])
-				}
-			}
-			t.Fatalf("workers=%d run=%d diverged in length: %d vs %d lines", workers, run, len(bl), len(gl))
-		}
+	if err := checkDeterminism("e15 (6 clients)", run); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,11 +12,9 @@ import (
 	"altoos/internal/trace"
 )
 
-// E1RawTransfer — §2: each drive "can transfer 64k words in about one
+// e1RawTransfer — §2: each drive "can transfer 64k words in about one
 // second". A 256-page consecutively allocated file is read sequentially and
 // the achieved word rate compared with the claim.
-func E1RawTransfer() (*Result, error) { return e1RawTransfer(nil) }
-
 func e1RawTransfer(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E1",
@@ -47,11 +45,9 @@ func e1RawTransfer(rec *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E2AllocFreeCost — §3.3: the label discipline "costs a disk revolution each
+// e2AllocFreeCost — §3.3: the label discipline "costs a disk revolution each
 // time a page is allocated or freed", while "on any other write the label is
 // checked, at no cost in time". Averages over random sectors.
-func E2AllocFreeCost() (*Result, error) { return e2AllocFreeCost(nil) }
-
 func e2AllocFreeCost(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E2",
@@ -120,10 +116,8 @@ func e2AllocFreeCost(rec *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E3Scavenge — §3.5: scavenging "takes about a minute for a 2.5 megabyte
+// e3Scavenge — §3.5: scavenging "takes about a minute for a 2.5 megabyte
 // disk". Populates disks of both geometries to ~60% and scavenges.
-func E3Scavenge() (*Result, error) { return e3Scavenge(nil) }
-
 func e3Scavenge(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E3",
@@ -156,11 +150,9 @@ func e3Scavenge(rec *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E4Compaction — §3.5: consecutive layout "typically increases the speed
+// e4Compaction — §3.5: consecutive layout "typically increases the speed
 // with which the files can be read sequentially by an order of magnitude
 // over what is possible if the pages have become scattered".
-func E4Compaction() (*Result, error) { return e4Compaction(nil) }
-
 func e4Compaction(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E4",

@@ -16,10 +16,8 @@ import (
 	"altoos/internal/trace"
 )
 
-// E5HintLadder — §3.6: the cost of each level of the hint recovery ladder,
+// e5HintLadder — §3.6: the cost of each level of the hint recovery ladder,
 // from a correct direct hint down to running the Scavenger.
-func E5HintLadder() (*Result, error) { return e5HintLadder(nil) }
-
 func e5HintLadder(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E5",
@@ -157,10 +155,8 @@ func e5HintLadder(rec *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E6WorldSwap — §4.1: OutLoad and InLoad each take "about a second"; a
+// e6WorldSwap — §4.1: OutLoad and InLoad each take "about a second"; a
 // coroutine transfer is an OutLoad plus an InLoad.
-func E6WorldSwap() (*Result, error) { return e6WorldSwap(nil) }
-
 func e6WorldSwap(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E6",
@@ -215,12 +211,10 @@ func e6WorldSwap(rec *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E7Junta — §5.2: the level table, and the memory a program gains by
-// removing levels it does not need.
-func E7Junta() (*Result, error) { return e7Junta(nil) }
-
-// e7Junta takes the recorder for signature uniformity only: the experiment
-// never touches a disk, so there is nothing to trace.
+// e7Junta — §5.2: the level table, and the memory a program gains by
+// removing levels it does not need. It takes the recorder for signature
+// uniformity only: the experiment never touches a disk, so there is nothing
+// to trace.
 func e7Junta(_ *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E7",
@@ -247,12 +241,10 @@ func e7Junta(_ *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E8Robustness — §3.3/§6: "the label checking is crucial ... the incidence
+// e8Robustness — §3.3/§6: "the label checking is crucial ... the incidence
 // of complaints about lost information is negligible". Wild writes must all
 // be rejected; map lies must cost retries only; random damage must lose only
 // what it directly destroyed.
-func E8Robustness() (*Result, error) { return e8Robustness(nil) }
-
 func e8Robustness(rec *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E8",
@@ -369,11 +361,9 @@ func e8Robustness(rec *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E9InstalledHints — §3.6/§4: installed hints survive world swaps and give
+// e9InstalledHints — §3.6/§4: installed hints survive world swaps and give
 // warm starts at full disk speed; a failed hint means reinstalling, never
 // damage.
-func E9InstalledHints() (*Result, error) { return e9InstalledHints(nil) }
-
 func e9InstalledHints(tr *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E9",
@@ -504,23 +494,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// All runs every experiment in order.
-func All() ([]*Result, error) {
-	funcs := []func() (*Result, error){
-		E1RawTransfer, E2AllocFreeCost, E3Scavenge, E4Compaction,
-		E5HintLadder, E6WorldSwap, E7Junta, E8Robustness, E9InstalledHints,
-		E10LoadedServer, E11LossSweep, E12CrashSweep, E13Saturation,
-		E14FleetFanIn,
-	}
-	out := make([]*Result, 0, len(funcs))
-	for _, f := range funcs {
-		r, err := f()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

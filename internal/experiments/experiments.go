@@ -130,36 +130,80 @@ func secs(d time.Duration) float64 { return d.Seconds() }
 
 var _ = sim.NewRand // keep the import set stable across experiment files
 
-// Runner names one experiment and its recorder-threading entry point, for
-// drivers (cmd/altotrace) that run experiments by id with tracing on.
-// Scoped, when set, is the fleet-aware variant: it draws one recorder per
-// simulated machine from the supplied function (cmd/altoscope passes
-// scope.Fleet.Machine) instead of tracing everything into one stream.
-type Runner struct {
-	ID     string
-	Title  string
-	Run    func(rec *trace.Recorder) (*Result, error)
-	Scoped func(machine func(string) *trace.Recorder) (*Result, error)
+// recorders hands out machine recorders and keeps each distinct one, so a
+// counter sums the same whether a run traced into one recorder or one per
+// machine: retransmits live on the client and server machines, drops on the
+// wire.
+type recorders struct {
+	machine func(string) *trace.Recorder
+	seen    map[*trace.Recorder]bool
+	all     []*trace.Recorder
 }
 
-// registry lists every experiment in order. The Run functions are the
-// unexported recorder-taking variants the public E1..E9 wrappers call.
+func newRecorders(machine func(string) *trace.Recorder) *recorders {
+	return &recorders{machine: machine, seen: map[*trace.Recorder]bool{}}
+}
+
+// get returns the named machine's recorder.
+func (rs *recorders) get(name string) *trace.Recorder {
+	r := rs.machine(name)
+	if r != nil && !rs.seen[r] {
+		rs.seen[r] = true
+		rs.all = append(rs.all, r)
+	}
+	return r
+}
+
+// counter sums the named counter over every recorder handed out.
+func (rs *recorders) counter(name string) int64 {
+	var total int64
+	for _, r := range rs.all {
+		total += r.Counter(name)
+	}
+	return total
+}
+
+// Runner names one experiment and its entry point. Run executes it: workers
+// is the fleet engine's worker-pool width (experiments that run no fleet
+// ignore it; the schedule is identical at any width), and machine maps a
+// simulated machine's name to its flight recorder — nil turns tracing off,
+// and scope.Fleet.Machine gives each machine its own. Experiments that model
+// one machine record into machine("machine"). A machine function that hands
+// every name the same recorder keeps the event order deterministic only at
+// one worker.
+type Runner struct {
+	ID    string
+	Title string
+	Run   func(workers int, machine func(string) *trace.Recorder) (*Result, error)
+}
+
+// single adapts a one-machine experiment to the Runner signature.
+func single(run func(*trace.Recorder) (*Result, error)) func(int, func(string) *trace.Recorder) (*Result, error) {
+	return func(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+		if machine == nil {
+			return run(nil)
+		}
+		return run(machine("machine"))
+	}
+}
+
+// registry lists every experiment in order.
 var registry = []Runner{
-	{ID: "e1", Title: "raw sequential transfer", Run: e1RawTransfer},
-	{ID: "e2", Title: "allocation and free cost", Run: e2AllocFreeCost},
-	{ID: "e3", Title: "scavenge time by disk size", Run: e3Scavenge},
-	{ID: "e4", Title: "compaction speedup", Run: e4Compaction},
-	{ID: "e5", Title: "hint-ladder costs", Run: e5HintLadder},
-	{ID: "e6", Title: "world-swap timing", Run: e6WorldSwap},
-	{ID: "e7", Title: "Junta memory reclaim", Run: e7Junta},
-	{ID: "e8", Title: "fault injection", Run: e8Robustness},
-	{ID: "e9", Title: "installed hints", Run: e9InstalledHints},
-	{ID: "e10", Title: "loaded file server over a lossy wire", Run: e10LoadedServer, Scoped: e10Scoped},
-	{ID: "e11", Title: "goodput vs. packet loss", Run: e11LossSweep},
-	{ID: "e12", Title: "exhaustive crash-point sweep", Run: e12CrashSweep},
-	{ID: "e13", Title: "segment saturation and fairness", Run: e13Saturation, Scoped: e13Scoped},
-	{ID: "e14", Title: "fleet fan-in: a hundred Altos on one file server", Run: e14FleetFanIn, Scoped: e14Scoped},
-	{ID: "e15", Title: "sharded cluster with a distributed Scavenger", Run: e15ClusterAudit, Scoped: e15Scoped},
+	{ID: "e1", Title: "raw sequential transfer", Run: single(e1RawTransfer)},
+	{ID: "e2", Title: "allocation and free cost", Run: single(e2AllocFreeCost)},
+	{ID: "e3", Title: "scavenge time by disk size", Run: single(e3Scavenge)},
+	{ID: "e4", Title: "compaction speedup", Run: single(e4Compaction)},
+	{ID: "e5", Title: "hint-ladder costs", Run: single(e5HintLadder)},
+	{ID: "e6", Title: "world-swap timing", Run: single(e6WorldSwap)},
+	{ID: "e7", Title: "Junta memory reclaim", Run: single(e7Junta)},
+	{ID: "e8", Title: "fault injection", Run: single(e8Robustness)},
+	{ID: "e9", Title: "installed hints", Run: single(e9InstalledHints)},
+	{ID: "e10", Title: "loaded file server over a lossy wire", Run: e10LoadedServer},
+	{ID: "e11", Title: "goodput vs. packet loss", Run: single(e11LossSweep)},
+	{ID: "e12", Title: "exhaustive crash-point sweep", Run: single(e12CrashSweep)},
+	{ID: "e13", Title: "segment saturation and fairness", Run: e13Saturation},
+	{ID: "e14", Title: "fleet fan-in: a hundred Altos on one file server", Run: e14FleetFanIn},
+	{ID: "e15", Title: "sharded cluster with a distributed Scavenger", Run: e15ClusterAudit},
 }
 
 // IDs lists the experiment ids Run accepts, in order.
@@ -171,28 +215,12 @@ func IDs() []string {
 	return out
 }
 
-// Run executes the experiment with the given id (case-insensitive), with
-// every drive it builds emitting into rec (nil: tracing off).
-func Run(id string, rec *trace.Recorder) (*Result, error) {
+// Run executes the experiment with the given id (case-insensitive); see
+// Runner for workers and machine.
+func Run(id string, workers int, machine func(string) *trace.Recorder) (*Result, error) {
 	for _, r := range registry {
 		if strings.EqualFold(r.ID, id) {
-			return r.Run(rec)
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
-}
-
-// RunScoped executes the experiment with per-machine recorders drawn from
-// machine (name → recorder; scope.Fleet.Machine is the canonical source).
-// Experiments without a fleet-aware variant run whole on one machine named
-// "machine", so every experiment remains drivable from cmd/altoscope.
-func RunScoped(id string, machine func(string) *trace.Recorder) (*Result, error) {
-	for _, r := range registry {
-		if strings.EqualFold(r.ID, id) {
-			if r.Scoped != nil {
-				return r.Scoped(machine)
-			}
-			return r.Run(machine("machine"))
+			return r.Run(workers, machine)
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))

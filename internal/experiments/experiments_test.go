@@ -10,6 +10,16 @@ import (
 // virtual clock and seeded PRNG make every value deterministic, so these
 // bounds are regression tripwires, not flaky thresholds.
 
+// mustRun executes one registered experiment untraced at one worker.
+func mustRun(t *testing.T, id string) *Result {
+	t.Helper()
+	r, err := Run(id, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func check(t *testing.T, r *Result, metric string, lo, hi float64) {
 	t.Helper()
 	v, ok := r.Metrics[metric]
@@ -22,50 +32,35 @@ func check(t *testing.T, r *Result, metric string, lo, hi float64) {
 }
 
 func TestE1RawTransfer(t *testing.T) {
-	r, err := E1RawTransfer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e1")
 	// "about one second" for 64K words.
 	check(t, r, "sim_seconds_64kwords", 0.5, 2.0)
 	check(t, r, "words_per_sec", 30_000, 80_000)
 }
 
 func TestE2AllocFreeCost(t *testing.T) {
-	r, err := E2AllocFreeCost()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e2")
 	// "costs a disk revolution each time a page is allocated or freed".
 	check(t, r, "alloc_overhead_revs", 0.9, 1.1)
 	check(t, r, "free_overhead_revs", 0.9, 1.1)
 }
 
 func TestE3Scavenge(t *testing.T) {
-	r, err := E3Scavenge()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e3")
 	// "about a minute for a 2.5 megabyte disk": same order of magnitude.
 	check(t, r, "scavenge_seconds_Diablo31", 10, 120)
 	check(t, r, "scavenge_seconds_Trident", 5, 120)
 }
 
 func TestE4Compaction(t *testing.T) {
-	r, err := E4Compaction()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e4")
 	// "an order of magnitude": the two scatter regimes bracket 10x.
 	check(t, r, "speedup", 4, 20)
 	check(t, r, "aged_speedup", 8, 25)
 }
 
 func TestE5HintLadder(t *testing.T) {
-	r, err := E5HintLadder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e5")
 	direct := r.Metrics["ms_direct_hint"]
 	chase := r.Metrics["ms_link_chase"]
 	kth := r.Metrics["ms_kth_page"]
@@ -80,20 +75,14 @@ func TestE5HintLadder(t *testing.T) {
 }
 
 func TestE6WorldSwap(t *testing.T) {
-	r, err := E6WorldSwap()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e6")
 	// "requires about a second".
 	check(t, r, "outload_seconds", 0.5, 3)
 	check(t, r, "inload_seconds", 0.5, 3)
 }
 
 func TestE7Junta(t *testing.T) {
-	r, err := E7Junta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e7")
 	full := r.Metrics["full_resident_words"]
 	freed := r.Metrics["max_words_freed"]
 	if freed >= full {
@@ -105,10 +94,7 @@ func TestE7Junta(t *testing.T) {
 }
 
 func TestE8Robustness(t *testing.T) {
-	r, err := E8Robustness()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e8")
 	check(t, r, "wild_writes_rejected_pct", 100, 100)
 	check(t, r, "undamaged_recovery_pct", 100, 100)
 	if r.Metrics["map_lie_retries"] < 1 {
@@ -117,19 +103,13 @@ func TestE8Robustness(t *testing.T) {
 }
 
 func TestE9InstalledHints(t *testing.T) {
-	r, err := E9InstalledHints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e9")
 	check(t, r, "warm_advantage", 1.5, 20)
 	check(t, r, "hints_failed_after_delete", 1, 1)
 }
 
 func TestE10LoadedServer(t *testing.T) {
-	r, err := E10LoadedServer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e10")
 	// 8 clients over a 10%-loss wire: the run errors internally on any
 	// corruption or on zero retransmissions, so the bands here guard the
 	// throughput shape. Retransmits are bounded: well under one per sent
@@ -140,10 +120,7 @@ func TestE10LoadedServer(t *testing.T) {
 }
 
 func TestE11LossSweep(t *testing.T) {
-	r, err := E11LossSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e11")
 	g0 := r.Metrics["goodput_words_per_sec_loss0"]
 	g20 := r.Metrics["goodput_words_per_sec_loss20"]
 	if g0 <= 0 || g20 <= 0 {
@@ -176,10 +153,7 @@ func TestE11LossSweep(t *testing.T) {
 }
 
 func TestE13Saturation(t *testing.T) {
-	r, err := E13Saturation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e13")
 	// The run errors internally on any corrupted delivery; the metrics
 	// guard fairness and liveness. Jain's index >= 0.9 is the acceptance
 	// bar: every one of the 24 flows got a comparable share.
@@ -191,10 +165,7 @@ func TestE13Saturation(t *testing.T) {
 }
 
 func TestE12CrashSweep(t *testing.T) {
-	r, err := E12CrashSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e12")
 	// Every crash point of both workloads, clean and torn, must recover.
 	check(t, r, "violations_total", 0, 0)
 	check(t, r, "recovered_pct", 100, 100)
@@ -202,18 +173,20 @@ func TestE12CrashSweep(t *testing.T) {
 	check(t, r, "crash_points_total", 100, 1000)
 }
 
+// TestAllRunsEveryExperiment walks the registry: every experiment runs and
+// renders a well-formed table, and IDs lists each one.
 func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	results, err := All()
-	if err != nil {
-		t.Fatal(err)
+	if len(registry) != 15 || len(IDs()) != len(registry) {
+		t.Fatalf("registry has %d experiments and IDs lists %d, want 15 each", len(registry), len(IDs()))
 	}
-	if len(results) != 14 {
-		t.Fatalf("All returned %d results", len(results))
-	}
-	for _, r := range results {
+	for _, e := range registry {
+		r, err := e.Run(1, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
 		tbl := r.Table()
 		if !strings.Contains(tbl, r.ID) || !strings.Contains(tbl, "paper:") {
 			t.Errorf("%s: malformed table:\n%s", r.ID, tbl)

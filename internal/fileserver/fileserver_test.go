@@ -84,8 +84,9 @@ func pattern(n, salt int) []byte {
 }
 
 func TestStoreAndFetch(t *testing.T) {
-	_, srv, clients, _ := fixture(t, 1)
+	wire, srv, clients, _ := fixture(t, 1)
 	c := clients[0]
+	start := wire.Clock().Now()
 
 	// A multi-page file: exercises the chained interior-page paths.
 	want := pattern(5*disk.PageBytes+123, 1)
@@ -115,6 +116,35 @@ func TestStoreAndFetch(t *testing.T) {
 	}
 	if st.BytesIn != int64(len(want)) || st.BytesOut != int64(len(want)) {
 		t.Fatalf("byte stats = %+v, want %d each way", st, len(want))
+	}
+	if wire.Clock().Now() == start {
+		t.Fatal("the round trip charged no simulated time")
+	}
+}
+
+// TestSecondRequestWhileBusy: a client runs one transfer at a time. A second
+// request before the first is done fails with ErrBusy and leaves the first
+// intact; once Result has been read, the client takes the next request.
+func TestSecondRequestWhileBusy(t *testing.T) {
+	_, srv, clients, _ := fixture(t, 1)
+	c := clients[0]
+	want := pattern(disk.PageBytes+9, 3)
+	if err := c.Store("a", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fetch("a"); !errors.Is(err, ErrBusy) {
+		t.Fatalf("second request: got %v, want ErrBusy", err)
+	}
+	pump(t, srv, clients)
+	if _, err := c.Result(); err != nil {
+		t.Fatalf("store: %v", err)
+	}
+	if err := c.Fetch("a"); err != nil {
+		t.Fatalf("request after Result: %v", err)
+	}
+	pump(t, srv, clients)
+	if got, err := c.Result(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("fetch: %d bytes, %v", len(got), err)
 	}
 }
 

@@ -114,7 +114,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 
 func nop(*fleet.Machine) error { return nil }
 
-// TestAddRejectsSharedClock: a windowed machine's clock belongs to it alone.
+// TestAddRejectsSharedClock: a machine's clock belongs to it alone.
 // A second machine advancing it would move the first one's effective wake
 // without the engine re-keying it.
 func TestAddRejectsSharedClock(t *testing.T) {

@@ -22,11 +22,9 @@
 // delivery scheduled are re-keyed (see Engine.Add for the invariant this
 // rests on).
 //
-// The engine also runs in coupled mode (NewCoupled): all machines share one
-// clock and are stepped round-robin in creation order, one activation per
-// round. That is exactly the hand-interleaved polling loop the experiments
-// used to write out longhand, so existing experiments port onto the
-// substrate as actors without changing their simulated-time results.
+// A machine room that shares one clock needs no engine: §2's Alto has no
+// scheduler, and a program serving several activities alternates between
+// them in a plain poll loop (E10, E11 and E13 do exactly that).
 package fleet
 
 import (
@@ -60,20 +58,18 @@ var (
 
 // Engine schedules a set of machines over simulated time.
 type Engine struct {
-	coupled    bool
-	lookahead  time.Duration
-	workers    int
-	maxRounds  int
-	afterRound func()
-	net        *ether.Network
+	lookahead time.Duration
+	workers   int
+	maxRounds int
+	net       *ether.Network
 
 	machines []*Machine
-	clocks   map[*sim.Clock]*Machine // windowed mode: each clock's one owner
+	clocks   map[*sim.Clock]*Machine // each clock's one owner
 	draining bool
 	horizon  time.Duration
 	steps    atomic.Int64
 
-	// Windowed mode's event queue: every live machine, keyed by effective
+	// The event queue: every live machine, keyed by effective
 	// wake. batch is the current window's machines, reused window to window.
 	// live counts unfinished machines, users the unfinished non-daemons.
 	queue       wakeQueue
@@ -94,7 +90,7 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// Workers sets the worker-pool width for windowed execution (default 1).
+// Workers sets the worker-pool width (default 1).
 // The schedule is byte-identical for every width; workers only change how
 // much of a window runs wall-clock-concurrently.
 func Workers(n int) Option {
@@ -116,24 +112,14 @@ func Lookahead(d time.Duration) Option {
 	}
 }
 
-// MaxRounds bounds the number of scheduling rounds (windows, or coupled
-// round-robin sweeps) before the engine gives up with ErrRoundCap. The
-// default is 4,000,000 — the poll budget the hand-written experiment loops
-// used.
+// MaxRounds bounds the number of windows before the engine gives up with
+// ErrRoundCap. The default is 4,000,000.
 func MaxRounds(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.maxRounds = n
 		}
 	}
-}
-
-// AfterRound installs a hook called at the end of every coupled round, the
-// place legacy experiment loops made their exit decisions. Machines observe
-// the outcome (typically a shared stop flag) at the top of their next
-// activation.
-func AfterRound(f func()) Option {
-	return func(e *Engine) { e.afterRound = f }
 }
 
 // Medium hands the engine the network the fleet communicates over. The
@@ -143,7 +129,7 @@ func Medium(n *ether.Network) Option {
 	return func(e *Engine) { e.net = n }
 }
 
-// New creates a windowed (parallel lockstep) engine.
+// New creates an engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		lookahead: ether.MinLatency,
@@ -160,34 +146,23 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// NewCoupled creates a coupled (shared-clock, round-robin) engine.
-func NewCoupled(opts ...Option) *Engine {
-	e := &Engine{coupled: true, workers: 1, maxRounds: 4_000_000}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
-
 // Add registers a machine with the engine. Machines are stepped and
 // tie-broken in creation order; creation order is part of the schedule and
 // must itself be deterministic.
 //
-// The windowed engine re-keys a machine only when it runs or when one of its
+// The engine re-keys a machine only when it runs or when one of its
 // stations gets a delivery scheduled, so it relies on a machine's effective
 // wake changing through nothing else. Add enforces the two ways that could
-// break: a windowed machine must own its Clock (no other machine of this
-// engine may advance it), and each station belongs to one machine at a time
-// (its delivery hook names that machine). The engine holds its stations'
-// hooks from Add until Run returns.
+// break: a machine must own its Clock (no other machine of this engine may
+// advance it), and each station belongs to one machine at a time (its
+// delivery hook names that machine). The engine holds its stations' hooks
+// from Add until Run returns.
 func (e *Engine) Add(cfg MachineConfig) *Machine {
-	if !e.coupled {
-		if cfg.Clock == nil {
-			panic("fleet: windowed machines require their own Clock")
-		}
-		if other, ok := e.clocks[cfg.Clock]; ok {
-			panic(fmt.Sprintf("fleet: machine %s shares its Clock with machine %s", cfg.Name, other.name))
-		}
+	if cfg.Clock == nil {
+		panic("fleet: machines require their own Clock")
+	}
+	if other, ok := e.clocks[cfg.Clock]; ok {
+		panic(fmt.Sprintf("fleet: machine %s shares its Clock with machine %s", cfg.Name, other.name))
 	}
 	var sts []*ether.Station
 	if cfg.Station != nil {
@@ -205,13 +180,11 @@ func (e *Engine) Add(cfg MachineConfig) *Machine {
 		horizon: never,
 		slot:    -1,
 	}
-	if !e.coupled {
-		e.clocks[cfg.Clock] = m
-		mark := func() { e.markDirty(m) }
-		for _, st := range sts {
-			if err := st.OnDeliver(mark); err != nil {
-				panic(fmt.Sprintf("fleet: machine %s: station %d is already bound to another machine", cfg.Name, st.Addr()))
-			}
+	e.clocks[cfg.Clock] = m
+	mark := func() { e.markDirty(m) }
+	for _, st := range sts {
+		if err := st.OnDeliver(mark); err != nil {
+			panic(fmt.Sprintf("fleet: machine %s: station %d is already bound to another machine", cfg.Name, st.Addr()))
 		}
 	}
 	e.machines = append(e.machines, m)
@@ -233,12 +206,7 @@ func (e *Engine) markDirty(m *Machine) {
 // Run executes the fleet to completion: every non-daemon machine's program
 // has returned, daemons have been drained, or an error or budget stop
 // occurred. It must be called exactly once.
-func (e *Engine) Run() error {
-	if e.coupled {
-		return e.run(e.loopCoupled)
-	}
-	return e.run(e.loopWindows)
-}
+func (e *Engine) Run() error { return e.run(e.loopWindows) }
 
 // run makes every machine a coroutine, drives the schedule with loop, then
 // unwinds the unfinished machines and releases the stations' delivery
@@ -251,41 +219,12 @@ func (e *Engine) run(loop func() error) error {
 	defer func() {
 		for _, m := range e.machines {
 			m.stop()
-			if !e.coupled {
-				for _, st := range m.sts {
-					_ = st.OnDeliver(nil) // removing a hook cannot fail
-				}
+			for _, st := range m.sts {
+				_ = st.OnDeliver(nil) // removing a hook cannot fail
 			}
 		}
 	}()
 	return loop()
-}
-
-// loopCoupled steps every live machine once per round, in creation order,
-// exactly as the hand-written experiment loops did.
-func (e *Engine) loopCoupled() error {
-	for round := 0; ; round++ {
-		if round >= e.maxRounds {
-			return fmt.Errorf("%w after %d rounds", ErrRoundCap, round)
-		}
-		live := false
-		for _, m := range e.machines {
-			if m.done {
-				continue
-			}
-			live = true
-			e.stepAt(m, 0)
-			if m.done && m.err != nil {
-				return m.err
-			}
-		}
-		if !live {
-			return nil
-		}
-		if e.afterRound != nil {
-			e.afterRound()
-		}
-	}
 }
 
 // loopWindows is the conservative parallel schedule: take the earliest wake
@@ -471,7 +410,7 @@ func (e *Engine) runBatch(batch []*Machine) {
 func (e *Engine) stepAt(m *Machine, wake time.Duration) {
 	e.steps.Add(1)
 	m.horizon, m.draining = e.horizon, e.draining
-	if m.clock != nil && wake < never {
+	if wake < never {
 		m.clock.AdvanceTo(wake)
 	}
 	m.next()

@@ -230,72 +230,3 @@ func TestErrorAbortsFleet(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
-
-// TestCoupledRoundRobin: coupled machines step once per round in creation
-// order, the AfterRound hook fires between rounds, and a shared stop flag
-// ends the fleet — the shape every converted experiment loop uses.
-func TestCoupledRoundRobin(t *testing.T) {
-	var order []string
-	var stop bool
-	rounds := 0
-	eng := NewCoupled(AfterRound(func() {
-		rounds++
-		if rounds == 3 {
-			stop = true
-		}
-	}))
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		eng.Add(MachineConfig{Name: name, Program: func(m *Machine) error {
-			for !stop {
-				order = append(order, name)
-				m.Yield()
-			}
-			return nil
-		}})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(order, ""), "abcabcabc"; got != want {
-		t.Fatalf("step order %q, want %q", got, want)
-	}
-}
-
-// TestCoupledRoundCap: a fleet that never finishes trips ErrRoundCap.
-func TestCoupledRoundCap(t *testing.T) {
-	eng := NewCoupled(MaxRounds(10))
-	eng.Add(MachineConfig{Name: "spinner", Program: func(m *Machine) error {
-		for {
-			m.Yield()
-		}
-	}})
-	if err := eng.Run(); !errors.Is(err, ErrRoundCap) {
-		t.Fatalf("err = %v, want ErrRoundCap", err)
-	}
-}
-
-// TestCoupledErrorStopsRound: an error mid-round returns immediately — the
-// machines after the failer in that round are not stepped again, matching
-// the legacy loops' behaviour.
-func TestCoupledErrorStopsRound(t *testing.T) {
-	boom := errors.New("boom")
-	steps := 0
-	eng := NewCoupled()
-	eng.Add(MachineConfig{Name: "failer", Program: func(m *Machine) error {
-		m.Yield() // round 1 ok
-		return boom
-	}})
-	eng.Add(MachineConfig{Name: "after", Program: func(m *Machine) error {
-		for {
-			steps++
-			m.Yield()
-		}
-	}})
-	if err := eng.Run(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if steps != 1 {
-		t.Fatalf("machine after the failer stepped %d times, want 1 (round 2 must not reach it)", steps)
-	}
-}

@@ -11,12 +11,11 @@ import (
 type MachineConfig struct {
 	// Name identifies the machine in errors and diagnostics.
 	Name string
-	// Clock is the machine's own clock. Required in windowed mode, where
-	// each machine carries its local time; leave nil in coupled mode,
-	// where every machine shares the rig's clock.
+	// Clock is the machine's own clock (required): each machine carries
+	// its local time, and no other machine of the engine may advance it.
 	Clock *sim.Clock
-	// Station is the machine's ether attachment, if any. The windowed
-	// engine installs the station's delivery hook and re-reads its earliest
+	// Station is the machine's ether attachment, if any. The engine
+	// installs the station's delivery hook and re-reads its earliest
 	// scheduled arrival whenever a delivery is scheduled, so a machine
 	// blocked waiting for traffic wakes exactly when the packet arrives. A
 	// station belongs to one machine at a time.
@@ -97,24 +96,16 @@ func (m *Machine) effectiveWake() time.Duration {
 // Name returns the machine's name.
 func (m *Machine) Name() string { return m.name }
 
-// Clock returns the machine's clock (nil for coupled machines, which share
-// the rig's).
+// Clock returns the machine's own clock.
 func (m *Machine) Clock() *sim.Clock { return m.clock }
 
 // Draining reports whether the fleet is shutting down: every non-daemon
 // machine has finished and the engine has woken the daemons to exit.
 func (m *Machine) Draining() bool { return m.draining }
 
-// Yield parks the machine until the schedule comes back around: next round
-// in coupled mode, or a wake at the machine's current time in windowed
-// mode. It is the cooperative "give the others a turn" point.
-func (m *Machine) Yield() {
-	if m.clock == nil {
-		m.park(0)
-		return
-	}
-	m.park(m.clock.Now())
-}
+// Yield parks the machine with a wake at its current time: the cooperative
+// "give the others a turn" point.
+func (m *Machine) Yield() { m.park(m.clock.Now()) }
 
 // Sync parks the machine if its local clock has reached the window horizon.
 // The actor contract: call Sync before every observation of the ether. A
@@ -123,9 +114,6 @@ func (m *Machine) Yield() {
 // window catch up, or it would poll for packets that concurrently running
 // machines may not have sent yet.
 func (m *Machine) Sync() {
-	if m.clock == nil {
-		return
-	}
 	for m.clock.Now() >= m.horizon {
 		m.park(m.clock.Now())
 	}
@@ -136,10 +124,6 @@ func (m *Machine) Sync() {
 // next delivery scheduled for its station, which the engine watches on the
 // machine's behalf. Call it when a poll did no work.
 func (m *Machine) Idle() {
-	if m.clock == nil {
-		m.park(0)
-		return
-	}
 	wake := never
 	if d, ok := m.clock.NextWake(); ok {
 		m.clock.ClearWake()

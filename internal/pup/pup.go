@@ -61,7 +61,7 @@ import (
 	"altoos/internal/trace"
 )
 
-// Packet types, claiming a range above the netfile v1 framing (0x46-0x4A).
+// Packet types, claiming a range of their own (0x50 up).
 const (
 	// TypeOpen asks the remote endpoint to create a connection.
 	TypeOpen ether.Word = 0x50 + iota

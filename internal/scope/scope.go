@@ -17,7 +17,7 @@
 // events. Machines are ordered by name, events by (simulated time, machine,
 // ring position) — a total order independent of merge-input order — so the
 // merged trace and the profile are byte-identical across runs, across merge
-// input orders, and across worker counts (cmd/altoscope -check pins this).
+// input orders, and across worker counts (cmd/altoscope's tests pin this).
 package scope
 
 import (
@@ -49,7 +49,7 @@ func NewFleet(capacity int) *Fleet {
 }
 
 // Machine returns the named machine's recorder, creating it on first use.
-// The method value is the shape experiments.RunScoped consumes.
+// The method value is the machine function experiments.Run takes.
 func (f *Fleet) Machine(name string) *trace.Recorder {
 	f.mu.Lock()
 	defer f.mu.Unlock()
