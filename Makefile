@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectoryPages$$' -fuzztime 10s ./internal/dir
 	$(GO) test -run '^$$' -fuzz '^FuzzPupPacket$$' -fuzztime 10s ./internal/pup
 	$(GO) test -run '^$$' -fuzz '^FuzzFileserverMessages$$' -fuzztime 10s ./internal/fileserver
+	$(GO) test -run '^$$' -fuzz '^FuzzDriveTwin$$' -fuzztime 10s ./internal/disk
 
 fmt:
 	gofmt -l -w .

@@ -161,6 +161,20 @@ type sector struct {
 	bad    bool // fault injection: unrecoverable
 }
 
+// formatted is the sector at addr as low-level formatting leaves it: a
+// header naming the pack and the address, the free-page label and the
+// all-ones value. A free page is known by its label alone (§3.3), so every
+// never-written sector reads as this pattern, and its checksum is the
+// constant onesCRC.
+func formatted(pack Word, addr VDA) sector {
+	return sector{
+		header: Header{Pack: pack, Addr: addr}.Words(),
+		label:  freeLabelWords,
+		value:  onesValue,
+		vcrc:   onesCRC,
+	}
+}
+
 // valueCRC folds the value words into one checksum word (rotate-and-xor,
 // order-sensitive so transposed words are caught too).
 func valueCRC(v []Word) Word {
@@ -178,17 +192,28 @@ func valueCRC(v []Word) Word {
 // then means the same thing as a KindCRCMismatch on one of them.
 func ValueCRC(v []Word) Word { return valueCRC(v) }
 
+// onesCRC is the checksum of the all-ones value every never-written sector
+// holds.
+var onesCRC = valueCRC(onesValue[:])
+
 // Drive is the standard disk object: a simulated moving-head drive holding
 // one removable pack. It implements Device. A Drive is safe for concurrent
 // use, although the modelled machine is single-user.
 type Drive struct {
-	mu      sync.Mutex
-	geom    Geometry
-	clock   *sim.Clock
-	pack    Word
-	sectors []sector
-	curCyl  int
-	stats   Stats
+	mu     sync.Mutex
+	geom   Geometry
+	clock  *sim.Clock
+	pack   Word
+	curCyl int
+	stats  Stats
+
+	// The pack is stored sparsely. units[i] holds the sectors of cylinder
+	// i, and stays nil until one of them is first written (touch); a
+	// sector of a nil unit holds the format pattern (formatted). Host
+	// layout only: where a sector's words live charges no simulated time.
+	units   [][]sector
+	unit    int // sectors per unit: one cylinder
+	nsector int
 
 	// rec is the system's flight recorder; nil means tracing is off and
 	// every emission site pays one branch. The recorder is a lock-order
@@ -241,7 +266,8 @@ var _ Device = (*Drive)(nil)
 // NewDrive creates a drive with the given geometry holding a freshly
 // low-level-formatted pack: every sector carries a correct header and the
 // free-page label/value pattern. The clock may be shared with other devices;
-// if nil, a new clock is created.
+// if nil, a new clock is created. Formatting stores nothing: a sector gets
+// storage of its own on its first write.
 func NewDrive(g Geometry, pack Word, clock *sim.Clock) (*Drive, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -249,19 +275,42 @@ func NewDrive(g Geometry, pack Word, clock *sim.Clock) (*Drive, error) {
 	if clock == nil {
 		clock = sim.NewClock()
 	}
-	d := &Drive{
+	return &Drive{
 		geom:             g,
 		clock:            clock,
 		pack:             pack,
-		sectors:          make([]sector, g.NSectors()),
+		units:            make([][]sector, g.Cylinders),
+		unit:             g.Heads * g.SectorsPerTrack,
+		nsector:          g.NSectors(),
 		crashAfterWrites: -1,
+	}, nil
+}
+
+// at returns the stored sector at addr, or nil while the sector has never
+// been written and still holds the format pattern. addr is in range.
+func (d *Drive) at(addr VDA) *sector {
+	u := d.units[int(addr)/d.unit]
+	if u == nil {
+		return nil
 	}
-	for i := range d.sectors {
-		d.sectors[i].header = Header{Pack: pack, Addr: VDA(i)}.Words()
-		d.sectors[i].label = freeLabelWords
-		d.sectors[i].value = onesValue // block copy: this loop is format time
+	return &u[int(addr)%d.unit]
+}
+
+// touch returns the storage of the sector at addr, materializing its unit
+// in the format pattern on first use. Every path that changes a sector
+// goes through touch. addr is in range.
+func (d *Drive) touch(addr VDA) *sector {
+	i := int(addr) / d.unit
+	u := d.units[i]
+	if u == nil {
+		u = make([]sector, d.unit)
+		for j := range u {
+			//altovet:allow wordwidth the sector is on the pack, and Validate keeps NSectors within a VDA
+			u[j] = formatted(d.pack, VDA(i*d.unit+j))
+		}
+		d.units[i] = u
 	}
-	return d, nil
+	return &u[int(addr)%d.unit]
 }
 
 // SetRecorder attaches a flight recorder to the drive (nil detaches). Every
@@ -271,13 +320,8 @@ func (d *Drive) SetRecorder(r *trace.Recorder) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.rec = r
-	if r != nil && !d.vcrcValid {
-		// First attachment: bring every checksum up to date with the pack
-		// as it stands, so later mismatches mean post-attachment damage.
-		for i := range d.sectors {
-			d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
-		}
-		d.vcrcValid = true
+	if r != nil {
+		d.syncVCRC()
 	}
 }
 
@@ -289,11 +333,21 @@ func (d *Drive) SetRecorder(r *trace.Recorder) {
 func (d *Drive) EnsureVCRC() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.syncVCRC()
+}
+
+// syncVCRC brings every checksum up to date with the pack as it stands the
+// first time it is called, so later mismatches mean damage done after it.
+// A never-written sector's checksum is the constant onesCRC, so only
+// stored sectors need the pass: none on a fresh pack. d.mu is held.
+func (d *Drive) syncVCRC() {
 	if d.vcrcValid {
 		return
 	}
-	for i := range d.sectors {
-		d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
+	for _, u := range d.units {
+		for j := range u {
+			u[j].vcrc = valueCRC(u[j].value[:])
+		}
 	}
 	d.vcrcValid = true
 }
@@ -306,10 +360,13 @@ func (d *Drive) EnsureVCRC() {
 func (d *Drive) PeekVCRC(addr VDA) (Word, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.vcrcValid || int(addr) >= len(d.sectors) {
+	if !d.vcrcValid || int(addr) >= d.nsector {
 		return 0, false
 	}
-	return d.sectors[addr].vcrc, true
+	if s := d.at(addr); s != nil {
+		return s.vcrc, true
+	}
+	return onesCRC, true
 }
 
 // TraceRecorder implements trace.Source.
@@ -394,24 +451,39 @@ func (d *Drive) Do(op *Op) error {
 
 // do performs the operation proper. d.mu is held.
 func (d *Drive) do(op *Op) error {
-	if int(op.Addr) >= len(d.sectors) {
-		return fmt.Errorf("%w: %d (disk has %d sectors)", ErrAddress, op.Addr, len(d.sectors))
+	if int(op.Addr) >= d.nsector {
+		return fmt.Errorf("%w: %d (disk has %d sectors)", ErrAddress, op.Addr, d.nsector)
 	}
 
 	d.advanceTo(op.Addr)
 
-	s := &d.sectors[op.Addr]
-	if s.bad {
-		return fmt.Errorf("%w: sector %d", ErrBadSector, op.Addr)
+	s := d.at(op.Addr)
+	if s == nil && op.Value == Write && !d.crashed {
+		// A write continues through the value (validate), so any op that
+		// may change the sector writes its value; after a crash every
+		// write is suppressed and the sector stays as it is.
+		s = d.touch(op.Addr)
+	}
+	var header, label, value []Word
+	if s != nil {
+		if s.bad {
+			return fmt.Errorf("%w: sector %d", ErrBadSector, op.Addr)
+		}
+		header, label, value = s.header[:], s.label[:], s.value[:]
+	} else {
+		// Never written: the parts are the format pattern, read in place.
+		// No action of this op stores into them.
+		hdr, lbl := Header{Pack: d.pack, Addr: op.Addr}.Words(), freeLabelWords
+		header, label, value = hdr[:], lbl[:], onesValue[:]
 	}
 
-	if err := d.doPart(op.Addr, PartHeader, op.Header, s.header[:], slice2(op.HeaderData)); err != nil {
+	if err := d.doPart(s, op.Addr, PartHeader, op.Header, header, slice2(op.HeaderData)); err != nil {
 		return err
 	}
-	if err := d.doPart(op.Addr, PartLabel, op.Label, s.label[:], slice7(op.LabelData)); err != nil {
+	if err := d.doPart(s, op.Addr, PartLabel, op.Label, label, slice7(op.LabelData)); err != nil {
 		return err
 	}
-	return d.doPart(op.Addr, PartValue, op.Value, s.value[:], slice256(op.ValueData))
+	return d.doPart(s, op.Addr, PartValue, op.Value, value, slice256(op.ValueData))
 }
 
 // Outcome codes carried in a KindDiskOp event's second argument.
@@ -490,16 +562,19 @@ func slice256(p *[PageWords]Word) []Word {
 	return p[:]
 }
 
-// doPart applies one action to one sector part. d.mu is held.
-func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
+// doPart applies one action to one sector part. s is the sector's storage,
+// or nil when dst is the format pattern of a never-written sector: its
+// checksum is the constant onesCRC, so reading it never mismatches, and no
+// write reaches it. d.mu is held.
+func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word) error {
 	switch a {
 	case None:
 		return nil
 	case Read:
 		d.stats.Reads++
 		copy(mem, dst)
-		if part == PartValue && d.rec != nil {
-			d.checkValueCRC(addr, dst)
+		if part == PartValue && d.rec != nil && s != nil {
+			d.checkValueCRC(addr, s.vcrc, dst)
 		}
 		return nil
 	case Check:
@@ -518,8 +593,8 @@ func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
 				return &CheckError{Addr: addr, Part: part, WordIdx: i, Expected: mem[i], OnDisk: dst[i]}
 			}
 		}
-		if part == PartValue && d.rec != nil {
-			d.checkValueCRC(addr, dst)
+		if part == PartValue && d.rec != nil && s != nil {
+			d.checkValueCRC(addr, s.vcrc, dst)
 		}
 		return nil
 	case Write:
@@ -560,7 +635,7 @@ func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
 		d.stats.Writes++
 		copy(dst, mem)
 		if part == PartValue && d.vcrcValid {
-			d.sectors[addr].vcrc = valueCRC(dst)
+			s.vcrc = valueCRC(dst)
 		}
 		return nil
 	}
@@ -625,29 +700,24 @@ func (d *Drive) advanceTo(addr VDA) {
 // write — and is reported to the recorder only; the read itself still
 // succeeds, exactly as on the real hardware, where such damage surfaces
 // later as inconsistency. d.mu is held and d.rec is known non-nil.
-func (d *Drive) checkValueCRC(addr VDA, dst []Word) {
-	if valueCRC(dst) != d.sectors[addr].vcrc {
+func (d *Drive) checkValueCRC(addr VDA, vcrc Word, dst []Word) {
+	if valueCRC(dst) != vcrc {
 		d.rec.Emit(d.clock.Now(), trace.KindCRCMismatch, "value", int64(addr), opError)
 		d.rec.Add("disk.crc.mismatch", 1)
 	}
-}
-
-// peek returns a copy of the raw sector for tools, tests and the fault
-// injector. It models removing the pack and examining it offline: no time is
-// charged and no checks are made.
-func (d *Drive) peek(addr VDA) (sector, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(addr) >= len(d.sectors) {
-		return sector{}, false
-	}
-	return d.sectors[addr], true
 }
 
 // PeekLabel returns the raw label words of a sector without charging time.
 // It exists for tests and offline tools only; the operating system proper
 // always pays for its accesses.
 func (d *Drive) PeekLabel(addr VDA) ([LabelWords]Word, bool) {
-	s, ok := d.peek(addr)
-	return s.label, ok
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if int(addr) >= d.nsector {
+		return [LabelWords]Word{}, false
+	}
+	if s := d.at(addr); s != nil {
+		return s.label, true
+	}
+	return freeLabelWords, true
 }

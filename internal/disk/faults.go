@@ -15,8 +15,8 @@ import "altoos/internal/sim"
 func (d *Drive) MarkBad(addr VDA) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) < len(d.sectors) {
-		d.sectors[addr].bad = true
+	if int(addr) < d.nsector {
+		d.touch(addr).bad = true
 	}
 }
 
@@ -24,8 +24,8 @@ func (d *Drive) MarkBad(addr VDA) {
 func (d *Drive) HealBad(addr VDA) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) < len(d.sectors) {
-		d.sectors[addr].bad = false
+	if int(addr) < d.nsector {
+		d.touch(addr).bad = false
 	}
 }
 
@@ -34,8 +34,8 @@ func (d *Drive) HealBad(addr VDA) {
 func (d *Drive) ZapLabel(addr VDA, w [LabelWords]Word) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) < len(d.sectors) {
-		d.sectors[addr].label = w
+	if int(addr) < d.nsector {
+		d.touch(addr).label = w
 	}
 }
 
@@ -44,8 +44,8 @@ func (d *Drive) ZapLabel(addr VDA, w [LabelWords]Word) {
 func (d *Drive) ZapValue(addr VDA, v [PageWords]Word) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) < len(d.sectors) {
-		d.sectors[addr].value = v
+	if int(addr) < d.nsector {
+		d.touch(addr).value = v
 	}
 }
 
@@ -53,10 +53,10 @@ func (d *Drive) ZapValue(addr VDA, v [PageWords]Word) {
 func (d *Drive) CorruptLabel(addr VDA, r *sim.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) >= len(d.sectors) {
+	if int(addr) >= d.nsector {
 		return
 	}
-	lbl := &d.sectors[addr].label
+	lbl := &d.touch(addr).label
 	for i := 0; i < 3; i++ {
 		w := r.Intn(LabelWords)
 		lbl[w] ^= 1 << uint(r.Intn(16))
@@ -67,10 +67,10 @@ func (d *Drive) CorruptLabel(addr VDA, r *sim.Rand) {
 func (d *Drive) CorruptValue(addr VDA, r *sim.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) >= len(d.sectors) {
+	if int(addr) >= d.nsector {
 		return
 	}
-	v := &d.sectors[addr].value
+	v := &d.touch(addr).value
 	for i := 0; i < 8; i++ {
 		w := r.Intn(PageWords)
 		v[w] ^= 1 << uint(r.Intn(16))
@@ -82,21 +82,25 @@ func (d *Drive) CorruptValue(addr VDA, r *sim.Rand) {
 // flipped in their values, checksums deliberately left stale. Candidates are
 // gathered in address order and chosen by the caller's seeded Rand, so a
 // replayed run rots identically. A nil filter makes every in-use sector
-// eligible. The struck addresses are returned for the experiment's ledger —
+// eligible; a never-written sector is free, so only stored sectors are
+// candidates. The struck addresses are returned for the experiment's ledger —
 // what the audit protocol must later detect and heal.
 func (d *Drive) Rot(r *sim.Rand, n int, eligible func(Label) bool) []VDA {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var cand []VDA
-	for i := range d.sectors {
-		w := d.sectors[i].label
-		if !InUse(w) {
-			continue
+	for i, u := range d.units {
+		for j := range u {
+			w := u[j].label
+			if !InUse(w) {
+				continue
+			}
+			if eligible != nil && !eligible(LabelFromWords(w)) {
+				continue
+			}
+			//altovet:allow wordwidth the sector is on the pack, and Validate keeps NSectors within a VDA
+			cand = append(cand, VDA(i*d.unit+j))
 		}
-		if eligible != nil && !eligible(LabelFromWords(w)) {
-			continue
-		}
-		cand = append(cand, VDA(i))
 	}
 	if n > len(cand) {
 		n = len(cand)
@@ -106,7 +110,7 @@ func (d *Drive) Rot(r *sim.Rand, n int, eligible func(Label) bool) []VDA {
 		pick := k + r.Intn(len(cand)-k)
 		cand[k], cand[pick] = cand[pick], cand[k]
 		addr := cand[k]
-		v := &d.sectors[addr].value
+		v := &d.touch(addr).value
 		for i := 0; i < 8; i++ {
 			w := r.Intn(PageWords)
 			v[w] ^= 1 << uint(r.Intn(16))

@@ -54,22 +54,16 @@ func (d *Drive) SaveImage(w io.Writer) error {
 	if err := writeString(bw, d.geom.Name); err != nil {
 		return err
 	}
-	for i := range d.sectors {
-		s := &d.sectors[i]
-		if err := binary.Write(bw, binary.BigEndian, s.header); err != nil {
-			return err
+	for i := 0; i < d.nsector; i++ {
+		var err error
+		if s := d.at(VDA(i)); s != nil {
+			err = writeSector(bw, s.header[:], s.label[:], s.value[:], s.bad)
+		} else {
+			// Never written: the format pattern, read in place.
+			h := Header{Pack: d.pack, Addr: VDA(i)}.Words()
+			err = writeSector(bw, h[:], freeLabelWords[:], onesValue[:], false)
 		}
-		if err := binary.Write(bw, binary.BigEndian, s.label); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, s.value); err != nil {
-			return err
-		}
-		b := byte(0)
-		if s.bad {
-			b = 1
-		}
-		if err := bw.WriteByte(b); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -113,15 +107,15 @@ func LoadImage(r io.Reader, clock *sim.Clock) (*Drive, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range d.sectors {
-		s := &d.sectors[i]
-		if err := binary.Read(br, binary.BigEndian, &s.header); err != nil {
+	for i := 0; i < d.nsector; i++ {
+		var s sector
+		if err := binary.Read(br, binary.BigEndian, s.header[:]); err != nil {
 			return nil, fmt.Errorf("%w: sector %d: %v", ErrImage, i, err)
 		}
-		if err := binary.Read(br, binary.BigEndian, &s.label); err != nil {
+		if err := binary.Read(br, binary.BigEndian, s.label[:]); err != nil {
 			return nil, fmt.Errorf("%w: sector %d: %v", ErrImage, i, err)
 		}
-		if err := binary.Read(br, binary.BigEndian, &s.value); err != nil {
+		if err := binary.Read(br, binary.BigEndian, s.value[:]); err != nil {
 			return nil, fmt.Errorf("%w: sector %d: %v", ErrImage, i, err)
 		}
 		b, err := br.ReadByte()
@@ -130,11 +124,34 @@ func LoadImage(r io.Reader, clock *sim.Clock) (*Drive, error) {
 		}
 		s.bad = b != 0
 		// Loading an image is a disciplined path: the checksum reflects the
-		// value as loaded, so only post-load damage can trip it.
+		// value as loaded, so only post-load damage can trip it. A sector
+		// that still holds the format pattern stays unstored.
 		s.vcrc = valueCRC(s.value[:])
+		if s != formatted(d.pack, VDA(i)) {
+			*d.touch(VDA(i)) = s
+		}
 	}
 	d.vcrcValid = true
 	return d, nil
+}
+
+// writeSector writes one sector's image record: header, label, value and
+// the bad flag.
+func writeSector(w *bufio.Writer, hdr, lbl, val []Word, bad bool) error {
+	if err := binary.Write(w, binary.BigEndian, hdr); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.BigEndian, lbl); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.BigEndian, val); err != nil {
+		return err
+	}
+	b := byte(0)
+	if bad {
+		b = 1
+	}
+	return w.WriteByte(b)
 }
 
 func writeString(w *bufio.Writer, s string) error {

@@ -91,6 +91,11 @@ type Server struct {
 	sessions []*session
 	next     int
 	stats    Stats
+
+	// pages is the buffer readFile and writeFile move page runs through.
+	// The server runs one request at a time, so one buffer serves them
+	// all and a transfer leaves no page-sized garbage behind.
+	pages [chainPages][disk.PageWords]disk.Word
 }
 
 // session is one client connection's server-side state.
@@ -459,7 +464,7 @@ func (s *Server) readFile(name string) ([]ether.Word, int, error) {
 	}
 	lastPN, lastLen := f.LastPage()
 	out := make([]ether.Word, 0, (int(lastPN)-1)*disk.PageWords+(lastLen+1)/2)
-	var pages [chainPages][disk.PageWords]disk.Word
+	pages := &s.pages
 	for pn := disk.Word(1); pn < lastPN; {
 		n := int(lastPN - pn)
 		if n > chainPages {
@@ -473,12 +478,11 @@ func (s *Server) readFile(name string) ([]ether.Word, int, error) {
 		}
 		pn += disk.Word(n)
 	}
-	var buf [disk.PageWords]disk.Word
-	n, err := f.ReadPage(lastPN, &buf)
+	n, err := f.ReadPage(lastPN, &pages[0])
 	if err != nil {
 		return nil, 0, fmt.Errorf("read %q last page failed", name)
 	}
-	out = append(out, buf[:(n+1)/2]...)
+	out = append(out, pages[0][:(n+1)/2]...)
 	if n%2 == 1 {
 		out[len(out)-1] &= 0xFF00
 	}
@@ -535,7 +539,7 @@ func (s *Server) writeFile(name string, words []ether.Word, n int) error {
 	if oldLast-1 < limit {
 		limit = oldLast - 1
 	}
-	var pages [chainPages][disk.PageWords]disk.Word
+	pages := &s.pages
 	pn := disk.Word(1)
 	for pn <= limit {
 		n := int(limit - pn + 1)

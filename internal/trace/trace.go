@@ -194,6 +194,7 @@ const DefaultEvents = 1 << 16
 type Recorder struct {
 	mu       sync.Mutex
 	ring     []Event
+	capacity int // the most events ring holds; it grows by doubling to this
 	next     int // insertion index
 	full     bool
 	emitted  int64
@@ -209,6 +210,10 @@ type Recorder struct {
 	flowSeq    uint16
 }
 
+// firstRing is the ring's starting size; it doubles as events arrive, so a
+// recorder that sees few events never holds room for many.
+const firstRing = 256
+
 // New creates a recorder holding up to capacity events (DefaultEvents if
 // capacity is not positive). Counters and histograms are unbounded; only
 // the event ring evicts, oldest first.
@@ -217,7 +222,8 @@ func New(capacity int) *Recorder {
 		capacity = DefaultEvents
 	}
 	return &Recorder{
-		ring:     make([]Event, 0, capacity),
+		ring:     make([]Event, 0, min(capacity, firstRing)),
+		capacity: capacity,
 		counters: map[string]int64{},
 		hists:    map[string]*histogram{},
 	}
@@ -227,11 +233,16 @@ func New(capacity int) *Recorder {
 func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
 	r.emitted++
-	if len(r.ring) < cap(r.ring) {
+	switch {
+	case len(r.ring) < cap(r.ring):
 		r.ring = append(r.ring, ev)
-	} else {
+	case len(r.ring) < r.capacity:
+		grown := make([]Event, len(r.ring), min(2*len(r.ring), r.capacity))
+		copy(grown, r.ring)
+		r.ring = append(grown, ev)
+	default:
 		r.ring[r.next] = ev
-		r.next = (r.next + 1) % cap(r.ring)
+		r.next = (r.next + 1) % r.capacity
 		r.full = true
 		r.dropped++
 	}

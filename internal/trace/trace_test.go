@@ -75,6 +75,31 @@ func TestRingEvictsOldestAndCountsDropped(t *testing.T) {
 	}
 }
 
+// The ring starts small and doubles up to its capacity; once full it
+// evicts oldest first exactly as a ring allocated whole would.
+func TestRingGrowsToCapacity(t *testing.T) {
+	if r := New(DefaultEvents); cap(r.ring) > DefaultEvents/64 {
+		t.Errorf("a fresh DefaultEvents recorder holds room for %d events", cap(r.ring))
+	}
+	const capacity = 600 // not a doubling of the first ring
+	r := New(capacity)
+	for i := 0; i < 1500; i++ {
+		r.Emit(time.Duration(i), KindZoneAlloc, "", int64(i), 0)
+		if n := r.Len(); n != min(i+1, capacity) || cap(r.ring) > capacity {
+			t.Fatalf("after %d events: ring holds %d with room for %d", i+1, n, cap(r.ring))
+		}
+	}
+	evs := r.Events()
+	for i, ev := range evs {
+		if want := int64(1500 - capacity + i); ev.A0 != want {
+			t.Fatalf("event %d is A0=%d, want %d (oldest-first order)", i, ev.A0, want)
+		}
+	}
+	if m := r.Snapshot(); m.Events != 1500 || m.Dropped != 1500-capacity {
+		t.Errorf("emitted/dropped = %d/%d, want 1500/%d", m.Events, m.Dropped, 1500-capacity)
+	}
+}
+
 func TestCountersAndHistograms(t *testing.T) {
 	r := New(4)
 	r.Add("disk.check.fail", 2)
