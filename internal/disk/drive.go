@@ -3,6 +3,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -176,10 +177,32 @@ func formatted(pack Word, addr VDA) sector {
 }
 
 // valueCRC folds the value words into one checksum word (rotate-and-xor,
-// order-sensitive so transposed words are caught too).
+// order-sensitive so transposed words are caught too): c = rotl(c, 1) ^ w
+// over the words in order.
+//
+// The fold is linear, so word i of n contributes rotl(w_i, (n-1-i) mod 16)
+// and words sixteen apart rotate alike. Whole 16-word blocks are therefore
+// XORed into sixteen accumulators (four words to a 64-bit lane, so a block
+// is four loads), each accumulator is rotated once, and only the tail is
+// folded serially.
 func valueCRC(v []Word) Word {
+	var a0, a1, a2, a3 uint64
+	full := len(v) &^ 15
+	for i := 0; i < full; i += 16 {
+		b := (*[16]Word)(v[i : i+16])
+		a0 ^= uint64(b[0]) | uint64(b[1])<<16 | uint64(b[2])<<32 | uint64(b[3])<<48
+		a1 ^= uint64(b[4]) | uint64(b[5])<<16 | uint64(b[6])<<32 | uint64(b[7])<<48
+		a2 ^= uint64(b[8]) | uint64(b[9])<<16 | uint64(b[10])<<32 | uint64(b[11])<<48
+		a3 ^= uint64(b[12]) | uint64(b[13])<<16 | uint64(b[14])<<32 | uint64(b[15])<<48
+	}
+	// Block word j sits in lane j/4 at bits 16*(j%4) and rotates by 15-j.
 	var c Word
-	for _, w := range v {
+	for k, lane := range [4]uint64{a0, a1, a2, a3} {
+		for m := 0; m < 4; m++ {
+			c ^= bits.RotateLeft16(Word(lane>>(16*m)), 15-4*k-m)
+		}
+	}
+	for _, w := range v[full:] {
 		c = c<<1 | c>>15
 		c ^= w
 	}

@@ -8,10 +8,11 @@ import (
 
 // backlogPair attaches a sender and a receiver, gives the receiver a
 // standing backlog of depth packets, and returns one Send→Recv cycle that
-// keeps the backlog at that depth. In fleet mode every delivery passes
-// through the receiver's held heap: the receiver's clock is moved up to the
-// sender's before each Recv, so the packet just sent is due.
-func backlogPair(tb testing.TB, fleet bool, depth int) func() {
+// keeps the backlog at that depth and returns the packet received. In fleet
+// mode every delivery passes through the receiver's held heap: the
+// receiver's clock is moved up to the sender's before each Recv, so the
+// packet just sent is due.
+func backlogPair(tb testing.TB, fleet bool, depth int) func() Packet {
 	tb.Helper()
 	n := New(nil)
 	if fleet {
@@ -35,14 +36,16 @@ func backlogPair(tb testing.TB, fleet bool, depth int) func() {
 			tb.Fatal(err)
 		}
 	}
-	return func() {
+	return func() Packet {
 		if err := tx.Send(p); err != nil {
 			tb.Fatal(err)
 		}
 		rx.Clock().AdvanceTo(tx.Clock().Now())
-		if _, ok := rx.Recv(); !ok {
+		got, ok := rx.Recv()
+		if !ok {
 			tb.Fatal("backlogged station received nothing")
 		}
+		return got
 	}
 }
 

@@ -86,6 +86,34 @@ func (p Packet) Sum() Word {
 // SumOK reports whether the packet's recorded checksum matches its content.
 func (p Packet) SumOK() bool { return p.Check == p.Sum() }
 
+// payloads pools page-sized payload buffers: the Alto's one packet buffer,
+// once per packet in flight. It is process-wide rather than per machine so
+// the collector can empty it; no simulated result depends on which buffer a
+// copy lands in, because Clone writes every word it hands out.
+var payloads = sync.Pool{New: func() any { return new([MaxPayload]Word) }}
+
+// Clone returns a copy of src (at most MaxPayload words) in a pool buffer,
+// or nil when src is empty. The caller owns the buffer until it hands it to
+// the next owner or back to the pool with Free.
+func Clone(src []Word) []Word {
+	if len(src) == 0 {
+		return nil
+	}
+	b := payloads.Get().(*[MaxPayload]Word)[:len(src)]
+	copy(b, src)
+	return b
+}
+
+// Free hands a buffer that Recv or Clone returned back to the pool. The
+// caller must not touch the buffer afterwards, nor free it twice. A caller
+// that never frees loses nothing but the reuse: the buffer is garbage, as
+// any slice would be. Slices not shaped like a pool buffer are ignored.
+func Free(buf []Word) {
+	if cap(buf) == MaxPayload {
+		payloads.Put((*[MaxPayload]Word)(buf[:MaxPayload]))
+	}
+}
+
 // Errors.
 var (
 	// ErrTooBig reports a payload over MaxPayload words.
@@ -227,7 +255,7 @@ type heldPacket struct {
 
 // before is the (release, source address, sender sequence) order. It is
 // total over distinct sends; the two copies of a duplicated delivery share
-// a key but are the same packet value, so either may pop first.
+// a key but carry equal content, so either may pop first.
 func (h *heldPacket) before(o *heldPacket) bool {
 	if h.release != o.release {
 		return h.release < o.release
@@ -381,6 +409,8 @@ func (s *Station) Send(p Packet) error {
 		return fmt.Errorf("%w: %d words", ErrTooBig, len(p.Payload))
 	}
 	p.Src = s.addr
+	// Stamp the checksum word over the content every copy will carry.
+	p.Check = p.Sum()
 	// Snapshot the sender's recorder before taking the network lock (the
 	// network lock never nests inside a station lock); fleet mode stamps
 	// wire events onto the sending machine's timeline.
@@ -422,11 +452,6 @@ func (s *Station) Send(p Packet) error {
 		rec.Add("ether.send", 1)
 		rec.Add("ether.words", int64(wireWords))
 	}
-	// Copy the payload (the wire serializes, it does not alias) and stamp
-	// the checksum word over the serialized content.
-	cp := p
-	cp.Payload = append([]Word(nil), p.Payload...)
-	cp.Check = cp.Sum()
 	// Destinations in address order: n.order is maintained sorted, so the
 	// fan-out — and with it the fault model's verdict draw order — is
 	// (address, arrival sequence) by construction. A unicast has at most
@@ -445,32 +470,29 @@ func (s *Station) Send(p Packet) error {
 	}
 	arrive := start + dur
 	for _, st := range dsts {
-		d := delivery{st: st, pkt: cp, copies: 1}
+		d := delivery{st: st}
 		if n.fault != nil {
-			v := n.fault.judge(s.addr, fleet, len(cp.Payload))
+			v := n.fault.judge(s.addr, fleet, len(p.Payload))
+			d.v = v
 			// Every non-clean verdict lands on the wire's timeline as an
 			// instant stamped with the packet's flow: injected loss stays
 			// on the causal chain instead of vanishing between send and a
 			// retransmit that seems to come from nowhere.
 			if v.drop {
-				rec.EmitFlow(start, trace.KindEtherFault, "drop", int64(st.addr), v.idx, int64(cp.Flow))
+				rec.EmitFlow(start, trace.KindEtherFault, "drop", int64(st.addr), v.idx, int64(p.Flow))
 				rec.Add("ether.drop", 1)
 				continue
 			}
 			if v.dup {
-				d.copies = 2
-				rec.EmitFlow(start, trace.KindEtherFault, "dup", int64(st.addr), v.idx, int64(cp.Flow))
+				rec.EmitFlow(start, trace.KindEtherFault, "dup", int64(st.addr), v.idx, int64(p.Flow))
 				rec.Add("ether.dup", 1)
 			}
 			if v.corrupt {
-				d.pkt.Payload = append([]Word(nil), cp.Payload...)
-				v.mangle(&d.pkt)
-				rec.EmitFlow(start, trace.KindEtherFault, "corrupt", int64(st.addr), v.idx, int64(cp.Flow))
+				rec.EmitFlow(start, trace.KindEtherFault, "corrupt", int64(st.addr), v.idx, int64(p.Flow))
 				rec.Add("ether.corrupt", 1)
 			}
 			if v.delay > 0 {
-				d.release = arrive + v.delay
-				rec.EmitFlow(start, trace.KindEtherFault, "delay", int64(st.addr), v.idx, int64(cp.Flow))
+				rec.EmitFlow(start, trace.KindEtherFault, "delay", int64(st.addr), v.idx, int64(p.Flow))
 				rec.Add("ether.delay", 1)
 			}
 		}
@@ -480,20 +502,38 @@ func (s *Station) Send(p Packet) error {
 
 	clock.Advance(dur)
 	for _, d := range dels {
-		release := d.release
-		if fleet && release == 0 {
+		var release time.Duration
+		if d.v.delay > 0 {
+			release = arrive + d.v.delay
+		} else if fleet {
 			// Fleet mode: every delivery is a scheduled event released at
 			// its arrival time. The receiver — on its own clock — promotes
 			// it when its time passes arrival, never earlier, so delivery
 			// does not depend on which machine's code ran first on the host.
 			release = arrive
 		}
+		// Every delivered copy is a payload buffer of its own (the wire
+		// serializes, it does not alias), filled before the receiver's lock
+		// is taken: each copy of a duplicate, and each broadcast
+		// destination's packet, has exactly one owner.
+		copies := 1
+		if d.v.dup {
+			copies = 2
+		}
+		var pkts [2]Packet
+		for c := range copies {
+			pkts[c] = p
+			pkts[c].Payload = Clone(p.Payload)
+			if d.v.corrupt {
+				d.v.mangle(&pkts[c])
+			}
+		}
 		d.st.mu.Lock()
-		for c := 0; c < d.copies; c++ {
+		for _, q := range pkts[:copies] {
 			if release > 0 {
-				d.st.held.push(heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
+				d.st.held.push(heldPacket{release: release, src: s.addr, seq: seq, pkt: q})
 			} else {
-				d.st.enqueueLocked(d.pkt)
+				d.st.enqueueLocked(q)
 			}
 		}
 		depth := len(d.st.in) - d.st.head
@@ -511,13 +551,12 @@ func (s *Station) Send(p Packet) error {
 	return nil
 }
 
-// delivery is one destination's share of a send, after the fault model has
-// spoken: how many copies, possibly corrupted, possibly held until release.
+// delivery is one destination's share of a send, with the fault model's
+// verdict on it (the zero verdict on a perfect medium): one copy or two,
+// possibly corrupted, possibly held past arrival.
 type delivery struct {
-	st      *Station
-	pkt     Packet
-	copies  int
-	release time.Duration
+	st *Station
+	v  verdict
 }
 
 // promoteLocked moves held packets whose release time has passed into the
@@ -584,6 +623,10 @@ func (s *Station) EarliestArrival() (time.Duration, bool) {
 // Recv polls the input queue, returning the oldest packet if any. The
 // delivery is recorded on the station's own recorder when one is attached —
 // in a fleet, arrivals belong to the receiving machine's timeline.
+//
+// The packet's payload is a pool buffer that now belongs to the caller: it
+// stays intact for as long as the caller keeps it, and a caller done with it
+// may hand it back with Free.
 func (s *Station) Recv() (Packet, bool) {
 	// Snapshot the recorder before taking s.mu: the network lock never
 	// nests inside a station lock.

@@ -197,3 +197,67 @@ func TestConcurrentSetRecorder(t *testing.T) {
 		t.Errorf("after SetRecorder(nil), TraceRecorder = %p, want the medium's %p", r, wire)
 	}
 }
+
+// TestConcurrentFreeAndClone has receivers hand packets back to the payload
+// pool on their own goroutines while senders on other goroutines draw the
+// pool for their wire copies. Every payload names its sender and sequence
+// number in every word, so a buffer that reached the pool while still in
+// use, or was handed to two owners, reads as another packet's words — and
+// under -race as a data race.
+func TestConcurrentFreeAndClone(t *testing.T) {
+	emptyPoolAfter(t)
+	net := New(nil)
+	const stations = 4
+	const packets = 300
+	sts := make([]*Station, stations)
+	for i := range sts {
+		s, err := net.Attach(Addr(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts[i] = s
+	}
+	var wg sync.WaitGroup
+	for i := range sts {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			dst := Addr((i+1)%stations + 1)
+			payload := make([]Word, MaxPayload)
+			for k := 0; k < packets; k++ {
+				for j := range payload[:1+k%MaxPayload] {
+					payload[j] = Word(i<<12 | k)
+				}
+				p := Packet{Dst: dst, Type: Word(k), Payload: payload[:1+k%MaxPayload]}
+				if err := sts[i].Send(p); err != nil {
+					t.Errorf("station %d send %d: %v", i, k, err)
+					return
+				}
+			}
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			from := (i + stations - 1) % stations
+			for got := 0; got < packets; {
+				p, ok := sts[i].Recv()
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				if len(p.Payload) != 1+got%MaxPayload {
+					t.Errorf("station %d: packet %d carries %d words, want %d", i, got, len(p.Payload), 1+got%MaxPayload)
+					return
+				}
+				for j, w := range p.Payload {
+					if w != Word(from<<12|got) {
+						t.Errorf("station %d: packet %d word %d reads %#04x, want %#04x", i, got, j, w, from<<12|got)
+						return
+					}
+				}
+				Free(p.Payload)
+				got++
+			}
+		}(i)
+	}
+	wg.Wait()
+}

@@ -1,0 +1,7 @@
+//go:build race
+
+package ether
+
+// Under the race detector sync.Pool drops a random quarter of the buffers
+// it is handed, so pool reuse cannot be pinned at zero allocations.
+func init() { raceEnabled = true }

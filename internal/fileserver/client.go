@@ -127,6 +127,7 @@ func (c *Client) Poll() (bool, error) {
 		}
 		worked = true
 		c.handle(msg)
+		ether.Free(msg) // handle copies out what it keeps
 	}
 	return worked, nil
 }

@@ -215,6 +215,7 @@ func (s *Server) serve(ss *session) (worked, job bool) {
 		}
 		worked = true
 		s.handle(ss, msg, flow)
+		ether.Free(msg) // handle copies out what it keeps
 	}
 	job = clock.Now() != before
 	if ss.push() {

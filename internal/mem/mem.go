@@ -32,18 +32,24 @@ func (m *Memory) Load(a Addr) Word { return m.w[a] }
 // Store writes the word at address a.
 func (m *Memory) Store(a Addr, v Word) { m.w[a] = v }
 
-// LoadBlock copies n words starting at a into dst (which must have length
-// >= n). The copy wraps at the top of memory, as the hardware would.
+// LoadBlock fills dst with the words starting at a. The copy wraps at the
+// top of memory, as the hardware would: a block of up to 64K words is at
+// most two runs, split at the wrap.
 func (m *Memory) LoadBlock(a Addr, dst []Word) {
-	for i := range dst {
-		dst[i] = m.w[a+Addr(i)]
+	for len(dst) > 0 {
+		k := copy(dst, m.w[a:])
+		dst = dst[k:]
+		a += Addr(k)
 	}
 }
 
-// StoreBlock copies src into memory starting at a, wrapping at the top.
+// StoreBlock copies src into memory starting at a, wrapping at the top, in
+// runs as LoadBlock does.
 func (m *Memory) StoreBlock(a Addr, src []Word) {
-	for i, v := range src {
-		m.w[a+Addr(i)] = v
+	for len(src) > 0 {
+		k := copy(m.w[a:], src)
+		src = src[k:]
+		a += Addr(k)
 	}
 }
 

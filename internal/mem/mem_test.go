@@ -30,6 +30,40 @@ func TestBlockWraps(t *testing.T) {
 	}
 }
 
+// TestBlockWrapsAtLastWord runs blocks that start on the top word, so the
+// first run is one word long and the rest lands from address 0, against the
+// word-at-a-time wrap. The whole-memory block ends on the word it began
+// after; words the shorter blocks do not reach keep their old values.
+func TestBlockWrapsAtLastWord(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 256, Words} {
+		m := New()
+		for i := 0; i < Words; i++ {
+			m.Store(Addr(i), 0xAAAA)
+		}
+		src := make([]Word, n)
+		for i := range src {
+			src[i] = Word(i + 1)
+		}
+		m.StoreBlock(0xFFFF, src)
+		for i := 0; i < Words; i++ {
+			want := Word(0xAAAA)
+			if i < n {
+				want = src[i]
+			}
+			if got := m.Load(0xFFFF + Addr(i)); got != want {
+				t.Fatalf("n=%d: StoreBlock left word %#04x = %#04x, want %#04x", n, 0xFFFF+Addr(i), got, want)
+			}
+		}
+		dst := make([]Word, n)
+		m.LoadBlock(0xFFFF, dst)
+		for i := range dst {
+			if dst[i] != src[i] {
+				t.Fatalf("n=%d: LoadBlock dst[%d] = %#04x, want %#04x", n, i, dst[i], src[i])
+			}
+		}
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	m := New()
 	for i := 0; i < 100; i++ {

@@ -212,7 +212,7 @@ func (c *Conn) Send(data []ether.Word) error {
 	op := outPacket{
 		seq:     c.sendSeq,
 		flow:    c.flow,
-		data:    append([]ether.Word(nil), data...),
+		data:    ether.Clone(data),
 		backoff: 1,
 	}
 	c.sendSeq++
@@ -220,21 +220,35 @@ func (c *Conn) Send(data []ether.Word) error {
 	return c.transmit(&c.sendQ[len(c.sendQ)-1], false)
 }
 
-// Recv pops the next in-order received message, if any.
+// Recv pops the next in-order received message, if any. The message is a
+// pool buffer that now belongs to the caller: it stays intact for as long as
+// the caller keeps it, and a caller done with it may hand it back with
+// ether.Free.
 func (c *Conn) Recv() ([]ether.Word, bool) {
 	data, _, ok := c.RecvFlow()
 	return data, ok
 }
 
 // RecvFlow pops the next in-order received message along with the causal
-// flow id it arrived under — how a server adopts its client's flow.
+// flow id it arrived under — how a server adopts its client's flow. The
+// message's ownership passes as with Recv.
 func (c *Conn) RecvFlow() ([]ether.Word, int64, bool) {
 	if len(c.recvQ) == 0 {
 		return nil, 0, false
 	}
 	m := c.recvQ[0]
-	c.recvQ = c.recvQ[1:]
+	c.recvQ = dropFront(c.recvQ, 1)
 	return m.data, int64(m.flow), true
+}
+
+// dropFront removes q's first n entries by sliding the rest down, so a queue
+// that cycles through entries keeps reusing one array instead of re-slicing
+// its front away and regrowing. The vacated tail is zeroed so the array pins
+// no buffer it no longer holds.
+func dropFront[T any](q []T, n int) []T {
+	live := copy(q, q[n:])
+	clear(q[live:])
+	return q[:live]
 }
 
 // FlushAck sends any pending delayed acknowledgment immediately. Callers
@@ -439,16 +453,17 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 	rec := c.ep.rec()
 	switch {
 	case seq == c.recvNext:
-		c.recvQ = append(c.recvQ, inMsg{flow: flow, data: append([]ether.Word(nil), data...)})
+		c.recvQ = append(c.recvQ, inMsg{flow: flow, data: ether.Clone(data)})
 		c.recvNext++
-		delivered := 1
-		for len(c.oooSeq) > 0 && c.oooSeq[0] == c.recvNext {
-			c.recvQ = append(c.recvQ, c.ooo[0])
-			c.ooo = c.ooo[1:]
-			c.oooSeq = c.oooSeq[1:]
+		drained := 0
+		for drained < len(c.oooSeq) && c.oooSeq[drained] == c.recvNext {
+			c.recvQ = append(c.recvQ, c.ooo[drained])
 			c.recvNext++
-			delivered++
+			drained++
 		}
+		c.ooo = dropFront(c.ooo, drained)
+		c.oooSeq = dropFront(c.oooSeq, drained)
+		delivered := 1 + drained
 		rec.Add("pup.data.recv", int64(delivered))
 		c.ackPending += delivered
 		c.ackFlow = flow
@@ -493,7 +508,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		} else {
 			c.ooo = append(c.ooo, inMsg{})
 			copy(c.ooo[pos+1:], c.ooo[pos:])
-			c.ooo[pos] = inMsg{flow: flow, data: append([]ether.Word(nil), data...)}
+			c.ooo[pos] = inMsg{flow: flow, data: ether.Clone(data)}
 			c.oooSeq = append(c.oooSeq, 0)
 			copy(c.oooSeq[pos+1:], c.oooSeq[pos:])
 			c.oooSeq[pos] = seq
@@ -513,16 +528,18 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 	c.peerAwnd = awnd
 	now := c.ep.clock.Now()
 
+	// Cumulatively acked copies are never sent again: back to the pool.
 	popped := 0
 	sample := time.Duration(-1)
-	for len(c.sendQ) > 0 && seqLess(c.sendQ[0].seq, ack) {
-		op := c.sendQ[0]
+	for popped < len(c.sendQ) && seqLess(c.sendQ[popped].seq, ack) {
+		op := &c.sendQ[popped]
 		if op.rexmits == 0 {
 			sample = now - op.sentAt
 		}
-		c.sendQ = c.sendQ[1:]
+		ether.Free(op.data)
 		popped++
 	}
+	c.sendQ = dropFront(c.sendQ, popped)
 
 	// Mark SACKed survivors: bit i covers ack+1+i.
 	mask := [2]ether.Word{sackLo, sackHi}

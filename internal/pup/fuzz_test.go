@@ -104,6 +104,9 @@ func honestMessage(i int) []ether.Word {
 // Bursts of several packets sit in the receiver's queue at once, so any
 // layer below Station.Send that kept a reference to the sender's reused send
 // buffer would deliver a later message's words in place of an earlier one.
+// Every delivered message, and every packet the stranger receives, goes back
+// to the payload pool once checked, so a buffer the transport used after
+// handing it on — or handed out twice — shows up the same way.
 func FuzzPupPacket(f *testing.F) {
 	f.Add([]byte{})
 	var seed []byte
@@ -212,6 +215,7 @@ func runPacketFuzz(t *testing.T, inject []injected) {
 			if delivered >= sent || !slices.Equal(m, honestMessage(delivered)) {
 				t.Fatalf("step %d: delivered message %d is %v, not the honest peer's (%d sent)", step, delivered, m, sent)
 			}
+			ether.Free(m)
 			delivered++
 		}
 		for {
@@ -222,6 +226,7 @@ func runPacketFuzz(t *testing.T, inject []injected) {
 			if len(p.Payload) > ether.MaxPayload {
 				t.Fatalf("endpoint sent a %d-word payload", len(p.Payload))
 			}
+			ether.Free(p.Payload)
 		}
 	}
 	if len(inject) == 0 && delivered != messages {

@@ -331,7 +331,11 @@ func (e *Endpoint) Poll() (bool, error) {
 			break
 		}
 		worked = true
-		if err := e.dispatch(pkt); err != nil {
+		// dispatch keeps nothing of the packet (handleData copies the
+		// message out), so its buffer goes straight back to the pool.
+		err := e.dispatch(pkt)
+		ether.Free(pkt.Payload)
+		if err != nil {
 			return true, err
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 // pair builds a network with a recorder, two stations, and two endpoints:
 // srv listening on address 1, cli on address 2.
-func pair(t *testing.T, cfg Config) (net *ether.Network, srv, cli *Endpoint, rec *trace.Recorder) {
+func pair(t testing.TB, cfg Config) (net *ether.Network, srv, cli *Endpoint, rec *trace.Recorder) {
 	t.Helper()
 	net = ether.New(nil)
 	rec = trace.New(4096)
@@ -32,7 +32,7 @@ func pair(t *testing.T, cfg Config) (net *ether.Network, srv, cli *Endpoint, rec
 }
 
 // pump polls both endpoints until done() or the budget runs out.
-func pump(t *testing.T, srv, cli *Endpoint, budget int, done func() bool) {
+func pump(t testing.TB, srv, cli *Endpoint, budget int, done func() bool) {
 	t.Helper()
 	for i := 0; i < budget; i++ {
 		if done() {
@@ -789,5 +789,66 @@ func TestCloseAfterLostOpenAck(t *testing.T) {
 	}
 	if n := rec.Counter("pup.close"); n != 1 {
 		t.Fatalf("pup.close = %d, want 1", n)
+	}
+}
+
+// TestKeptMessageSurvivesPoolReuse: a received message the application never
+// frees is its own to keep. A thousand further messages then cycle through
+// the payload pool — wire copies, retransmit copies, out-of-order buffers,
+// each received message freed — over a wire that drops, duplicates,
+// corrupts and delays, and the kept message still reads as it arrived.
+func TestKeptMessageSurvivesPoolReuse(t *testing.T) {
+	net, srv, cli, _ := pair(t, Config{})
+	net.InjectFaults(ether.FaultConfig{
+		Seed:    5,
+		Drop:    ether.Rate{Num: 1, Den: 10},
+		Dup:     ether.Rate{Num: 1, Den: 20},
+		Corrupt: ether.Rate{Num: 1, Den: 20},
+		Delay:   ether.Rate{Num: 1, Den: 20},
+	})
+	conn, err := cli.Dial(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	message := func(k int) []ether.Word {
+		m := make([]ether.Word, MaxData)
+		for i := range m {
+			m[i] = ether.Word(k*31 + i)
+		}
+		return m
+	}
+	var acc *Conn
+	const further = 1000
+	sent, got := 0, 0
+	var kept []ether.Word
+	pump(t, srv, cli, 1_000_000, func() bool {
+		if acc == nil {
+			acc, _ = srv.Accept()
+		}
+		for sent <= further && conn.Avail() > 0 {
+			if err := conn.Send(message(sent)); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		for acc != nil {
+			m, ok := acc.Recv()
+			if !ok {
+				break
+			}
+			if !reflect.DeepEqual(m, message(got)) {
+				t.Fatalf("message %d arrived as %v", got, m[:4])
+			}
+			if got == 0 {
+				kept = m
+			} else {
+				ether.Free(m)
+			}
+			got++
+		}
+		return got == further+1
+	})
+	if want := message(0); !reflect.DeepEqual(kept, want) {
+		t.Errorf("the kept message changed while %d more cycled through the pool", further)
 	}
 }
