@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPupPacket$$' -fuzztime 10s ./internal/pup
 	$(GO) test -run '^$$' -fuzz '^FuzzFileserverMessages$$' -fuzztime 10s ./internal/fileserver
 	$(GO) test -run '^$$' -fuzz '^FuzzDriveTwin$$' -fuzztime 10s ./internal/disk
+	$(GO) test -run '^$$' -fuzz '^FuzzHintLadder$$' -fuzztime 10s ./internal/file
 
 fmt:
 	gofmt -l -w .

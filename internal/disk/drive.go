@@ -114,13 +114,30 @@ var (
 )
 
 // IsCheck reports whether err is a check failure, the expected outcome when
-// a hint proves stale.
+// a hint proves stale. It walks the wrap chain as errors.As does — Unwrap()
+// error and Unwrap() []error, depth first — but without errors.As's target,
+// which would move to the heap on every call: a stale hint must not cost
+// garbage. (No error type here has an As method, the one errors.As rule it
+// skips.)
 func IsCheck(err error) bool {
-	if err == nil {
-		return false // fast path: keeps the no-error case allocation-free
+	for err != nil {
+		switch e := err.(type) {
+		case *CheckError:
+			return true
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, err := range e.Unwrap() {
+				if IsCheck(err) {
+					return true
+				}
+			}
+			return false
+		default:
+			return false
+		}
 	}
-	var ce *CheckError
-	return errors.As(err, &ce)
+	return false
 }
 
 // Stats counts drive activity. Revolutions is the total simulated time spent

@@ -50,7 +50,17 @@ func WriteValue(dev Device, addr VDA, expect Label, v *[PageWords]Word) error {
 // Checking with this pattern is how the system reads a page's links and
 // length while verifying its identity — the paper's "basic operation ... to
 // read the links, given the full name".
+//
+// A leader's page number is 0, which is also the check action's wildcard, so
+// a page-0 pattern alone would pass every page of the file: a stale leader
+// hint at a data page would verify, and a leader write through it would
+// overwrite that page. The page-0 pattern therefore checks the back link
+// too, against the NilVDA that only the first page of a chain carries.
 func LinkPattern(fv FV, pn Word) [LabelWords]Word {
+	prev := Word(0) // previous link: wildcard
+	if pn == 0 {
+		prev = Word(NilVDA)
+	}
 	return [LabelWords]Word{
 		Word(fv.FID >> 16),
 		Word(fv.FID),
@@ -58,7 +68,7 @@ func LinkPattern(fv FV, pn Word) [LabelWords]Word {
 		pn,
 		0, // length: wildcard
 		0, // next link: wildcard
-		0, // previous link: wildcard
+		prev,
 	}
 }
 

@@ -51,17 +51,17 @@ func threePageFile(tb testing.TB) (*FS, FN) {
 }
 
 // TestOpenLabelReadsDoNotAllocate pins the cost of opening a file to the
-// handle, its hint map (header and one group) and the leader name: the
-// label read that verifies the last-page hint goes through the handle's
-// scratch and allocates nothing.
+// handle, whose hint vector starts in an array inside it, and the leader
+// name: the label read that verifies the last-page hint goes through the
+// handle's scratch and allocates nothing.
 func TestOpenLabelReadsDoNotAllocate(t *testing.T) {
 	fs, fn := threePageFile(t)
 	if a := testing.AllocsPerRun(20, func() {
 		if _, err := fs.Open(fn); err != nil {
 			t.Fatal(err)
 		}
-	}); a > 4 {
-		t.Errorf("Open: %v allocs, want at most 4", a)
+	}); a > 2 {
+		t.Errorf("Open: %v allocs, want at most 2", a)
 	}
 }
 

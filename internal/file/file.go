@@ -1,10 +1,8 @@
 package file
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"altoos/internal/disk"
 )
@@ -18,10 +16,13 @@ type File struct {
 	fn  FN
 	ldr Leader
 
-	// hints maps page number -> believed address. hints[0] duplicates
-	// fn.Leader. The map is append-only per session and may be wrong at any
-	// time; a failed label check prunes the offending entry.
-	hints map[disk.Word]disk.VDA
+	// hints holds the believed address of each page, indexed by page
+	// number; disk.NilVDA means no hint. hints[0] duplicates fn.Leader. Any
+	// entry may be wrong at any time; a failed label check drops it. The
+	// vector starts in hintBuf, so a handle on a file of up to inlineHints
+	// pages costs no allocation beyond itself, and grows by append past it.
+	hints   []disk.VDA
+	hintBuf [inlineHints]disk.VDA
 
 	lastPN  disk.Word // page number of the last page
 	lastLen int       // bytes in the last page (< PageBytes)
@@ -49,6 +50,11 @@ type fileScratch struct {
 	lop  disk.Op
 	lpat [disk.LabelWords]disk.Word
 }
+
+// inlineHints is the number of page hints a handle holds without
+// allocating: the leader and 39 data pages, so a 32-page file moves
+// without a second allocation.
+const inlineHints = 40
 
 // zeroPage is the shared all-zero value written into freshly allocated
 // pages. Write actions only read the caller's buffer.
@@ -86,19 +92,58 @@ func (f *File) Size() int {
 // the leader hint survives only in the full name. Used by tests and the
 // hint-ladder experiment to force recovery paths.
 func (f *File) ForgetHints() {
-	f.hints = map[disk.Word]disk.VDA{0: f.fn.Leader}
+	f.resetHints(f.fn.Leader)
 }
 
 // SetHint plants a page-address hint, e.g. from an installed program's state
-// file. The hint need not be correct.
+// file. The hint need not be correct. SetHint(pn, disk.NilVDA) drops the
+// hint for pn: NilVDA is never a page address, so it means "no hint".
 func (f *File) SetHint(pn disk.Word, a disk.VDA) {
-	f.hints[pn] = a
+	f.setHint(pn, a)
 }
 
 // Hint returns the cached address for a page, if any.
 func (f *File) Hint(pn disk.Word) (disk.VDA, bool) {
-	a, ok := f.hints[pn]
-	return a, ok
+	a := f.hint(pn)
+	return a, a != disk.NilVDA
+}
+
+// hint returns the cached address of page pn, or disk.NilVDA.
+func (f *File) hint(pn disk.Word) disk.VDA {
+	if int(pn) < len(f.hints) {
+		return f.hints[pn]
+	}
+	return disk.NilVDA
+}
+
+// setHint records a as page pn's address; disk.NilVDA drops the hint.
+func (f *File) setHint(pn disk.Word, a disk.VDA) {
+	if a == disk.NilVDA {
+		f.dropHint(pn)
+		return
+	}
+	for int(pn) >= len(f.hints) {
+		f.hints = append(f.hints, disk.NilVDA)
+	}
+	f.hints[pn] = a
+}
+
+// dropHint forgets page pn's address after a failed label check.
+func (f *File) dropHint(pn disk.Word) {
+	if int(pn) < len(f.hints) {
+		f.hints[pn] = disk.NilVDA
+	}
+}
+
+// resetHints forgets every page address and keeps leader as page 0's. The
+// vector keeps its storage, so a handle re-primed by the ladder does not
+// allocate.
+func (f *File) resetHints(leader disk.VDA) {
+	if f.hints == nil {
+		f.hints = f.hintBuf[:0]
+	}
+	f.hints = f.hints[:0]
+	f.setHint(0, leader)
 }
 
 // Create makes a new file: a leader page holding name and a single empty
@@ -141,7 +186,6 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 			LastPN:           1,
 			MaybeConsecutive: true,
 		},
-		hints:   map[disk.Word]disk.VDA{},
 		lastPN:  1,
 		lastLen: 0,
 	}
@@ -169,7 +213,7 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 		return nil, fmt.Errorf("file: standard address %d for %q unavailable (got %d)", leaderAt, name, l)
 	}
 	f.fn.Leader = l
-	f.hints[0] = l
+	f.resetHints(l)
 
 	p1lbl := disk.Label{FID: fv.FID, Version: fv.Version, PageNum: 1, Length: 0, Next: disk.NilVDA, Prev: l}
 	p1try := l + 1
@@ -188,7 +232,7 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 	if p1At != disk.NilVDA && p1 != p1At {
 		return nil, fmt.Errorf("file: fixed first page %d for %q unavailable (got %d)", p1At, name, p1)
 	}
-	f.hints[1] = p1
+	f.setHint(1, p1)
 
 	// Complete the leader: forward link, last-page hint, and an honest
 	// consecutive flag (a fixed-address system file's data page may not
@@ -210,7 +254,8 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 // its label checked); if the hint address is stale, the recovery ladder is
 // climbed before giving up.
 func (fs *FS) Open(fn FN) (*File, error) {
-	f := &File{fs: fs, fn: fn, hints: map[disk.Word]disk.VDA{0: fn.Leader}}
+	f := &File{fs: fs, fn: fn}
+	f.resetHints(fn.Leader)
 	if err := f.loadLeader(); err != nil {
 		return nil, err
 	}
@@ -236,7 +281,7 @@ func (f *File) loadLeader() error {
 	if ldr.LastAddr != disk.NilVDA {
 		if lbl, err := f.readLabel(ldr.LastAddr, ldr.LastPN); err == nil && lbl.Next == disk.NilVDA {
 			f.lastPN, f.lastLen = ldr.LastPN, int(lbl.Length)
-			f.hints[ldr.LastPN] = ldr.LastAddr
+			f.setHint(ldr.LastPN, ldr.LastAddr)
 			return nil
 		}
 	}
@@ -245,7 +290,7 @@ func (f *File) loadLeader() error {
 		return err
 	}
 	f.lastPN, f.lastLen = pn, length
-	f.hints[pn] = a
+	f.setHint(pn, a)
 	return nil
 }
 
@@ -272,7 +317,7 @@ func (f *File) chaseToEnd(pn disk.Word, addr disk.VDA) (disk.Word, disk.VDA, int
 		f.fs.mu.Lock()
 		f.fs.stats.LinkChases++
 		f.fs.mu.Unlock()
-		f.hints[pn] = addr
+		f.setHint(pn, addr)
 		if lbl.Next == disk.NilVDA {
 			return pn, addr, int(lbl.Length), nil
 		}
@@ -302,7 +347,7 @@ func (f *File) access(pn disk.Word, op *disk.Op) (disk.VDA, error) {
 	snap.save(op)
 
 	// Level 1: direct hint.
-	if a, ok := f.hints[pn]; ok {
+	if a := f.hint(pn); a != disk.NilVDA {
 		op.Addr = a
 		err := f.fs.dev.Do(op)
 		if err == nil {
@@ -314,7 +359,7 @@ func (f *File) access(pn disk.Word, op *disk.Op) (disk.VDA, error) {
 		if !recoverable(err) {
 			return 0, err
 		}
-		delete(f.hints, pn)
+		f.dropHint(pn)
 		snap.restore(op)
 	}
 
@@ -322,7 +367,7 @@ func (f *File) access(pn disk.Word, op *disk.Op) (disk.VDA, error) {
 	if a, err := f.locateByLinks(pn); err == nil {
 		op.Addr = a
 		if err := f.fs.dev.Do(op); err == nil {
-			f.hints[pn] = a
+			f.setHint(pn, a)
 			return a, nil
 		} else if !recoverable(err) {
 			return 0, err
@@ -337,11 +382,11 @@ func (f *File) access(pn disk.Word, op *disk.Op) (disk.VDA, error) {
 			f.fs.stats.FVResolves++
 			f.fs.mu.Unlock()
 			f.fn.Leader = l
-			f.hints = map[disk.Word]disk.VDA{0: l}
+			f.resetHints(l)
 			if a, err := f.locateByLinks(pn); err == nil {
 				op.Addr = a
 				if err := f.fs.dev.Do(op); err == nil {
-					f.hints[pn] = a
+					f.setHint(pn, a)
 					return a, nil
 				} else if !recoverable(err) {
 					return 0, err
@@ -362,11 +407,11 @@ func (f *File) access(pn disk.Word, op *disk.Op) (disk.VDA, error) {
 		if f.fs.recovery.ResolveFV != nil {
 			if l, err := f.fs.recovery.ResolveFV(f.fn.FV); err == nil {
 				f.fn.Leader = l
-				f.hints = map[disk.Word]disk.VDA{0: l}
+				f.resetHints(l)
 				if a, err := f.locateByLinks(pn); err == nil {
 					op.Addr = a
 					if err := f.fs.dev.Do(op); err == nil {
-						f.hints[pn] = a
+						f.setHint(pn, a)
 						return a, nil
 					}
 				}
@@ -420,50 +465,24 @@ func (s *opSnapshot) restore(op *disk.Op) {
 // hint whose label still verifies. Hints for every k-th page — or any other
 // set the program planted — shorten the chase, as §3.6 describes.
 func (f *File) locateByLinks(pn disk.Word) (disk.VDA, error) {
-	// Choose the verified starting point closest to pn. Candidates are
-	// probed in distance order (ties to the lower page number) so the probe
-	// sequence — and with it the disk traffic — is deterministic: map
-	// iteration order must never reach the disk.
-	type start struct {
-		pn disk.Word
-		a  disk.VDA
-	}
-	cands := make([]disk.Word, 0, len(f.hints))
-	for hpn := range f.hints {
-		cands = append(cands, hpn)
-	}
-	dist := func(hpn disk.Word) int {
-		d := int(pn) - int(hpn)
-		if d < 0 {
-			d = -d
+	// Choose the verified starting point closest to pn. Hints are probed by
+	// distance, ties to the lower page number — pn, pn-1, pn+1, pn-2,
+	// pn+2, … — so the probe sequence, and with it the disk traffic, is
+	// deterministic and costs no candidate list.
+	cur, addr := disk.Word(0), disk.NilVDA
+	for d := 0; addr == disk.NilVDA && (d <= int(pn) || int(pn)+d < len(f.hints)); d++ {
+		cur, addr = f.probeHint(int(pn) - d)
+		if addr == disk.NilVDA && d > 0 {
+			cur, addr = f.probeHint(int(pn) + d)
 		}
-		return d
 	}
-	// The keys are distinct, so the order is total and any sort yields it;
-	// slices.SortFunc does so without sort.Slice's reflective swapper.
-	slices.SortFunc(cands, func(a, b disk.Word) int {
-		if c := cmp.Compare(dist(a), dist(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	var best *start
-	for _, hpn := range cands {
-		ha := f.hints[hpn]
-		if _, err := f.readLabel(ha, hpn); err == nil {
-			best = &start{hpn, ha}
-			break
-		}
-		delete(f.hints, hpn)
-	}
-	if best == nil {
+	if addr == disk.NilVDA {
 		// No surviving hints at all; try the full-name leader address.
 		if _, err := f.readLabel(f.fn.Leader, 0); err != nil {
 			return 0, err
 		}
-		best = &start{0, f.fn.Leader}
+		cur, addr = 0, f.fn.Leader
 	}
-	cur, addr := best.pn, best.a
 	for cur != pn {
 		lbl, err := f.readLabel(addr, cur)
 		if err != nil {
@@ -472,7 +491,7 @@ func (f *File) locateByLinks(pn disk.Word) (disk.VDA, error) {
 		f.fs.mu.Lock()
 		f.fs.stats.LinkChases++
 		f.fs.mu.Unlock()
-		f.hints[cur] = addr
+		f.setHint(cur, addr)
 		if cur < pn {
 			if lbl.Next == disk.NilVDA {
 				return 0, fmt.Errorf("%w: page (%v, %d) beyond end", ErrNotFound, f.fn.FV, pn)
@@ -490,6 +509,22 @@ func (f *File) locateByLinks(pn disk.Word) (disk.VDA, error) {
 	return addr, nil
 }
 
+// probeHint verifies the hint for page hpn against its label. It returns
+// the page and its address, or disk.NilVDA when there is no hint (hpn may
+// lie outside the vector) or the label disowns it; a disowned hint is
+// dropped.
+func (f *File) probeHint(hpn int) (disk.Word, disk.VDA) {
+	if hpn < 0 || hpn >= len(f.hints) || f.hints[hpn] == disk.NilVDA {
+		return 0, disk.NilVDA
+	}
+	pn, a := disk.Word(hpn), f.hints[hpn]
+	if _, err := f.readLabel(a, pn); err != nil {
+		f.dropHint(pn)
+		return 0, disk.NilVDA
+	}
+	return pn, a
+}
+
 // ReadPage reads page pn into buf and returns the number of valid bytes.
 func (f *File) ReadPage(pn disk.Word, buf *[disk.PageWords]disk.Word) (int, error) {
 	if pn < 1 || pn > f.lastPN {
@@ -503,10 +538,10 @@ func (f *File) ReadPage(pn disk.Word, buf *[disk.PageWords]disk.Word) (int, erro
 	lbl := disk.LabelFromWords(f.sc.pat)
 	// Keep neighbour hints fresh from the links just read.
 	if lbl.Next != disk.NilVDA {
-		f.hints[pn+1] = lbl.Next
+		f.setHint(pn+1, lbl.Next)
 	}
 	if lbl.Prev != disk.NilVDA && pn > 0 {
-		f.hints[pn-1] = lbl.Prev
+		f.setHint(pn-1, lbl.Prev)
 	}
 	f.ldr.Read = f.fs.now()
 	f.dirty = true
@@ -593,7 +628,7 @@ func (f *File) WritePage(pn disk.Word, buf *[disk.PageWords]disk.Word, length in
 	if err := f.sc.dsk.Relabel(f.fs.dev, addr, old, full, buf); err != nil {
 		return err
 	}
-	f.hints[pn+1] = next
+	f.setHint(pn+1, next)
 	f.lastPN, f.lastLen = pn+1, 0
 	f.ldr.LastPN, f.ldr.LastAddr = pn+1, next
 	return nil
@@ -604,10 +639,10 @@ func (f *File) WritePage(pn disk.Word, buf *[disk.PageWords]disk.Word, length in
 func (f *File) harvestLinks(pn disk.Word, pat [disk.LabelWords]disk.Word) {
 	lbl := disk.LabelFromWords(pat)
 	if lbl.Next != disk.NilVDA {
-		f.hints[pn+1] = lbl.Next
+		f.setHint(pn+1, lbl.Next)
 	}
 	if lbl.Prev != disk.NilVDA && pn > 0 {
-		f.hints[pn-1] = lbl.Prev
+		f.setHint(pn-1, lbl.Prev)
 	}
 }
 
@@ -638,7 +673,7 @@ func (f *File) Truncate(newLast disk.Word, newLen int) error {
 		if err := f.fs.freePage(addr, lbl, &f.sc.dsk); err != nil {
 			return err
 		}
-		delete(f.hints, pn)
+		f.dropHint(pn)
 		f.lastPN = pn - 1
 	}
 	addr, lbl, err := f.verifiedLabel(newLast)
@@ -678,7 +713,7 @@ func (f *File) Delete() error {
 		if err := f.fs.freePage(addr, lbl, &f.sc.dsk); err != nil {
 			return err
 		}
-		delete(f.hints, pn)
+		f.dropHint(pn)
 		if pn > 1 {
 			f.lastPN = pn - 1
 		}

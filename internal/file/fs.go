@@ -56,6 +56,10 @@ type FS struct {
 	rover    disk.VDA
 	recovery Recovery
 	stats    Stats
+
+	// chain is movePages' chain scratch while no call has it on loan
+	// (lendChain).
+	chain *chainScratch
 }
 
 // Device returns the device the file system is mounted on.

@@ -53,8 +53,9 @@ func (f *File) movePages(pn disk.Word, pages [][disk.PageWords]disk.Word, write 
 	if write {
 		act = disk.Write
 	}
-	ops := make([]disk.Op, n)
-	pats := make([][disk.LabelWords]disk.Word, n)
+	sc := f.fs.lendChain(n)
+	defer f.fs.returnChain(sc)
+	ops, pats := sc.ops, sc.pats
 	i := 0
 	for i < n {
 		// Extend a chain over every consecutive page whose address we
@@ -95,7 +96,7 @@ func (f *File) movePages(pn disk.Word, pages [][disk.PageWords]disk.Word, write 
 				// one): prune and climb the ladder for this page, then
 				// resume chaining.
 				p := pn + disk.Word(k)
-				delete(f.hints, p)
+				f.dropHint(p)
 				if err := f.movePage(p, &pages[k], write); err != nil {
 					return err
 				}
@@ -103,11 +104,47 @@ func (f *File) movePages(pn disk.Word, pages [][disk.PageWords]disk.Word, write 
 				break
 			}
 			p := pn + disk.Word(k)
-			f.hints[p] = ops[k].Addr
+			f.setHint(p, ops[k].Addr)
 			f.harvestLinks(p, pats[k])
 		}
 	}
 	return nil
+}
+
+// chainScratch is the operation and label-pattern storage movePages builds
+// its chains in.
+type chainScratch struct {
+	ops  []disk.Op
+	pats [][disk.LabelWords]disk.Word
+}
+
+// lendChain lends the FS's chain scratch, sized for n pages, to one
+// movePages call. A call that finds it out on loan — a transfer nested in
+// ladder recovery, or another handle's on a second goroutine — gets its
+// own, so the scratch is never shared.
+func (fs *FS) lendChain(n int) *chainScratch {
+	fs.mu.Lock()
+	sc := fs.chain
+	fs.chain = nil
+	fs.mu.Unlock()
+	if sc == nil {
+		sc = new(chainScratch)
+	}
+	if cap(sc.ops) < n {
+		sc.ops = make([]disk.Op, n)
+		sc.pats = make([][disk.LabelWords]disk.Word, n)
+	}
+	sc.ops, sc.pats = sc.ops[:n], sc.pats[:n]
+	return sc
+}
+
+// returnChain takes lent scratch back. The operations are cleared first, so
+// the scratch keeps no caller's pages alive.
+func (fs *FS) returnChain(sc *chainScratch) {
+	clear(sc.ops)
+	fs.mu.Lock()
+	fs.chain = sc
+	fs.mu.Unlock()
 }
 
 // movePage is the single-page fallback, with the full hint ladder behind it.
@@ -123,7 +160,7 @@ func (f *File) movePage(p disk.Word, buf *[disk.PageWords]disk.Word, write bool)
 // cached hint, or for a consecutively laid-out file the computed address
 // leader+p (§3.6's "hints may also be computed" case).
 func (f *File) pageGuess(p disk.Word) (disk.VDA, bool) {
-	if a, ok := f.hints[p]; ok {
+	if a := f.hint(p); a != disk.NilVDA {
 		return a, true
 	}
 	if f.ldr.MaybeConsecutive {

@@ -54,12 +54,13 @@ func (fs *FS) CreateWithFV(fv disk.FV, name string, leaderAt disk.VDA) (*File, e
 // re-read that Open performs. lastPN/lastLen must describe the real last
 // page.
 func (fs *FS) OpenTrusted(fn FN, ldr Leader, lastPN disk.Word, lastLen int) *File {
-	return &File{
+	f := &File{
 		fs:      fs,
 		fn:      fn,
 		ldr:     ldr,
-		hints:   map[disk.Word]disk.VDA{0: fn.Leader},
 		lastPN:  lastPN,
 		lastLen: lastLen,
 	}
+	f.resetHints(fn.Leader)
+	return f
 }

@@ -13,7 +13,8 @@ package fileserver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"altoos/internal/dir"
@@ -44,10 +45,11 @@ func DigestTable(fs *file.FS) ([]Digest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("root directory unreadable")
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	slices.SortFunc(entries, func(a, b dir.Entry) int { return strings.Compare(a.Name, b.Name) })
 	drv, _ := fs.Device().(*disk.Drive)
 	out := make([]Digest, 0, len(entries))
 	var pages int64
+	var buf [disk.PageWords]disk.Word // one page buffer for the whole table
 	for _, e := range entries {
 		// The directory and descriptor are per-pack state, not replicated
 		// content: their bytes legitimately differ across honest replicas
@@ -61,7 +63,6 @@ func DigestTable(fs *file.FS) ([]Digest, error) {
 		}
 		d := Digest{Name: e.Name, Size: f.Size(), Written: f.Leader().Written, Clean: true}
 		lastPN := f.LastPN()
-		var buf [disk.PageWords]disk.Word
 		for pn := disk.Word(1); pn <= lastPN; pn++ {
 			if _, err := f.ReadPage(pn, &buf); err != nil {
 				return nil, fmt.Errorf("digest %q page %d failed", e.Name, pn)

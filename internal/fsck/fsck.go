@@ -28,9 +28,10 @@
 package fsck
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"altoos/internal/dir"
 	"altoos/internal/disk"
@@ -129,12 +130,8 @@ func Check(dev disk.Device) (*Report, error) {
 	if err := c.sweep(); err != nil {
 		return nil, err
 	}
-	sort.Slice(c.files, func(i, j int) bool {
-		a, b := c.files[i].fv, c.files[j].fv
-		if a.FID != b.FID {
-			return a.FID < b.FID
-		}
-		return a.Version < b.Version
+	slices.SortFunc(c.files, func(a, b *fileRec) int {
+		return cmp.Or(cmp.Compare(a.fv.FID, b.fv.FID), cmp.Compare(a.fv.Version, b.fv.Version))
 	})
 	// The sort moved the records; rebuild the keyed index over the new
 	// positions before anything resolves an FV.
@@ -246,11 +243,8 @@ func (f *fileRec) leaderAddr() disk.VDA {
 // checkFile verifies one file's chain, lengths, links and leader.
 func (c *checker) checkFile(f *fileRec) {
 	c.report.FilesChecked++
-	sort.Slice(f.pages, func(i, j int) bool {
-		if f.pages[i].lbl.PageNum != f.pages[j].lbl.PageNum {
-			return f.pages[i].lbl.PageNum < f.pages[j].lbl.PageNum
-		}
-		return f.pages[i].addr < f.pages[j].addr
+	slices.SortFunc(f.pages, func(a, b page) int {
+		return cmp.Or(cmp.Compare(a.lbl.PageNum, b.lbl.PageNum), cmp.Compare(a.addr, b.addr))
 	})
 
 	// Ownership: a (file, page) name must name one sector.

@@ -1,8 +1,9 @@
 package scavenge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"altoos/internal/disk"
@@ -92,12 +93,12 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 			fvs = append(fvs, fv)
 		}
 	}
-	sort.Slice(fvs, func(i, j int) bool { return lessFV(fvs[i], fvs[j]) })
+	slices.SortFunc(fvs, compareFV)
 
 	cursor := 0
 	for _, fv := range fvs {
 		pages := s.files[fv]
-		sort.Slice(pages, func(i, j int) bool { return pages[i].pn < pages[j].pn })
+		slices.SortFunc(pages, func(a, b *pageInfo) int { return cmp.Compare(a.pn, b.pn) })
 		rep.FilesLaidOut++
 		for _, p := range pages {
 			if std := standardAddress(p); std != disk.NilVDA {
@@ -245,16 +246,10 @@ func standardAddress(p *pageInfo) disk.VDA {
 	return disk.NilVDA
 }
 
-// lessFV orders files for layout: system files first, then by serial.
-func lessFV(a, b disk.FV) bool {
-	ra, rb := layoutRank(a.FID), layoutRank(b.FID)
-	if ra != rb {
-		return ra < rb
-	}
-	if a.FID != b.FID {
-		return a.FID < b.FID
-	}
-	return a.Version < b.Version
+// compareFV orders files for layout: system files first, then by serial.
+func compareFV(a, b disk.FV) int {
+	return cmp.Or(cmp.Compare(layoutRank(a.FID), layoutRank(b.FID)),
+		cmp.Compare(a.FID, b.FID), cmp.Compare(a.Version, b.Version))
 }
 
 func layoutRank(f disk.FID) int {

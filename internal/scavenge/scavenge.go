@@ -27,9 +27,10 @@
 package scavenge
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"altoos/internal/dir"
@@ -472,11 +473,8 @@ func (s *scavenger) fixFiles() error {
 // pages 0..n, interior pages full, last page partial, links pointing at the
 // right neighbours. On success it records the file's summary.
 func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
-	sort.Slice(pages, func(i, j int) bool {
-		if pages[i].pn != pages[j].pn {
-			return pages[i].pn < pages[j].pn
-		}
-		return pages[i].addr < pages[j].addr
+	slices.SortFunc(pages, func(a, b *pageInfo) int {
+		return cmp.Or(cmp.Compare(a.pn, b.pn), cmp.Compare(a.addr, b.addr))
 	})
 
 	// Duplicates: the same absolute name on two sectors. Keep the first.
