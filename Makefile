@@ -52,11 +52,12 @@ determinism-check:
 	$(GO) test -count=1 -run '^TestDeterminism$$' ./internal/experiments
 
 # cluster-seeds checks that E15's claim does not rest on its published wire
-# seed: the full E15 runs on wire seeds 0-199 at workers 1 and 2, and any
-# error (a stalled daemon), lost file, corrupted byte or difference between
-# the two widths fails the gate. About 20 s per width.
+# seed: altobench -seeds runs the full E15 on wire seeds 0-199 at workers 1
+# and 2, and any error (a stalled daemon), lost file, corrupted byte or
+# metric that differs between the two widths fails the gate. About 20 s per
+# width.
 cluster-seeds:
-	$(GO) run ./cmd/altocluster -seeds 0-199
+	$(GO) run ./cmd/altobench -seeds 0-199
 
 # crash-check is the §3.5 gate: a sampled sweep of crash points (clean and
 # torn) over the journaled directory workload; altocrash exits non-zero if

@@ -11,8 +11,8 @@
 // Everything is deterministic under the fleet engine's windowed schedule —
 // audit rounds, repairs and heals land at byte-identical simulated times
 // across runs and worker widths, and every round and heal is a traced span
-// on a causal flow, so altoscope shows who detected what and where the good
-// copy came from.
+// on a causal flow, so altobench -scope on E15 shows who detected what and
+// where the good copy came from.
 package cluster
 
 import (

@@ -275,7 +275,8 @@ func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, erro
 // a phase of same-size overwrites and fetches — warm congestion windows,
 // chained interior disk transfers, the wire under real pressure. All
 // numbers are counter/clock deltas around the measured phase, so the same
-// recorder can persist across sweep points (cmd/altotrace hands in one).
+// recorder can persist across sweep points (altobench -trace hands in one;
+// see cmd/altobench's TestTracesAreByteIdentical).
 func e11LossSweep(tr *trace.Recorder) (*Result, error) {
 	res := &Result{
 		ID:    "E11",

@@ -634,8 +634,8 @@ func TestRTOAdaptation(t *testing.T) { rtoAdaptation(t) }
 
 // TestEdgeCaseReplayByteIdentity re-runs every Force-scripted edge case and
 // demands the second run's trace is event-for-event identical to the first
-// — the altotrace property, held at the unit level where the edge cases
-// live.
+// — the property cmd/altobench's TestTracesAreByteIdentical holds over
+// whole experiments, held at the unit level where the edge cases live.
 func TestEdgeCaseReplayByteIdentity(t *testing.T) {
 	scenarios := []struct {
 		name string

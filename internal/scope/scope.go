@@ -17,7 +17,8 @@
 // events. Machines are ordered by name, events by (simulated time, machine,
 // ring position) — a total order independent of merge-input order — so the
 // merged trace and the profile are byte-identical across runs, across merge
-// input orders, and across worker counts (cmd/altoscope's tests pin this).
+// input orders, and across worker counts (cmd/altobench's
+// TestE10MergedArtifactsAreByteIdentical pins this).
 package scope
 
 import (

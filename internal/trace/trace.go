@@ -14,7 +14,8 @@
 // virtual clock the hardware models advance), never the host's wall clock,
 // and the exporters iterate in recorded or sorted order only. Two runs of
 // the same workload therefore produce byte-identical traces; a trace diff
-// is a behaviour diff. cmd/altotrace asserts this property as a test.
+// is a behaviour diff. cmd/altobench's TestTracesAreByteIdentical asserts
+// this property over whole experiments.
 //
 // A nil *Recorder is a valid no-op recorder: every method checks the
 // receiver, so instrumented hot paths pay one branch when tracing is off.

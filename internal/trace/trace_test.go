@@ -234,8 +234,9 @@ func TestChromeTraceSelfDescribesEviction(t *testing.T) {
 }
 
 // TestExportDeterminism is the package-level contract: identical emission
-// sequences yield byte-identical exports (cmd/altotrace asserts the same
-// end-to-end over whole experiments).
+// sequences yield byte-identical exports (cmd/altobench's
+// TestTracesAreByteIdentical asserts the same end-to-end over whole
+// experiments).
 func TestExportDeterminism(t *testing.T) {
 	build := func() *Recorder {
 		r := New(64)
