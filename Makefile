@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench bench-diff bench-smoke fuzz-smoke determinism-check cluster-seeds crash-check perf-check fmt
+.PHONY: check build fmt-check vet altovet vet-stats test race bench bench-diff bench-smoke fuzz-smoke determinism-check cluster-seeds crash-check perf-check fmt
 
 check: build fmt-check vet altovet vet-stats determinism-check cluster-seeds crash-check perf-check race bench-diff bench-smoke fuzz-smoke
 
@@ -19,22 +19,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# altovet compares against the checked-in baseline, so the gate fails only on
-# findings *new* since the baseline (benchdiff-style). The tree is clean today
-# — the baseline is empty — but the mechanism lets a future large-scale
-# finding haul land incrementally without turning the gate off.
+# altovet fails (exit 1) on any finding of the domain-aware analyzers.
 altovet:
-	$(GO) run ./cmd/altovet -baseline vet_baseline.json ./...
+	$(GO) run ./cmd/altovet ./...
 
-# vet-stats prints the per-analyzer finding/allow counts against the baseline;
-# informational, part of check so drift is visible in every run's log.
+# vet-stats prints the per-analyzer finding/allow counts; informational, part
+# of check so drift is visible in every run's log.
 vet-stats:
-	$(GO) run ./cmd/altovet -baseline vet_baseline.json -stats ./... || true
-
-# vet-baseline refreshes the checked-in baseline to the current findings; run
-# it (and commit the result) only when deliberately accepting a legacy haul.
-vet-baseline:
-	$(GO) run ./cmd/altovet -baseline vet_baseline.json -write-baseline ./...
+	$(GO) run ./cmd/altovet -stats ./... || true
 
 test:
 	$(GO) test ./...

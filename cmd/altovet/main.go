@@ -8,17 +8,13 @@
 //
 // Usage:
 //
-//	altovet [-run name[,name...]] [-list] [-json] [-workers n]
-//	        [-baseline file] [-write-baseline] [-stats] [packages]
+//	altovet [-run name[,name...]] [-list] [-json] [-workers n] [-stats] [packages]
 //
 // Packages default to ./... (the whole module). Exit status is 0 when the
-// tree is clean (or every finding is covered by the baseline), 1 when any
-// new finding is reported, and 2 on usage or load errors. -json emits the
-// findings as a stable-ordered JSON array; the same shape is the baseline
-// format, so -write-baseline records the current findings for -baseline to
-// compare against while a legacy haul is burned down. -stats prints an
-// informational per-analyzer table of finding/allow counts against the
-// baseline. Findings can be suppressed, with a mandatory reason, by
+// tree is clean, 1 when any finding is reported, and 2 on usage or load
+// errors. -json emits the findings as a stable-ordered JSON array. -stats
+// prints an informational per-analyzer table of finding and allow counts.
+// Findings can be suppressed, with a mandatory reason, by
 //
 //	//altovet:allow <analyzer>[,<analyzer>...] <reason>
 //
@@ -48,8 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (stable order)")
-	baseline := fs.String("baseline", "", "baseline file; only findings not covered by it fail the gate")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to -baseline and exit")
 	stats := fs.Bool("stats", false, "print per-analyzer finding/allow counts (informational)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "package load/analysis worker pool size")
 	if err := fs.Parse(args); err != nil {
@@ -95,31 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags, runStats := vet.RunAll(pkgs, analyzers)
 	current := mod.JSONDiagnostics(diags)
 
-	if *writeBaseline {
-		if *baseline == "" {
-			fmt.Fprintln(stderr, "altovet: -write-baseline needs -baseline <file>")
-			return 2
-		}
-		if err := vet.WriteBaseline(*baseline, current); err != nil {
-			fmt.Fprintf(stderr, "altovet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "altovet: wrote %d finding(s) to %s\n", len(current), *baseline)
-		return 0
-	}
-
-	fresh := current
-	var base []vet.JSONDiagnostic
-	resolved := 0
-	if *baseline != "" {
-		base, err = vet.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "altovet: %v\n", err)
-			return 2
-		}
-		fresh, resolved = vet.CompareBaseline(base, current)
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -131,35 +100,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range current {
 			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 		}
 	}
 	if *stats {
-		printStats(stdout, runStats, base)
+		printStats(stdout, runStats)
 	}
-	if resolved > 0 {
-		fmt.Fprintf(stderr, "altovet: %d baseline finding(s) no longer fire; refresh with -baseline %s -write-baseline\n", resolved, *baseline)
-	}
-	if len(fresh) > 0 {
-		what := "finding(s)"
-		if *baseline != "" {
-			what = "finding(s) not in baseline"
-		}
-		fmt.Fprintf(stderr, "altovet: %d %s\n", len(fresh), what)
+	if len(current) > 0 {
+		fmt.Fprintf(stderr, "altovet: %d finding(s)\n", len(current))
 		return 1
 	}
 	return 0
 }
 
 // printStats renders the informational per-analyzer table `make vet-stats`
-// shows: surviving findings, suppressions in use, and how many findings the
-// checked-in baseline still carries.
-func printStats(w io.Writer, s *vet.Stats, baseline []vet.JSONDiagnostic) {
-	basePer := map[string]int{}
-	for _, d := range baseline {
-		basePer[d.Analyzer]++
-	}
+// shows: surviving findings and suppressions in use.
+func printStats(w io.Writer, s *vet.Stats) {
 	names := map[string]bool{}
 	for _, a := range vet.Analyzers() {
 		names[a.Name] = true
@@ -170,21 +127,17 @@ func printStats(w io.Writer, s *vet.Stats, baseline []vet.JSONDiagnostic) {
 	for n := range s.Allowed {
 		names[n] = true
 	}
-	for n := range basePer {
-		names[n] = true
-	}
 	ordered := make([]string, 0, len(names))
 	for n := range names {
 		ordered = append(ordered, n)
 	}
 	sort.Strings(ordered)
-	fmt.Fprintf(w, "%-12s %9s %9s %9s\n", "analyzer", "findings", "allowed", "baseline")
-	totF, totA, totB := 0, 0, 0
+	fmt.Fprintf(w, "%-12s %9s %9s\n", "analyzer", "findings", "allowed")
+	totF, totA := 0, 0
 	for _, n := range ordered {
-		fmt.Fprintf(w, "%-12s %9d %9d %9d\n", n, s.Findings[n], s.Allowed[n], basePer[n])
+		fmt.Fprintf(w, "%-12s %9d %9d\n", n, s.Findings[n], s.Allowed[n])
 		totF += s.Findings[n]
 		totA += s.Allowed[n]
-		totB += basePer[n]
 	}
-	fmt.Fprintf(w, "%-12s %9d %9d %9d\n", "total", totF, totA, totB)
+	fmt.Fprintf(w, "%-12s %9d %9d\n", "total", totF, totA)
 }

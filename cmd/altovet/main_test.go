@@ -306,10 +306,9 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-// TestJSONAndBaselineFlow drives the satellite machinery end to end on the
-// production tree: -json emits a well-formed array, -write-baseline records
-// it, and -baseline accepts the tree it just recorded.
-func TestJSONAndBaselineFlow(t *testing.T) {
+// TestJSONAndStats drives the output modes end to end on a clean package:
+// -json emits a well-formed array and -stats prints its table.
+func TestJSONAndStats(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-json", "./internal/sim"}, &out, &errOut); code != 0 {
 		t.Fatalf("-json exited %d: %s", code, errOut.String())
@@ -322,28 +321,18 @@ func TestJSONAndBaselineFlow(t *testing.T) {
 		t.Errorf("internal/sim not clean: %v", diags)
 	}
 
-	base := filepath.Join(t.TempDir(), "baseline.json")
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-baseline", base, "-write-baseline", "./internal/sim"}, &out, &errOut); code != 0 {
-		t.Fatalf("-write-baseline exited %d: %s", code, errOut.String())
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-baseline", base, "-stats", "./internal/sim"}, &out, &errOut); code != 0 {
-		t.Fatalf("-baseline gate exited %d: %s", code, errOut.String())
+	if code := run([]string{"-stats", "./internal/sim"}, &out, &errOut); code != 0 {
+		t.Fatalf("-stats exited %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "analyzer") || !strings.Contains(out.String(), "total") {
 		t.Errorf("-stats printed no table:\n%s", out.String())
 	}
 }
 
-// TestBaselineMasksLegacyFindings: a finding recorded in the baseline passes
-// the gate; a tree with findings and no baseline fails it.
-func TestBaselineMasksLegacyFindings(t *testing.T) {
+// TestDirtyTreeExitsOne: a tree with findings fails the gate.
+func TestDirtyTreeExitsOne(t *testing.T) {
 	// The taint fixture under its shipped (cmd) layout has known findings;
 	// drive the CLI against a temp module holding just that fixture.
 	dir := t.TempDir()
@@ -372,17 +361,6 @@ func TestBaselineMasksLegacyFindings(t *testing.T) {
 
 	var out, errOut bytes.Buffer
 	if code := run([]string{"./..."}, &out, &errOut); code != 1 {
-		t.Fatalf("dirty tree without baseline exited %d, want 1\n%s%s", code, out.String(), errOut.String())
-	}
-	base := filepath.Join(dir, "baseline.json")
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-baseline", base, "-write-baseline", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("-write-baseline exited %d: %s", code, errOut.String())
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &out, &errOut); code != 0 {
-		t.Errorf("baselined tree exited %d, want 0\n%s%s", code, out.String(), errOut.String())
+		t.Fatalf("dirty tree exited %d, want 1\n%s%s", code, out.String(), errOut.String())
 	}
 }

@@ -43,11 +43,8 @@ type Config struct {
 	Clock *sim.Clock
 	// Geometry is each replica's pack shape.
 	Geometry disk.Geometry
-	// AuditInterval separates a replica's audit rounds; AuditQuiet is how
-	// many consecutive clean rounds a replica demands before it stops
-	// scheduling audits and lets the fleet drain.
+	// AuditInterval separates a replica's audit rounds.
 	AuditInterval time.Duration
-	AuditQuiet    int
 	// AuditPup tunes the auditor endpoints; each replica's Seed is offset
 	// by its global index so connection ids stay distinct and deterministic.
 	AuditPup pup.Config
@@ -80,7 +77,6 @@ type Replica struct {
 	peers     []peerRef // shard peers in replica-index order, self excluded
 	audCfg    pup.Config
 	interval  time.Duration
-	quiet     int
 	rounds    int // audit rounds run
 	heals     int // files healed over the replica's life
 	lastHealR int // round number of the most recent heal
@@ -133,9 +129,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.AuditInterval <= 0 {
 		cfg.AuditInterval = 500 * time.Millisecond
 	}
-	if cfg.AuditQuiet <= 0 {
-		cfg.AuditQuiet = 2
-	}
 	place := Placement{Shards: cfg.Shards, Replicas: cfg.Replicas}
 	c := &Cluster{Place: place}
 	for s := 0; s < cfg.Shards; s++ {
@@ -161,7 +154,6 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 		Index:    idx,
 		clock:    cfg.Clock,
 		interval: cfg.AuditInterval,
-		quiet:    cfg.AuditQuiet,
 	}
 	shared := r.clock != nil
 	if !shared {
@@ -188,10 +180,6 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 		return nil, err
 	}
 	r.drive.SetRecorder(r.rec)
-	// Checksum maintenance must be live before any rot strikes, recorder or
-	// not: the stale checksum a rotted sector keeps is the audit protocol's
-	// local evidence of damage.
-	r.drive.EnsureVCRC()
 	if r.fs, err = file.Format(r.drive); err != nil {
 		return nil, err
 	}
@@ -271,9 +259,13 @@ func (r *Replica) ServeProgram() func(*fleet.Machine) error {
 	}
 }
 
+// auditQuiet is how many consecutive clean audit rounds a replica demands
+// before it stops scheduling audits and lets the fleet drain.
+const auditQuiet = 2
+
 // AuditProgram is the replica's life as a scavenging daemon: serve peers,
 // and each time the audit deadline passes run one full round against the
-// shard group. After quiet consecutive clean rounds the replica stops
+// shard group. After auditQuiet consecutive clean rounds the replica stops
 // scheduling audits and parks; when every replica has gone quiet and the
 // wire is silent, the fleet drains and the program returns. startAt is the
 // replica's first audit deadline on its own clock — stagger replicas so
@@ -288,7 +280,7 @@ func (r *Replica) AuditProgram(startAt time.Duration) func(*fleet.Machine) error
 			if err != nil {
 				return err
 			}
-			if clean < r.quiet && r.clock.Now() >= next {
+			if clean < auditQuiet && r.clock.Now() >= next {
 				out, err := r.AuditRound(
 					func() { m.Sync() },
 					func() { m.Idle() },
@@ -305,7 +297,7 @@ func (r *Replica) AuditProgram(startAt time.Duration) func(*fleet.Machine) error
 				worked = true
 			}
 			if !worked {
-				if clean < r.quiet {
+				if clean < auditQuiet {
 					r.clock.RequestWake(next)
 				}
 				m.Idle()

@@ -34,10 +34,6 @@ import (
 // Config selects the machine to build. The zero value gives a standard Alto:
 // one Diablo 31 drive, display on os.Stdout.
 type Config struct {
-	// Geometry of the disk drive; Diablo31 if zero.
-	Geometry disk.Geometry
-	// Pack number for a freshly formatted pack.
-	Pack disk.Word
 	// Display receives display-stream output; os.Stdout if nil.
 	Display io.Writer
 	// Drive, if non-nil, is used instead of creating a fresh one — attach
@@ -69,14 +65,10 @@ type System struct {
 	Trace *trace.Recorder
 }
 
-// New builds a machine. With cfg.Drive nil, a fresh pack is formatted; with
-// cfg.Drive set, the existing pack is mounted (scavenging it first if the
-// descriptor is unreadable).
+// New builds a machine. With cfg.Drive nil, a fresh Diablo 31 pack (pack 0)
+// is formatted; with cfg.Drive set, the existing pack is mounted
+// (scavenging it first if the descriptor is unreadable).
 func New(cfg Config) (*System, error) {
-	g := cfg.Geometry
-	if g.Cylinders == 0 {
-		g = disk.Diablo31()
-	}
 	display := cfg.Display
 	if display == nil {
 		display = os.Stdout
@@ -102,7 +94,7 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 	} else {
-		s.Drive, err = disk.NewDrive(g, cfg.Pack, s.Clock)
+		s.Drive, err = disk.NewDrive(disk.Diablo31(), 0, s.Clock)
 		if err != nil {
 			return nil, err
 		}

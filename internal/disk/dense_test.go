@@ -1,8 +1,7 @@
 package disk
 
 // The dense drive: the Drive as it was before sparse packs, every sector
-// stored and filled at format time and every checksum swept at the first
-// recorder attach. It survives only here, as the oracle the sparse drive is
+// stored, filled and checksummed at format time. It survives only here, as the oracle the sparse drive is
 // checked against (TestSparseMatchesDense, FuzzDriveTwin): the same
 // operations on both must give the same results, statistics, clock
 // readings, trace events, peeks and images.
@@ -31,8 +30,6 @@ type denseDrive struct {
 
 	rec *trace.Recorder
 
-	vcrcValid bool
-
 	crashAfterWrites int64
 	crashed          bool
 
@@ -60,6 +57,7 @@ func newDenseDrive(g Geometry, pack Word, clock *sim.Clock) (*denseDrive, error)
 		d.sectors[i].header = Header{Pack: pack, Addr: VDA(i)}.Words()
 		d.sectors[i].label = freeLabelWords
 		d.sectors[i].value = onesValue // block copy: this loop is format time
+		d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
 	}
 	return d, nil
 }
@@ -68,30 +66,12 @@ func (d *denseDrive) SetRecorder(r *trace.Recorder) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.rec = r
-	if r != nil && !d.vcrcValid {
-		for i := range d.sectors {
-			d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
-		}
-		d.vcrcValid = true
-	}
-}
-
-func (d *denseDrive) EnsureVCRC() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.vcrcValid {
-		return
-	}
-	for i := range d.sectors {
-		d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
-	}
-	d.vcrcValid = true
 }
 
 func (d *denseDrive) PeekVCRC(addr VDA) (Word, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.vcrcValid || int(addr) >= len(d.sectors) {
+	if int(addr) >= len(d.sectors) {
 		return 0, false
 	}
 	return d.sectors[addr].vcrc, true
@@ -224,7 +204,7 @@ func (d *denseDrive) doPart(addr VDA, part Part, a Action, dst, mem []Word) erro
 		}
 		d.stats.Writes++
 		copy(dst, mem)
-		if part == PartValue && d.vcrcValid {
+		if part == PartValue {
 			d.sectors[addr].vcrc = valueCRC(dst)
 		}
 		return nil
@@ -619,6 +599,5 @@ func loadDenseImage(r io.Reader, clock *sim.Clock) (*denseDrive, error) {
 		s.bad = b != 0
 		s.vcrc = valueCRC(s.value[:])
 	}
-	d.vcrcValid = true
 	return d, nil
 }

@@ -165,12 +165,11 @@ func (s Stats) Revolutions(g Geometry) float64 {
 }
 
 // sector is the in-memory image of one disk sector. vcrc is a checksum of
-// the value words, computed lazily when a flight recorder first attaches
-// (Drive.vcrcValid) and from then on maintained by every disciplined write
-// (Write actions, image load) and deliberately left stale by the fault injectors:
-// a mismatch found on a later read means damage happened outside the
-// label-checked write path. It is bookkeeping for the flight recorder only
-// — detection never changes an operation's outcome.
+// the value words, maintained from NewDrive on by every disciplined write
+// (Write actions, image load) and deliberately left stale by the fault
+// injectors: a mismatch found on a later read means damage happened outside
+// the label-checked write path. Only the flight recorder and the audit's
+// PeekVCRC read it — detection never changes an operation's outcome.
 type sector struct {
 	header [HeaderWords]Word
 	label  [LabelWords]Word
@@ -259,12 +258,6 @@ type Drive struct {
 	// every emission site pays one branch. The recorder is a lock-order
 	// leaf, so emitting under d.mu is safe.
 	rec *trace.Recorder
-
-	// vcrcValid reports that every sector's vcrc matches its value (minus
-	// deliberate fault-injector staleness). The checksums exist only for
-	// the flight recorder, so they are computed lazily when a recorder is
-	// first attached; an untraced run never pays for them.
-	vcrcValid bool
 
 	// crashAfterWrites, when >= 0, counts down on each write action; when it
 	// reaches zero the drive behaves as if power failed: the write and all
@@ -360,47 +353,17 @@ func (d *Drive) SetRecorder(r *trace.Recorder) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.rec = r
-	if r != nil {
-		d.syncVCRC()
-	}
-}
-
-// EnsureVCRC brings every sector's checksum up to date without attaching a
-// recorder. The rot injector needs the checksums live before it strikes —
-// rot deliberately leaves them stale, and that staleness is the audit
-// protocol's local dirty bit — but an untraced rig (the crash explorer) has
-// no recorder to trigger the lazy bootstrap in SetRecorder.
-func (d *Drive) EnsureVCRC() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.syncVCRC()
-}
-
-// syncVCRC brings every checksum up to date with the pack as it stands the
-// first time it is called, so later mismatches mean damage done after it.
-// A never-written sector's checksum is the constant onesCRC, so only
-// stored sectors need the pass: none on a fresh pack. d.mu is held.
-func (d *Drive) syncVCRC() {
-	if d.vcrcValid {
-		return
-	}
-	for _, u := range d.units {
-		for j := range u {
-			u[j].vcrc = valueCRC(u[j].value[:])
-		}
-	}
-	d.vcrcValid = true
 }
 
 // PeekVCRC returns the sector's recorded value checksum without charging
-// time, and whether checksum maintenance is live at all. Like PeekLabel it
-// models examining the pack offline; the audit protocol uses it to tell a
-// locally-clean copy (recorded checksum matches the value just read) from a
-// rotted one, without a second paid read.
+// time, and whether addr is on the pack. Like PeekLabel it models examining
+// the pack offline; the audit protocol uses it to tell a locally-clean copy
+// (recorded checksum matches the value just read) from a rotted one,
+// without a second paid read.
 func (d *Drive) PeekVCRC(addr VDA) (Word, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.vcrcValid || int(addr) >= d.nsector {
+	if int(addr) >= d.nsector {
 		return 0, false
 	}
 	if s := d.at(addr); s != nil {
@@ -674,7 +637,7 @@ func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word
 		}
 		d.stats.Writes++
 		copy(dst, mem)
-		if part == PartValue && d.vcrcValid {
+		if part == PartValue {
 			s.vcrc = valueCRC(dst)
 		}
 		return nil

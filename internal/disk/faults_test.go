@@ -124,6 +124,33 @@ func TestCorruptValueSurfacesAsCRCMismatchEvent(t *testing.T) {
 	}
 }
 
+// TestChecksumsLiveFromNewDrive: value checksums are kept from NewDrive on,
+// not from the first recorder attach, so damage done while the drive was
+// untraced still shows once a recorder is attached.
+func TestChecksumsLiveFromNewDrive(t *testing.T) {
+	d := newTestDrive(t)
+	var v [PageWords]Word
+	fill(&v, 0x1234) // a checksum other than onesCRC, a fresh sector's
+	if err := Allocate(d, 7, testLabel(0), &v); err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	junk := v
+	junk[5] ^= 0x8000
+	d.ZapValue(7, junk)
+	if rec, ok := d.PeekVCRC(7); !ok || rec != ValueCRC(v[:]) {
+		t.Errorf("PeekVCRC(7) = %#04x %v, want %#04x true, the checksum of the value written before the zap", rec, ok, ValueCRC(v[:]))
+	}
+	rec := trace.New(1024)
+	d.SetRecorder(rec)
+	var got [PageWords]Word
+	if err := ReadValue(d, 7, testLabel(0), &got); err != nil {
+		t.Fatalf("ReadValue: %v", err)
+	}
+	if n := countKind(rec, trace.KindCRCMismatch); n != 1 {
+		t.Errorf("%d KindCRCMismatch events for a value zapped before the recorder attached, want 1", n)
+	}
+}
+
 func TestDisciplinedRewriteClearsCRCMismatch(t *testing.T) {
 	d, rec := newTracedDrive(t)
 	var junk [PageWords]Word

@@ -131,7 +131,6 @@ func LoadImage(r io.Reader, clock *sim.Clock) (*Drive, error) {
 			*d.touch(VDA(i)) = s
 		}
 	}
-	d.vcrcValid = true
 	return d, nil
 }
 

@@ -327,17 +327,13 @@ func (tw *twin) move() {
 		tw.action = "clear crash"
 		tw.sp.ClearCrash()
 		tw.dn.ClearCrash()
-	case k < 61:
+	case k < 62:
 		tw.action = "recorder"
 		if tw.spRec == nil || tw.c.Intn(4) == 0 {
 			tw.spRec, tw.dnRec = trace.New(1<<12), trace.New(1<<12)
 		}
 		tw.sp.SetRecorder(tw.spRec)
 		tw.dn.SetRecorder(tw.dnRec)
-	case k < 62:
-		tw.action = "ensure vcrc"
-		tw.sp.EnsureVCRC()
-		tw.dn.EnsureVCRC()
 	case k < 63:
 		tw.action = "image"
 		tw.sameImage()

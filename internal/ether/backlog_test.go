@@ -16,7 +16,7 @@ func backlogPair(tb testing.TB, fleet bool, depth int) func() Packet {
 	tb.Helper()
 	n := New(nil)
 	if fleet {
-		n.SetFleetMode(true)
+		n.SetFleetMode()
 	}
 	tx, err := n.Attach(1)
 	if err != nil {

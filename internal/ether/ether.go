@@ -163,15 +163,15 @@ type Network struct {
 	horizon atomic.Int64 // window horizon in ns; only consulted in fleet mode
 }
 
-// SetFleetMode switches the medium between the shared-clock single-machine
-// model (false, the default) and the fleet event model (true). In fleet
-// mode the collision probe and queue-depth gauge are off — both read
+// SetFleetMode switches the medium from the shared-clock single-machine
+// model, where it starts, to the fleet event model for good. In fleet mode
+// the collision probe and queue-depth gauge are off — both read
 // cross-machine state whose momentary value depends on host interleaving —
 // and the delivery horizon starts unbounded until a scheduler sets it.
-func (n *Network) SetFleetMode(on bool) {
+func (n *Network) SetFleetMode() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.fleet = on
+	n.fleet = true
 	n.horizon.Store(int64(^uint64(0) >> 1)) // unbounded until SetHorizon
 }
 

@@ -190,7 +190,7 @@ func TestHeldPromotionSortsByArrival(t *testing.T) {
 // reaches the packet's arrival time.
 func TestFleetDeliveryWaitsForArrival(t *testing.T) {
 	n := New(nil)
-	n.SetFleetMode(true)
+	n.SetFleetMode()
 	a, _ := n.Attach(1)
 	b, _ := n.Attach(2)
 	ca, cb := sim.NewClock(), sim.NewClock()
@@ -224,7 +224,7 @@ func TestFleetDeliveryWaitsForArrival(t *testing.T) {
 // host interleaving.
 func TestFleetHorizonGatesDelivery(t *testing.T) {
 	n := New(nil)
-	n.SetFleetMode(true)
+	n.SetFleetMode()
 	a, _ := n.Attach(1)
 	b, _ := n.Attach(2)
 	ca, cb := sim.NewClock(), sim.NewClock()
@@ -251,7 +251,7 @@ func TestFleetHorizonGatesDelivery(t *testing.T) {
 func TestFleetPerSenderFaultStreams(t *testing.T) {
 	run := func(otherTraffic int) []bool {
 		n := New(nil)
-		n.SetFleetMode(true)
+		n.SetFleetMode()
 		n.SetHorizon(1 << 60)
 		a, _ := n.Attach(1)
 		x, _ := n.Attach(2)

@@ -159,7 +159,7 @@ func TestEarliestArrivalMatchesScan(t *testing.T) {
 			for k := range nets {
 				n := New(nil)
 				if fleet {
-					n.SetFleetMode(true)
+					n.SetFleetMode()
 				}
 				n.InjectFaults(cfg)
 				for a := Addr(1); a <= Addr(size); a++ {

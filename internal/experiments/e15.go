@@ -117,7 +117,6 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 		Wire:          wire,
 		Geometry:      e15Geometry(),
 		AuditInterval: 120 * time.Millisecond,
-		AuditQuiet:    2,
 		AuditPup: pup.Config{
 			MaxRTO:     time.Second,
 			MaxRetries: 300,

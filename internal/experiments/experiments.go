@@ -18,7 +18,6 @@ import (
 	"altoos/internal/dir"
 	"altoos/internal/disk"
 	"altoos/internal/file"
-	"altoos/internal/sim"
 	"altoos/internal/trace"
 )
 
@@ -127,8 +126,6 @@ func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // secs formats a duration as seconds.
 func secs(d time.Duration) float64 { return d.Seconds() }
-
-var _ = sim.NewRand // keep the import set stable across experiment files
 
 // recorders hands out machine recorders and keeps each distinct one, so a
 // counter sums the same whether a run traced into one recorder or one per

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"altoos/internal/ether"
 )
 
 // Test-only access to the windowed engine's internals. No Option reaches
@@ -76,7 +78,7 @@ func rescan(e *Engine) []wakeEntry {
 		return all[i].m.idx < all[j].m.idx
 	})
 	for i, en := range all {
-		if en.wake >= all[0].wake+e.lookahead {
+		if en.wake >= all[0].wake+ether.MinLatency {
 			return all[:i]
 		}
 	}

@@ -58,7 +58,6 @@ var (
 
 // Engine schedules a set of machines over simulated time.
 type Engine struct {
-	lookahead time.Duration
 	workers   int
 	maxRounds int
 	net       *ether.Network
@@ -101,17 +100,6 @@ func Workers(n int) Option {
 	}
 }
 
-// Lookahead overrides the window width (default ether.MinLatency). It must
-// not exceed the true minimum propagation latency of the medium the fleet
-// communicates over, or causality can be violated.
-func Lookahead(d time.Duration) Option {
-	return func(e *Engine) {
-		if d > 0 {
-			e.lookahead = d
-		}
-	}
-}
-
 // MaxRounds bounds the number of windows before the engine gives up with
 // ErrRoundCap. The default is 4,000,000.
 func MaxRounds(n int) Option {
@@ -132,7 +120,6 @@ func Medium(n *ether.Network) Option {
 // New creates an engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		lookahead: ether.MinLatency,
 		workers:   1,
 		maxRounds: 4_000_000,
 		clocks:    map[*sim.Clock]*Machine{},
@@ -141,7 +128,7 @@ func New(opts ...Option) *Engine {
 		o(e)
 	}
 	if e.net != nil {
-		e.net.SetFleetMode(true)
+		e.net.SetFleetMode()
 	}
 	return e
 }
@@ -303,7 +290,7 @@ func (e *Engine) nextBatch() []*Machine {
 	if len(e.queue) == 0 || e.queue[0].effWake == never {
 		return e.batch
 	}
-	e.horizon = e.queue[0].effWake + e.lookahead
+	e.horizon = e.queue[0].effWake + ether.MinLatency
 	if e.net != nil {
 		e.net.SetHorizon(e.horizon)
 	}

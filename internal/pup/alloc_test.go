@@ -11,7 +11,7 @@ import (
 // packet on the wire: the header and data are built in the endpoint's send
 // buffer, so the one allocation is Station.Send's copy of the payload.
 func TestDataSendAllocatesOnlyTheWireCopy(t *testing.T) {
-	_, srv, cli, _ := pair(t, Config{})
+	_, srv, cli, _ := pair(t, tuning{})
 	conn, err := cli.Dial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ var raceEnabled bool
 // Recv and Free, and the client's Poll (the ack frees the retransmit copy).
 func roundTrip(tb testing.TB) func() {
 	tb.Helper()
-	_, srv, cli, _ := pair(tb, Config{AckEvery: 1})
+	_, srv, cli, _ := pair(tb, tuning{ackEvery: 1})
 	conn, err := cli.Dial(1)
 	if err != nil {
 		tb.Fatal(err)

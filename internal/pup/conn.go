@@ -171,8 +171,8 @@ func (c *Conn) window() int {
 	if c.peerAwnd < w {
 		w = c.peerAwnd
 	}
-	if c.ep.cfg.Window < w {
-		w = c.ep.cfg.Window
+	if c.ep.window < w {
+		w = c.ep.window
 	}
 	return w
 }
@@ -285,7 +285,7 @@ func (c *Conn) Close() error {
 // persist-probe mechanism to reopen; the floor keeps the machine
 // deadlock-free and bounds the overshoot to one packet per round trip.
 func (c *Conn) awnd() int {
-	a := c.ep.cfg.RecvWindow - len(c.recvQ) - len(c.ooo)
+	a := recvWindow - len(c.recvQ) - len(c.ooo)
 	if a < 1 {
 		return 1
 	}
@@ -311,14 +311,14 @@ func (c *Conn) sackMask() (lo, hi ether.Word) {
 
 // rto is the current base retransmission timeout: Jacobson's srtt + 4·rttvar
 // once samples flow, the configured initial value before, clamped to
-// [MinRTO, MaxRTO] always.
+// [minRTO, MaxRTO] always.
 func (c *Conn) rto() time.Duration {
-	r := c.ep.cfg.RTO
+	r := initRTO
 	if c.rttValid {
 		r = c.srtt + 4*c.rttvar
 	}
-	if r < c.ep.cfg.MinRTO {
-		r = c.ep.cfg.MinRTO
+	if r < minRTO {
+		r = minRTO
 	}
 	if r > c.ep.cfg.MaxRTO {
 		r = c.ep.cfg.MaxRTO
@@ -360,8 +360,8 @@ func (c *Conn) setCwnd(w int) {
 	if w < 1 {
 		w = 1
 	}
-	if w > c.ep.cfg.Window {
-		w = c.ep.cfg.Window
+	if w > c.ep.window {
+		w = c.ep.window
 	}
 	if w == c.cwnd {
 		return
@@ -448,7 +448,7 @@ func (c *Conn) sendCtrl(kind ether.Word) error {
 // within the window is buffered out of order. Duplicates, reordering and
 // hole fills ack immediately — that is the news the sender's fast-
 // retransmit logic runs on; plain in-order progress is acked lazily
-// (every AckEvery packets or after AckDelay, whichever first).
+// (every ackEvery packets or after ackDelay, whichever first).
 func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 	rec := c.ep.rec()
 	switch {
@@ -467,14 +467,14 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		rec.Add("pup.data.recv", int64(delivered))
 		c.ackPending += delivered
 		c.ackFlow = flow
-		if delivered > 1 || c.ackPending >= c.ep.cfg.AckEvery {
+		if delivered > 1 || c.ackPending >= c.ep.ackEvery {
 			// A hole just closed (the retransmitter must stand down) or
 			// enough progress accumulated: say so now.
 			return c.sendAck(flow)
 		}
 		if !c.ackArmed {
 			c.ackArmed = true
-			c.ackDue = c.ep.clock.Now() + c.ep.cfg.AckDelay
+			c.ackDue = c.ep.clock.Now() + ackDelay
 		}
 		return nil
 	case seqLess(seq, c.recvNext):
@@ -486,7 +486,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		// fits and ack immediately — the SACK mask in that ack is what
 		// turns the sender's timers into surgical retransmissions.
 		d := seq - c.recvNext
-		if int(d) > sackSpan || len(c.ooo) >= c.ep.cfg.RecvWindow {
+		if int(d) > sackSpan || len(c.ooo) >= recvWindow {
 			rec.Add("pup.window.drop", 1)
 			return c.sendAck(flow)
 		}

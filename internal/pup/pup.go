@@ -24,8 +24,8 @@
 //     additionally carry a 32-bit SACK mask naming exactly which packets
 //     above the ack the receiver already buffered; the sender retransmits
 //     only the holes;
-//   - acks are delayed and batched: one ack per Config.AckEvery in-order
-//     packets or per Config.AckDelay of simulated time, whichever first;
+//   - acks are delayed and batched: one ack per four in-order packets or
+//     per ackDelay (2 ms) of simulated time, whichever first;
 //     duplicates, reordering and hole fills ack immediately (the sender
 //     needs the news), and every outbound data packet piggybacks the
 //     current ack state for free;
@@ -33,11 +33,12 @@
 //     without waiting for a timer (and halve the congestion window);
 //   - the retransmission timeout adapts: each clean RTT sample (Karn's
 //     rule — never from a retransmitted packet) feeds Jacobson's
-//     estimator, RTO = srtt + 4·rttvar clamped to [MinRTO, MaxRTO], with
-//     exponential backoff per packet while it keeps timing out;
+//     estimator, RTO = srtt + 4·rttvar clamped to [minRTO,
+//     Config.MaxRTO], with exponential backoff per packet while it keeps
+//     timing out;
 //   - the sender's effective window is min(cwnd, peer's advertised
-//     window, Config.Window): cwnd is an integer AIMD congestion window
-//     (slow start from InitCwnd, +1 per acked window above ssthresh,
+//     window, a hard cap of 32): cwnd is an integer AIMD congestion window
+//     (slow start from 2, +1 per acked window above ssthresh,
 //     halved on fast retransmit, collapsed to 1 on timeout), and the
 //     advertised window is how the receiver's unread buffer pushes back
 //     on the sender. A full window surfaces ErrWindowFull — and
@@ -123,86 +124,46 @@ var (
 	ErrTooBig = errors.New("pup: message exceeds MaxData words")
 )
 
-// Config tunes an Endpoint. The zero value selects the defaults.
+// Config tunes an Endpoint: how patient it is and how it numbers its
+// connections. The zero value selects the defaults.
 type Config struct {
-	// Window caps the number of unacked data packets per connection no
-	// matter what cwnd and the peer allow (default 32).
-	Window int
-	// RecvWindow is the per-connection receive budget, in packets:
-	// undelivered in-order messages plus buffered out-of-order ones.
-	// It is advertised on every outbound packet; the advertisement is
-	// floored at one packet so a closed window can never deadlock the
-	// conversation (the one-in-flight trickle re-opens it as the
-	// application drains). Default 32 (= sackSpan, so every buffered
-	// packet is SACK-visible).
-	RecvWindow int
-	// RTO is the retransmission timeout used before the first RTT
-	// sample lands (default 40 ms — above a few full windows'
-	// serialization on the 3 Mb/s wire). Once samples flow, the
-	// Jacobson estimator replaces it.
-	RTO time.Duration
-	// MinRTO floors the adaptive timeout: below it, scheduling jitter
-	// between polls would fire timers on packets that are merely
-	// waiting their turn (default 10 ms).
-	MinRTO time.Duration
 	// MaxRTO caps the adaptive timeout and its exponential backoff
 	// (default 120 ms).
 	MaxRTO time.Duration
 	// MaxRetries is the per-packet retransmission cap; one more silence
 	// kills the connection with ErrRetriesExhausted (default 10).
 	MaxRetries int
-	// IdleTick is how far Poll advances the simulated clock when it did
-	// no work but timers are pending — the cost of one spin of the §2
-	// poll loop; without it a silent wire would freeze simulated time
-	// and no timeout could ever fire (default 200 µs).
-	IdleTick time.Duration
-	// AckDelay is how long a lone in-order data packet may wait for
-	// company (or a reply to piggyback on) before it is acked anyway
-	// (default 2 ms).
-	AckDelay time.Duration
-	// AckEvery acks every Nth in-order data packet immediately, bounding
-	// how much news a delayed ack can sit on (default 4).
-	AckEvery int
-	// InitCwnd is the initial congestion window, in packets (default 2).
-	InitCwnd int
 	// Seed seeds connection-id generation (mixed with the station
 	// address, so equal seeds on different stations stay distinct).
 	Seed uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.RecvWindow <= 0 {
-		c.RecvWindow = sackSpan
-	}
-	if c.RTO <= 0 {
-		c.RTO = 40 * time.Millisecond
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 10 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 120 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 10
-	}
-	if c.IdleTick <= 0 {
-		c.IdleTick = 200 * time.Microsecond
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 2 * time.Millisecond
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 4
-	}
-	if c.InitCwnd <= 0 {
-		c.InitCwnd = 2
-	}
-	return c
-}
+// The transport's fixed timing and windows.
+const (
+	// recvWindow is the per-connection receive budget, in packets:
+	// undelivered in-order messages plus buffered out-of-order ones. It is
+	// advertised on every outbound packet; the advertisement is floored at
+	// one packet so a closed window can never deadlock the conversation
+	// (the one-in-flight trickle re-opens it as the application drains).
+	// It equals sackSpan, so every buffered packet is SACK-visible.
+	recvWindow = sackSpan
+	// initRTO is the retransmission timeout used before the first RTT
+	// sample lands: above a few full windows' serialization on the 3 Mb/s
+	// wire. Once samples flow, the Jacobson estimator replaces it.
+	initRTO = 40 * time.Millisecond
+	// minRTO floors the adaptive timeout: below it, scheduling jitter
+	// between polls would fire timers on packets that are merely waiting
+	// their turn.
+	minRTO = 10 * time.Millisecond
+	// idleTick is how far Poll advances the simulated clock when it did no
+	// work but timers are pending — the cost of one spin of the §2 poll
+	// loop; without it a silent wire would freeze simulated time and no
+	// timeout could ever fire.
+	idleTick = 200 * time.Microsecond
+	// ackDelay is how long a lone in-order data packet may wait for
+	// company (or a reply to piggyback on) before it is acked anyway.
+	ackDelay = 2 * time.Millisecond
+)
 
 // connKey identifies a connection: the remote station plus the id the
 // dialing side chose. Two clients on one station multiplex by id; two
@@ -222,6 +183,13 @@ type Endpoint struct {
 	cfg   Config
 	rnd   *sim.Rand
 
+	// window caps the unacked data packets per connection no matter what
+	// cwnd and the peer allow (32); ackEvery acks every Nth in-order data
+	// packet at once, bounding how much news a delayed ack can sit on (4);
+	// initCwnd is a new connection's congestion window (2). Only tests
+	// change them.
+	window, ackEvery, initCwnd int
+
 	conns map[connKey]*Conn
 	// order lists live connections in creation order: every per-conn
 	// sweep walks this slice, never the map, so timer firing order is
@@ -239,13 +207,21 @@ type Endpoint struct {
 // NewEndpoint builds an endpoint on a station. The clock is the station's
 // network clock; cfg zero-fields take defaults.
 func NewEndpoint(st *ether.Station, cfg Config) *Endpoint {
-	cfg = cfg.withDefaults()
+	if cfg.MaxRTO <= 0 {
+		cfg.MaxRTO = 120 * time.Millisecond
+	}
+	if cfg.MaxRetries <= 0 {
+		cfg.MaxRetries = 10
+	}
 	return &Endpoint{
-		st:    st,
-		clock: st.Clock(),
-		cfg:   cfg,
-		rnd:   sim.NewRand(cfg.Seed ^ (uint64(st.Addr()) << 32)),
-		conns: map[connKey]*Conn{},
+		st:       st,
+		clock:    st.Clock(),
+		cfg:      cfg,
+		rnd:      sim.NewRand(cfg.Seed ^ (uint64(st.Addr()) << 32)),
+		window:   32,
+		ackEvery: 4,
+		initCwnd: 2,
+		conns:    map[connKey]*Conn{},
 	}
 }
 
@@ -293,7 +269,7 @@ func (e *Endpoint) Dial(remote ether.Addr) (*Conn, error) {
 }
 
 // newConn builds a connection with its windows at their initial positions:
-// cwnd at InitCwnd, ssthresh at the window cap (slow start probes upward
+// cwnd at initCwnd, ssthresh at the window cap (slow start probes upward
 // until loss says stop), and the peer's window assumed open until its
 // first advertisement arrives.
 func (e *Endpoint) newConn(remote ether.Addr, id uint16, st State, accepted bool) *Conn {
@@ -303,9 +279,9 @@ func (e *Endpoint) newConn(remote ether.Addr, id uint16, st State, accepted bool
 		id:       id,
 		state:    st,
 		accepted: accepted,
-		cwnd:     e.cfg.InitCwnd,
-		ssthresh: e.cfg.Window,
-		peerAwnd: e.cfg.RecvWindow,
+		cwnd:     e.initCwnd,
+		ssthresh: e.window,
+		peerAwnd: recvWindow,
 	}
 }
 
@@ -319,7 +295,7 @@ func (e *Endpoint) add(c *Conn) {
 // fires due retransmission and delayed-ack timers, and reaps dead
 // connections. It returns whether it did any work, so activity-switching
 // loops can tell busy from idle; when it did none but timers are pending
-// it advances the simulated clock by one IdleTick (the spin cost that lets
+// it advances the simulated clock by one idleTick (the spin cost that lets
 // timeouts fire on a silent wire).
 func (e *Endpoint) Poll() (bool, error) {
 	worked := false
@@ -352,7 +328,7 @@ func (e *Endpoint) Poll() (bool, error) {
 	}
 	e.reap()
 	if !worked && waiting {
-		e.clock.Advance(e.cfg.IdleTick)
+		e.clock.Advance(idleTick)
 		// Surface the earliest pending timer so an event-driven scheduler
 		// (internal/fleet) can jump the clock straight to the deadline
 		// instead of burning idle ticks up to it. The single-machine path
@@ -488,7 +464,7 @@ func (e *Endpoint) sendStateless(to ether.Addr, typ ether.Word, id, flow uint16)
 	payload := e.sendBuf[:headerWords]
 	clear(payload)
 	payload[0] = id
-	payload[3] = ether.Word(e.cfg.RecvWindow)
+	payload[3] = recvWindow
 	payload[6] = flow
 	return e.st.Send(ether.Packet{Dst: to, Type: typ, Flow: flow, Payload: payload})
 }

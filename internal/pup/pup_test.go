@@ -1,6 +1,7 @@
 package pup
 
 import (
+	"cmp"
 	"errors"
 	"reflect"
 	"testing"
@@ -10,9 +11,26 @@ import (
 	"altoos/internal/trace"
 )
 
+// tuning is what pair sets on both endpoints: a Config plus the window,
+// ackEvery and initCwnd fields only this package's tests change; zero
+// keeps an endpoint's default.
+type tuning struct {
+	Config
+	window, ackEvery, initCwnd int
+}
+
+// endpoint builds an endpoint on st with the tuning applied.
+func (tn tuning) endpoint(st *ether.Station) *Endpoint {
+	e := NewEndpoint(st, tn.Config)
+	e.window = cmp.Or(tn.window, e.window)
+	e.ackEvery = cmp.Or(tn.ackEvery, e.ackEvery)
+	e.initCwnd = cmp.Or(tn.initCwnd, e.initCwnd)
+	return e
+}
+
 // pair builds a network with a recorder, two stations, and two endpoints:
 // srv listening on address 1, cli on address 2.
-func pair(t testing.TB, cfg Config) (net *ether.Network, srv, cli *Endpoint, rec *trace.Recorder) {
+func pair(t testing.TB, tn tuning) (net *ether.Network, srv, cli *Endpoint, rec *trace.Recorder) {
 	t.Helper()
 	net = ether.New(nil)
 	rec = trace.New(4096)
@@ -25,8 +43,8 @@ func pair(t testing.TB, cfg Config) (net *ether.Network, srv, cli *Endpoint, rec
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = NewEndpoint(sst, cfg)
-	cli = NewEndpoint(cst, cfg)
+	srv = tn.endpoint(sst)
+	cli = tn.endpoint(cst)
 	srv.Listen()
 	return net, srv, cli, rec
 }
@@ -51,7 +69,7 @@ func pump(t testing.TB, srv, cli *Endpoint, budget int, done func() bool) {
 }
 
 func TestTransferOverLossyWire(t *testing.T) {
-	net, srv, cli, _ := pair(t, Config{})
+	net, srv, cli, _ := pair(t, tuning{})
 	net.InjectFaults(ether.FaultConfig{
 		Seed:    99,
 		Drop:    ether.Rate{Num: 1, Den: 10},
@@ -108,7 +126,7 @@ func TestTransferOverLossyWire(t *testing.T) {
 }
 
 func TestRetransmitAfterTimeout(t *testing.T) {
-	net, srv, cli, rec := pair(t, Config{})
+	net, srv, cli, rec := pair(t, tuning{})
 	// Deliveries are judged in order: 0 = the client's Open. Drop the first
 	// data packet (judged index 1: Dial happens before any server poll, so
 	// the client's first Send is the second delivery on the wire).
@@ -149,13 +167,13 @@ func TestRetransmitAfterTimeout(t *testing.T) {
 }
 
 func TestDuplicateAck(t *testing.T) {
-	// AckEvery 1 turns off ack batching, so each data packet elicits its
+	// ackEvery 1 turns off ack batching, so each data packet elicits its
 	// own ack and the wire schedule is exactly: Open(0), Data seq0(1),
 	// Data seq1(2), OpenAck(3), Ack for seq0(4), Ack for seq1(5).
 	// Duplicate the first ack: the second copy arrives while seq1 is still
 	// unacked and must count as a dup ack, not pop anything twice — and
 	// one dup ack is far below the fast-retransmit threshold.
-	net, srv, cli, rec := pair(t, Config{AckEvery: 1})
+	net, srv, cli, rec := pair(t, tuning{ackEvery: 1})
 	net.InjectFaults(ether.FaultConfig{
 		Force: map[int64]ether.Fault{4: ether.FaultDup},
 	})
@@ -197,7 +215,7 @@ func TestDuplicateAck(t *testing.T) {
 // is the *same* causal flow — the server's copy, the wire's fault verdict
 // and the eventual delivery all reference the ID the client stamped.
 func TestRetransmitCarriesOriginalFlow(t *testing.T) {
-	net, srv, cli, rec := pair(t, Config{})
+	net, srv, cli, rec := pair(t, tuning{})
 	const flow = 777
 	// Delivery order: Open(0), first data(1). Drop the data; the client
 	// must retransmit it under the original flow.
@@ -253,7 +271,7 @@ func TestRetransmitCarriesOriginalFlow(t *testing.T) {
 // wire bytes twice, so both deliveries — and the dup verdict itself — stay
 // on the flow the sender stamped.
 func TestDuplicateCarriesOriginalFlow(t *testing.T) {
-	net, srv, cli, rec := pair(t, Config{})
+	net, srv, cli, rec := pair(t, tuning{})
 	const flow = 613
 	// Delivery order: Open(0), first data(1). Duplicate the data packet.
 	net.InjectFaults(ether.FaultConfig{
@@ -310,9 +328,9 @@ func TestDuplicateCarriesOriginalFlow(t *testing.T) {
 }
 
 func TestWindowFullBackpressure(t *testing.T) {
-	// InitCwnd at the hard cap takes congestion control out of the
+	// initCwnd at the hard cap takes congestion control out of the
 	// picture: the fourth send fills the configured window exactly.
-	_, srv, cli, _ := pair(t, Config{Window: 4, InitCwnd: 4})
+	_, srv, cli, _ := pair(t, tuning{window: 4, initCwnd: 4})
 	conn, err := cli.Dial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -342,11 +360,11 @@ func TestWindowFullBackpressure(t *testing.T) {
 }
 
 // TestAvailAndDelayedAck: Avail reports the effective window (congestion
-// window included, so a fresh conn offers InitCwnd, not the hard cap), and
+// window included, so a fresh conn offers initCwnd, not the hard cap), and
 // a lone pair of in-order packets is acked once, by the delayed-ack timer,
 // not twice.
 func TestAvailAndDelayedAck(t *testing.T) {
-	_, srv, cli, rec := pair(t, Config{Window: 8})
+	_, srv, cli, rec := pair(t, tuning{window: 8})
 	conn, err := cli.Dial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +386,7 @@ func TestAvailAndDelayedAck(t *testing.T) {
 	if a := conn.Avail(); a != 4 {
 		t.Fatalf("Avail after slow-start round = %d, want 4", a)
 	}
-	// Both packets arrived in order, below AckEvery: exactly one ack went
+	// Both packets arrived in order, below ackEvery: exactly one ack went
 	// out, and it was the delayed one.
 	if n := rec.Counter("pup.ack.sent"); n != 1 {
 		t.Fatalf("pup.ack.sent = %d, want 1 (batched)", n)
@@ -384,8 +402,8 @@ func TestAvailAndDelayedAck(t *testing.T) {
 // go-back-N resent three. Shared with the replay-identity test.
 func holeThenSACK(t *testing.T) (*trace.Recorder, time.Duration) {
 	t.Helper()
-	// InitCwnd 8 lets all four sends fly before the first ack.
-	net, srv, cli, rec := pair(t, Config{InitCwnd: 8})
+	// initCwnd 8 lets all four sends fly before the first ack.
+	net, srv, cli, rec := pair(t, tuning{initCwnd: 8})
 	// Delivery order: Open(0), Data seq0(1), seq1(2), seq2(3), seq3(4).
 	net.InjectFaults(ether.FaultConfig{
 		Force: map[int64]ether.Fault{2: ether.FaultDrop},
@@ -447,9 +465,9 @@ func TestHoleThenSACKReassembly(t *testing.T) { holeThenSACK(t) }
 // Shared with the replay-identity test.
 func fastRetransmit(t *testing.T) (*trace.Recorder, time.Duration) {
 	t.Helper()
-	// AckEvery 1: per-packet acks, so each overtaker past the hole is one
+	// ackEvery 1: per-packet acks, so each overtaker past the hole is one
 	// duplicate ack. Delivery order: Open(0), seq0(1), seq1(2) ... seq5(6).
-	net, srv, cli, rec := pair(t, Config{InitCwnd: 8, AckEvery: 1})
+	net, srv, cli, rec := pair(t, tuning{initCwnd: 8, ackEvery: 1})
 	net.InjectFaults(ether.FaultConfig{
 		Force: map[int64]ether.Fault{2: ether.FaultDrop},
 	})
@@ -510,11 +528,11 @@ func fastRetransmit(t *testing.T) (*trace.Recorder, time.Duration) {
 func TestFastRetransmit(t *testing.T) { fastRetransmit(t) }
 
 // cwndTrajectory pins the loss-free growth curve exactly: slow start adds
-// one packet per acked packet from InitCwnd to the window cap, and the cap
+// one packet per acked packet from initCwnd to the window cap, and the cap
 // holds. Shared with the replay-identity test.
 func cwndTrajectory(t *testing.T) (*trace.Recorder, time.Duration) {
 	t.Helper()
-	net, srv, cli, rec := pair(t, Config{Window: 8, AckEvery: 1})
+	net, srv, cli, rec := pair(t, tuning{window: 8, ackEvery: 1})
 	conn, err := cli.Dial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +586,7 @@ func TestCwndTrajectoryPinned(t *testing.T) { cwndTrajectory(t) }
 func rtoAdaptation(t *testing.T) (*trace.Recorder, time.Duration) {
 	t.Helper()
 	exchange := func(cfg ether.FaultConfig, inject bool) (*Conn, *trace.Recorder, time.Duration) {
-		net, srv, cli, rec := pair(t, Config{AckEvery: 1})
+		net, srv, cli, rec := pair(t, tuning{ackEvery: 1})
 		if inject {
 			net.InjectFaults(cfg)
 		}
@@ -667,7 +685,7 @@ func TestEdgeCaseReplayByteIdentity(t *testing.T) {
 }
 
 func TestRetriesExhausted(t *testing.T) {
-	net, _, cli, rec := pair(t, Config{MaxRetries: 3})
+	net, _, cli, rec := pair(t, tuning{Config: Config{MaxRetries: 3}})
 	// A wire that loses everything: the peer never hears the Open.
 	net.InjectFaults(ether.FaultConfig{
 		Seed: 1,
@@ -698,7 +716,7 @@ func TestRetriesExhausted(t *testing.T) {
 }
 
 func TestMessageTooBig(t *testing.T) {
-	_, _, cli, _ := pair(t, Config{})
+	_, _, cli, _ := pair(t, tuning{})
 	conn, err := cli.Dial(1)
 	if err != nil {
 		t.Fatal(err)
@@ -710,7 +728,7 @@ func TestMessageTooBig(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (int64, int64) {
-		net, srv, cli, rec := pair(t, Config{})
+		net, srv, cli, rec := pair(t, tuning{})
 		net.InjectFaults(ether.FaultConfig{
 			Seed: 7,
 			Drop: ether.Rate{Num: 1, Den: 8},
@@ -753,7 +771,7 @@ func TestDeterministicReplay(t *testing.T) {
 // retransmission must settle it, so the Close handshake runs and the conn
 // closes cleanly instead of dying of exhausted retries.
 func TestCloseAfterLostOpenAck(t *testing.T) {
-	net, srv, cli, rec := pair(t, Config{})
+	net, srv, cli, rec := pair(t, tuning{})
 	// Delivery 0 is the client's Open, 1 the server's OpenAck.
 	net.InjectFaults(ether.FaultConfig{
 		Force: map[int64]ether.Fault{1: ether.FaultDrop},
@@ -798,7 +816,7 @@ func TestCloseAfterLostOpenAck(t *testing.T) {
 // each received message freed — over a wire that drops, duplicates,
 // corrupts and delays, and the kept message still reads as it arrived.
 func TestKeptMessageSurvivesPoolReuse(t *testing.T) {
-	net, srv, cli, _ := pair(t, Config{})
+	net, srv, cli, _ := pair(t, tuning{})
 	net.InjectFaults(ether.FaultConfig{
 		Seed:    5,
 		Drop:    ether.Rate{Num: 1, Den: 10},

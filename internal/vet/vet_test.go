@@ -154,31 +154,3 @@ var T = time.Now()
 		t.Errorf("multi-analyzer allow leaked findings: %v", diags)
 	}
 }
-
-// TestBaselineCompare: the baseline is a multiset of (file, analyzer,
-// message) keys — line numbers drift freely, duplicate messages are counted,
-// and entries that no longer fire are reported as resolved.
-func TestBaselineCompare(t *testing.T) {
-	d := func(file string, line int, msg string) JSONDiagnostic {
-		return JSONDiagnostic{File: file, Line: line, Analyzer: "x", Message: msg}
-	}
-	baseline := []JSONDiagnostic{
-		d("a.go", 10, "m1"),
-		d("a.go", 20, "m2"),
-		d("a.go", 30, "m2"),
-		d("b.go", 5, "gone"),
-	}
-	current := []JSONDiagnostic{
-		d("a.go", 99, "m1"), // moved: still covered
-		d("a.go", 21, "m2"), // one of two m2s
-		d("c.go", 1, "new"), // fresh
-	}
-	fresh, resolved := CompareBaseline(baseline, current)
-	if len(fresh) != 1 || fresh[0].File != "c.go" {
-		t.Errorf("fresh = %v, want just c.go", fresh)
-	}
-	// One m2 and the b.go entry no longer fire.
-	if resolved != 2 {
-		t.Errorf("resolved = %d, want 2", resolved)
-	}
-}
