@@ -251,28 +251,25 @@ func TestE10SessionsLinkToClientRequests(t *testing.T) {
 }
 
 // TestE10FaultsStayOnTheFlow asserts injected loss renders on the causal
-// chain: the wire's fault verdicts reference flows that client requests own.
+// chain: the fault verdicts each sending machine records reference flows
+// that endpoints own. Ether send events sit beside the verdicts and carry
+// the same packet's flow, so they are left out of the known set: a verdict
+// must match a flow some endpoint (pup, fileserver, receive) recorded.
 func TestE10FaultsStayOnTheFlow(t *testing.T) {
 	machines := runE10Fleet(t)
 	clientFlows := map[int64]bool{}
-	var wire *trace.Recorder
+	var verdicts []trace.Event
 	for _, m := range machines {
-		if m.Name == "wire" {
-			wire = m.Rec
-			continue
-		}
 		for _, ev := range m.Rec.Events() {
-			if ev.Flow != 0 {
+			if ev.Kind == trace.KindEtherFault {
+				verdicts = append(verdicts, ev)
+			} else if ev.Flow != 0 && ev.Kind != trace.KindEtherSend {
 				clientFlows[ev.Flow] = true
 			}
 		}
 	}
-	faults, onFlow := 0, 0
-	for _, ev := range wire.Events() {
-		if ev.Kind != trace.KindEtherFault {
-			continue
-		}
-		faults++
+	faults, onFlow := len(verdicts), 0
+	for _, ev := range verdicts {
 		if ev.Flow != 0 && clientFlows[ev.Flow] {
 			onFlow++
 		}

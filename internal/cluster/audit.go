@@ -119,7 +119,6 @@ func (r *Replica) heal(rep repair, flow int64, sync, idle func()) (bool, error) 
 	if err := StoreLocal(r.fs, rep.name, data); err != nil {
 		return false, fmt.Errorf("%s: heal %q store: %w", r.Name(), rep.name, err)
 	}
-	r.heals++
 	r.lastHealR = r.rounds
 	r.rec.EmitSpanFlow(start, r.clock.Now()-start, trace.KindClusterHeal, rep.name,
 		int64(rep.authority), int64(len(data)), flow)

@@ -78,7 +78,6 @@ type Replica struct {
 	audCfg    pup.Config
 	interval  time.Duration
 	rounds    int // audit rounds run
-	heals     int // files healed over the replica's life
 	lastHealR int // round number of the most recent heal
 }
 
@@ -107,12 +106,6 @@ func (r *Replica) Server() *fileserver.Server { return r.srv }
 // machine config lists both so the engine wakes the replica for arrivals on
 // either.
 func (r *Replica) Stations() []*ether.Station { return []*ether.Station{r.srvSt, r.audSt} }
-
-// Rounds reports how many audit rounds the replica has run.
-func (r *Replica) Rounds() int { return r.rounds }
-
-// Heals reports how many files the replica has healed from peers.
-func (r *Replica) Heals() int { return r.heals }
 
 // LastHealRound reports the 1-based round number of the replica's most
 // recent heal (0: never healed) — convergence took that many rounds.

@@ -308,9 +308,6 @@ func (c *CPU) Run(maxSteps int64) (int64, error) {
 	return n, nil
 }
 
-// Halt stops the machine (used by the SYS 0 convention).
-func (c *CPU) Halt() { c.Halted = true }
-
 // String formats the register state for diagnostics.
 func (c *CPU) String() string {
 	return fmt.Sprintf("PC=%#04x AC=[%#04x %#04x %#04x %#04x] C=%v halted=%v",

@@ -8,16 +8,13 @@ import (
 
 // backlogPair attaches a sender and a receiver, gives the receiver a
 // standing backlog of depth packets, and returns one Send→Recv cycle that
-// keeps the backlog at that depth and returns the packet received. In fleet
-// mode every delivery passes through the receiver's held heap: the
-// receiver's clock is moved up to the sender's before each Recv, so the
-// packet just sent is due.
-func backlogPair(tb testing.TB, fleet bool, depth int) func() Packet {
+// keeps the backlog at that depth and returns the packet received. Every
+// delivery passes through the receiver's held heap; with ownClocks set the
+// stations run on clocks of their own, and the receiver's clock is moved up
+// to the sender's before each Recv, so the packet just sent is due.
+func backlogPair(tb testing.TB, ownClocks bool, depth int) func() Packet {
 	tb.Helper()
 	n := New(nil)
-	if fleet {
-		n.SetFleetMode()
-	}
 	tx, err := n.Attach(1)
 	if err != nil {
 		tb.Fatal(err)
@@ -26,7 +23,7 @@ func backlogPair(tb testing.TB, fleet bool, depth int) func() Packet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if fleet {
+	if ownClocks {
 		tx.SetClock(sim.NewClock())
 		rx.SetClock(sim.NewClock())
 	}
@@ -54,8 +51,8 @@ func backlogPair(tb testing.TB, fleet bool, depth int) func() Packet {
 // allocates exactly one object, Send's copy of the payload onto the wire.
 // Neither the held heap nor the input queue grows once warm.
 func TestBacklogAllocatesOnlyTheWireCopy(t *testing.T) {
-	for _, fleet := range []bool{false, true} {
-		cycle := backlogPair(t, fleet, 64)
+	for _, ownClocks := range []bool{false, true} {
+		cycle := backlogPair(t, ownClocks, 64)
 		for i := 0; i < 256; i++ {
 			cycle() // warm: the arrays reach their steady capacity
 		}
@@ -68,20 +65,21 @@ func TestBacklogAllocatesOnlyTheWireCopy(t *testing.T) {
 			}
 		})
 		if a != batch {
-			t.Errorf("fleet=%v: %d Send→Recv cycles over a 64-packet backlog allocate %v times, want %d", fleet, batch, a, batch)
+			t.Errorf("ownClocks=%v: %d Send→Recv cycles over a 64-packet backlog allocate %v times, want %d", ownClocks, batch, a, batch)
 		}
 	}
 }
 
 // BenchmarkStationBacklog is one Send→Recv cycle on a station holding a
-// standing backlog of 64 packets, on the shared clock and in fleet mode.
+// standing backlog of 64 packets, on the network's clock and on clocks of
+// the stations' own.
 func BenchmarkStationBacklog(b *testing.B) {
 	for _, mode := range []struct {
-		name  string
-		fleet bool
-	}{{"shared", false}, {"fleet", true}} {
+		name      string
+		ownClocks bool
+	}{{"shared", false}, {"own", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cycle := backlogPair(b, mode.fleet, 64)
+			cycle := backlogPair(b, mode.ownClocks, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

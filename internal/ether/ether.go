@@ -5,9 +5,12 @@
 // accepts files from the network while its printer task runs.
 //
 // The model is a broadcast medium: every station sees every packet
-// (filtering on the destination address), transmission charges the shared
-// virtual clock at the wire rate, and stations poll their input queues —
-// there are no interrupts beyond the keyboard on this machine.
+// (filtering on the destination address), transmission charges the sender's
+// clock at the wire rate, every delivery is held until its arrival time on
+// the receiver's clock, and stations poll their input queues — there are no
+// interrupts beyond the keyboard on this machine. Each station may run on a
+// clock of its own (one Alto per clock) or share the network's; the model
+// is the same either way.
 package ether
 
 import (
@@ -139,40 +142,17 @@ type Network struct {
 	sent  int64
 	words int64
 
-	// rec is the attached flight recorder (nil: tracing off). busyUntil is
-	// the simulated time the wire frees up; a send that begins earlier is
-	// recorded as a collision. The probe is bookkeeping only — the medium
-	// still delivers every packet, it just becomes visible in the trace
-	// that two stations contended for the wire.
-	rec       *trace.Recorder
-	busyUntil time.Duration
-
-	// fault is the attached fault model (nil: the perfect medium). Verdicts
-	// are drawn under mu, in address order, so the PRNG consumption order —
-	// and with it every drop, dup, delay and bit-flip — replays exactly.
+	// fault is the attached fault model (nil: the perfect medium). Each
+	// sender draws its verdicts from its own stream, in its own program
+	// order, under mu and in destination-address order, so every drop,
+	// dup, delay and bit-flip replays exactly however senders interleave.
 	fault *FaultMedium
 
-	// fleet switches the medium into fleet mode: stations run on their own
-	// clocks, every delivery is a scheduled event released at its arrival
-	// time, fault verdicts come from per-sender PRNG streams, and wire
-	// trace events land on the *sender's* recorder. horizon is the current
-	// lockstep window's upper bound: no station observes an arrival at or
-	// beyond it, which is what makes delivery independent of how machine
-	// executions interleave on the host. See internal/fleet.
-	fleet   bool
-	horizon atomic.Int64 // window horizon in ns; only consulted in fleet mode
-}
-
-// SetFleetMode switches the medium from the shared-clock single-machine
-// model, where it starts, to the fleet event model for good. In fleet mode
-// the collision probe and queue-depth gauge are off — both read
-// cross-machine state whose momentary value depends on host interleaving —
-// and the delivery horizon starts unbounded until a scheduler sets it.
-func (n *Network) SetFleetMode() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.fleet = true
-	n.horizon.Store(int64(^uint64(0) >> 1)) // unbounded until SetHorizon
+	// horizon is the current lockstep window's upper bound: no station
+	// observes an arrival at or beyond it, which is what makes delivery
+	// independent of how machine executions interleave on the host. It is
+	// unbounded until a scheduler sets it. See internal/fleet.
+	horizon atomic.Int64 // in ns
 }
 
 // SetHorizon publishes the current lockstep window's upper bound. Stations
@@ -183,26 +163,14 @@ func (n *Network) SetHorizon(t time.Duration) {
 	n.horizon.Store(int64(t))
 }
 
-// SetRecorder attaches a flight recorder to the medium (nil detaches).
-func (n *Network) SetRecorder(r *trace.Recorder) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.rec = r
-}
-
-// TraceRecorder implements trace.Source.
-func (n *Network) TraceRecorder() *trace.Recorder {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rec
-}
-
 // New creates a network advancing clock (nil for a private clock).
 func New(clock *sim.Clock) *Network {
 	if clock == nil {
 		clock = sim.NewClock()
 	}
-	return &Network{clock: clock, stations: map[Addr]*Station{}}
+	n := &Network{clock: clock, stations: map[Addr]*Station{}}
+	n.horizon.Store(int64(^uint64(0) >> 1)) // unbounded until SetHorizon
+	return n
 }
 
 // Clock returns the network's clock.
@@ -220,10 +188,10 @@ type Station struct {
 	net  *Network
 	addr Addr
 
-	// clk is the station's own clock in fleet mode (nil: the network's
-	// shared clock). txSeq counts this station's sends; it is guarded by
-	// the *network* mutex because it is assigned on the send path, and it
-	// orders same-arrival-time deliveries from the same sender.
+	// clk is the station's own clock (nil: the network's). txSeq counts
+	// this station's sends; it is guarded by the *network* mutex because it
+	// is assigned on the send path, and it orders same-arrival-time
+	// deliveries from the same sender.
 	clk   *sim.Clock
 	txSeq uint64
 
@@ -234,7 +202,7 @@ type Station struct {
 	in   []Packet
 	head int
 	held heldHeap // scheduled deliveries awaiting their release time
-	// rec is the station's own recorder, outside mu: every send and receive
+	// rec is the station's recorder, outside mu: every send and receive
 	// reads it, and it changes only when a tracer attaches or detaches.
 	rec atomic.Pointer[trace.Recorder]
 	// onDeliver is called after each Send that schedules a delivery here:
@@ -242,10 +210,9 @@ type Station struct {
 	onDeliver func()
 }
 
-// heldPacket is a delivery awaiting its release time: fault-delayed packets
-// in the shared-clock model, every delivery in fleet mode. It joins the
-// input queue the first time the station polls at or after release, in
-// (release, source address, sender sequence) order.
+// heldPacket is a delivery awaiting its release time, its arrival plus any
+// fault delay. It joins the input queue the first time the station polls at
+// or after release, in (release, source address, sender sequence) order.
 type heldPacket struct {
 	release time.Duration
 	src     Addr
@@ -320,9 +287,9 @@ func (q *heldHeap) pop() Packet {
 	return top
 }
 
-// SetRecorder gives the station its own flight recorder (nil reverts to the
-// medium's). In a fleet, each machine's station records into that machine's
-// recorder while the shared wire keeps its own — the split that lets
+// SetRecorder gives the station a flight recorder (nil: tracing off). The
+// station's sends, fault verdicts and receives record there: each machine's
+// station records into that machine's recorder, the split that lets
 // internal/scope merge per-machine timelines into one multi-process trace.
 func (s *Station) SetRecorder(r *trace.Recorder) { s.rec.Store(r) }
 
@@ -340,20 +307,12 @@ func (s *Station) OnDeliver(f func()) error {
 	return nil
 }
 
-// TraceRecorder implements trace.Source: the station's own recorder when one
-// is attached, else the medium's, so layers built over stations (the
-// reliable transport, the file server) trace without new plumbing. The
-// station's recorder is an atomic load; only the fallback takes a lock, the
-// network's, so call it without holding the station's lock.
-func (s *Station) TraceRecorder() *trace.Recorder {
-	if r := s.rec.Load(); r != nil {
-		return r
-	}
-	return s.net.TraceRecorder()
-}
+// TraceRecorder implements trace.Source, so layers built over stations (the
+// reliable transport, the file server) trace without new plumbing.
+func (s *Station) TraceRecorder() *trace.Recorder { return s.rec.Load() }
 
-// Clock returns the station's clock: its own in fleet mode, else the shared
-// network clock.
+// Clock returns the station's clock: its own when one is set, else the
+// network's.
 func (s *Station) Clock() *sim.Clock {
 	if s.clk != nil {
 		return s.clk
@@ -411,10 +370,8 @@ func (s *Station) Send(p Packet) error {
 	p.Src = s.addr
 	// Stamp the checksum word over the content every copy will carry.
 	p.Check = p.Sum()
-	// Snapshot the sender's recorder before taking the network lock (the
-	// network lock never nests inside a station lock); fleet mode stamps
-	// wire events onto the sending machine's timeline.
-	srec := s.TraceRecorder()
+	// Wire events belong to the sending machine's timeline.
+	rec := s.TraceRecorder()
 	clock := s.Clock()
 	n := s.net
 	n.mu.Lock()
@@ -422,7 +379,6 @@ func (s *Station) Send(p Packet) error {
 		n.mu.Unlock()
 		return ErrNoStation
 	}
-	fleet := n.fleet
 	n.sent++
 	n.words += int64(len(p.Payload) + HeaderWords)
 	wireWords := len(p.Payload) + HeaderWords
@@ -430,24 +386,7 @@ func (s *Station) Send(p Packet) error {
 	start := clock.Now()
 	s.txSeq++
 	seq := s.txSeq
-	rec := n.rec
-	if fleet {
-		rec = srec
-	}
 	if rec != nil {
-		// The collision probe compares against the last send's end time,
-		// cross-machine state that is only meaningful on a shared clock;
-		// in fleet mode the stations' clocks are mutually unordered, so
-		// the probe is off.
-		if !fleet {
-			if start < n.busyUntil {
-				rec.EmitFlow(start, trace.KindEtherCollision, "", int64(p.Dst), int64(s.addr), int64(p.Flow))
-				rec.Add("ether.collision", 1)
-			}
-			if end := start + dur; end > n.busyUntil {
-				n.busyUntil = end
-			}
-		}
 		rec.EmitSpanFlow(start, dur, trace.KindEtherSend, "", int64(p.Dst), int64(wireWords), int64(p.Flow))
 		rec.Add("ether.send", 1)
 		rec.Add("ether.words", int64(wireWords))
@@ -472,9 +411,9 @@ func (s *Station) Send(p Packet) error {
 	for _, st := range dsts {
 		d := delivery{st: st}
 		if n.fault != nil {
-			v := n.fault.judge(s.addr, fleet, len(p.Payload))
+			v := n.fault.judge(s.addr, len(p.Payload))
 			d.v = v
-			// Every non-clean verdict lands on the wire's timeline as an
+			// Every non-clean verdict lands on the sender's timeline as an
 			// instant stamped with the packet's flow: injected loss stays
 			// on the causal chain instead of vanishing between send and a
 			// retransmit that seems to come from nowhere.
@@ -502,16 +441,11 @@ func (s *Station) Send(p Packet) error {
 
 	clock.Advance(dur)
 	for _, d := range dels {
-		var release time.Duration
-		if d.v.delay > 0 {
-			release = arrive + d.v.delay
-		} else if fleet {
-			// Fleet mode: every delivery is a scheduled event released at
-			// its arrival time. The receiver — on its own clock — promotes
-			// it when its time passes arrival, never earlier, so delivery
-			// does not depend on which machine's code ran first on the host.
-			release = arrive
-		}
+		// Every delivery is a scheduled event released at its arrival time
+		// (plus any fault delay). The receiver — on its own clock — promotes
+		// it when its time passes release, never earlier, so delivery does
+		// not depend on which machine's code ran first on the host.
+		release := arrive + d.v.delay
 		// Every delivered copy is a payload buffer of its own (the wire
 		// serializes, it does not alias), filled before the receiver's lock
 		// is taken: each copy of a duplicate, and each broadcast
@@ -530,22 +464,12 @@ func (s *Station) Send(p Packet) error {
 		}
 		d.st.mu.Lock()
 		for _, q := range pkts[:copies] {
-			if release > 0 {
-				d.st.held.push(heldPacket{release: release, src: s.addr, seq: seq, pkt: q})
-			} else {
-				d.st.enqueueLocked(q)
-			}
+			d.st.held.push(heldPacket{release: release, src: s.addr, seq: seq, pkt: q})
 		}
-		depth := len(d.st.in) - d.st.head
 		hook := d.st.onDeliver
 		d.st.mu.Unlock()
 		if hook != nil {
 			hook()
-		}
-		if !fleet {
-			// The queue-depth gauge reads the receiver's momentary backlog,
-			// which under concurrent senders depends on host interleaving.
-			rec.Observe("ether.queue.depth", float64(depth))
 		}
 	}
 	return nil
@@ -562,16 +486,14 @@ type delivery struct {
 // promoteLocked moves held packets whose release time has passed into the
 // input queue, in (release, source address, sender sequence) order — a
 // total order over deliveries that does not depend on the order concurrent
-// senders appended them. In fleet mode a packet additionally stays held
-// until the lockstep window's horizon covers its arrival, so a machine
-// whose clock overran the window cannot observe a racing delivery.
-// Caller holds s.mu.
+// senders appended them. A packet also stays held until the lockstep
+// window's horizon covers its arrival, so a machine whose clock overran
+// the window cannot observe a racing delivery. Caller holds s.mu.
 func (s *Station) promoteLocked(now time.Duration) {
 	if len(s.held) == 0 {
 		return
 	}
-	limit := now
-	s.net.fleetLimit(&limit)
+	limit := min(now, time.Duration(s.net.horizon.Load())-1) // strictly below the horizon
 	for len(s.held) > 0 && s.held[0].release <= limit {
 		s.enqueueLocked(s.held.pop())
 	}
@@ -588,18 +510,6 @@ func (s *Station) enqueueLocked(p Packet) {
 		s.head = 0
 	}
 	s.in = append(s.in, p)
-}
-
-// fleetLimit caps *limit at just below the window horizon when the medium
-// is in fleet mode. In the shared-clock model the limit is the caller's
-// clock reading, untouched.
-func (n *Network) fleetLimit(limit *time.Duration) {
-	if !n.fleet {
-		return
-	}
-	if h := time.Duration(n.horizon.Load()); h-1 < *limit {
-		*limit = h - 1 // strictly below the horizon
-	}
 }
 
 // EarliestArrival reports the earliest observable or scheduled delivery on
@@ -621,15 +531,13 @@ func (s *Station) EarliestArrival() (time.Duration, bool) {
 }
 
 // Recv polls the input queue, returning the oldest packet if any. The
-// delivery is recorded on the station's own recorder when one is attached —
-// in a fleet, arrivals belong to the receiving machine's timeline.
+// delivery is recorded on the station's recorder: arrivals belong to the
+// receiving machine's timeline.
 //
 // The packet's payload is a pool buffer that now belongs to the caller: it
 // stays intact for as long as the caller keeps it, and a caller done with it
 // may hand it back with Free.
 func (s *Station) Recv() (Packet, bool) {
-	// Snapshot the recorder before taking s.mu: the network lock never
-	// nests inside a station lock.
 	rec := s.TraceRecorder()
 	now := s.Clock().Now()
 	s.mu.Lock()
@@ -651,8 +559,8 @@ func (s *Station) Recv() (Packet, bool) {
 	return p, true
 }
 
-// Pending reports queued packet count (fault-delayed packets count once
-// their release time has passed).
+// Pending reports queued packet count (held deliveries count once their
+// release time has passed).
 func (s *Station) Pending() int {
 	now := s.Clock().Now()
 	s.mu.Lock()

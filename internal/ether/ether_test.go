@@ -161,14 +161,14 @@ func TestHeldPromotionSortsByArrival(t *testing.T) {
 	// second send is appended to held later but releases earlier.
 	n.InjectFaults(FaultConfig{
 		DelayTime: 5 * time.Millisecond,
-		Force:     map[int64]Fault{0: FaultDelay},
+		Force:     map[Judged]Fault{{Src: 1}: FaultDelay},
 	})
 	if err := a.Send(Packet{Dst: 3, Type: 100}); err != nil {
 		t.Fatal(err)
 	}
 	n.InjectFaults(FaultConfig{
 		DelayTime: time.Millisecond,
-		Force:     map[int64]Fault{0: FaultDelay},
+		Force:     map[Judged]Fault{{Src: 2}: FaultDelay},
 	})
 	if err := b.Send(Packet{Dst: 3, Type: 200}); err != nil {
 		t.Fatal(err)
@@ -185,12 +185,11 @@ func TestHeldPromotionSortsByArrival(t *testing.T) {
 	}
 }
 
-// TestFleetDeliveryWaitsForArrival: in fleet mode a delivery is a scheduled
-// event — the receiver, on its own clock, sees nothing until its time
+// TestFleetDeliveryWaitsForArrival: a delivery is a scheduled event — the
+// receiver, on its own clock, sees nothing until its time
 // reaches the packet's arrival time.
 func TestFleetDeliveryWaitsForArrival(t *testing.T) {
 	n := New(nil)
-	n.SetFleetMode()
 	a, _ := n.Attach(1)
 	b, _ := n.Attach(2)
 	ca, cb := sim.NewClock(), sim.NewClock()
@@ -224,7 +223,6 @@ func TestFleetDeliveryWaitsForArrival(t *testing.T) {
 // host interleaving.
 func TestFleetHorizonGatesDelivery(t *testing.T) {
 	n := New(nil)
-	n.SetFleetMode()
 	a, _ := n.Attach(1)
 	b, _ := n.Attach(2)
 	ca, cb := sim.NewClock(), sim.NewClock()
@@ -251,8 +249,6 @@ func TestFleetHorizonGatesDelivery(t *testing.T) {
 func TestFleetPerSenderFaultStreams(t *testing.T) {
 	run := func(otherTraffic int) []bool {
 		n := New(nil)
-		n.SetFleetMode()
-		n.SetHorizon(1 << 60)
 		a, _ := n.Attach(1)
 		x, _ := n.Attach(2)
 		b, _ := n.Attach(3)

@@ -6,8 +6,9 @@ package ether
 // collisions, delivered late under load, and occasionally flipped bits; the
 // software living on it (PUP, EFTP) was shaped by exactly those faults.
 // FaultMedium reproduces them deterministically: every verdict comes from a
-// seeded sim.Rand and every delay is measured on the shared simulated
-// clock, never wall time, so a run with faults replays byte-identically.
+// seeded sim.Rand that belongs to the sending station, and every delay is
+// measured in simulated time, never wall time, so a run with faults replays
+// byte-identically.
 
 import (
 	"time"
@@ -42,8 +43,8 @@ const (
 // FaultConfig parameterizes a FaultMedium. All rates are per delivery
 // attempt (one verdict per destination per send, judged in address order).
 type FaultConfig struct {
-	// Seed seeds the verdict PRNG; runs with equal seeds and workloads
-	// replay identically.
+	// Seed seeds the verdict PRNGs, one per sender; runs with equal seeds
+	// and workloads replay identically.
 	Seed uint64
 	// Drop, Dup, Corrupt and Delay are the per-delivery fault rates.
 	Drop, Dup, Corrupt, Delay Rate
@@ -51,10 +52,18 @@ type FaultConfig struct {
 	// (default 2 ms of simulated time). Held packets can overtake later
 	// sends — the one reordering source on this medium.
 	DelayTime time.Duration
-	// Force overrides the dice for specific delivery attempts: Force[i]
-	// is applied to the i-th judged delivery (0-based). Keyed lookups
-	// only — tests use it to lose exactly the packet they mean to.
-	Force map[int64]Fault
+	// Force overrides the dice for specific delivery attempts:
+	// Force[Judged{Src: a, N: i}] is applied to the i-th delivery (0-based)
+	// judged for packets station a sent. Keyed lookups only — tests use it
+	// to lose exactly the packet they mean to.
+	Force map[Judged]Fault
+}
+
+// Judged names one delivery attempt: the N-th (0-based) that the medium
+// judged for packets sent by station Src.
+type Judged struct {
+	Src Addr
+	N   int64
 }
 
 // DefaultDelay is the held time for delayed packets when the config gives
@@ -66,19 +75,18 @@ const DefaultDelay = 2 * time.Millisecond
 type FaultMedium struct {
 	// Guarded by the owning Network's mu: judge is only called from Send
 	// with the lock held.
-	cfg    FaultConfig
-	shared faultStream
-	// streams holds the per-sender verdict streams used in fleet mode,
-	// where concurrent senders would otherwise interleave draws from the
-	// shared PRNG in host order. Each sender's stream is seeded from the
-	// config seed and the sender's address, and is consumed only in that
-	// sender's program order — keyed lookups only, never ranged.
+	cfg FaultConfig
+	// streams holds the per-sender verdict streams, so concurrent senders
+	// never interleave draws from one PRNG in host order. Each sender's
+	// stream is seeded from the config seed and the sender's address, and
+	// is consumed only in that sender's program order — keyed lookups
+	// only, never ranged.
 	streams map[Addr]*faultStream
 	stats   FaultStats
 }
 
 // faultStream is one deterministic verdict sequence: a seeded PRNG plus the
-// count of verdicts drawn from it (the index Force keys against).
+// count of verdicts drawn from it (the N that Force keys against).
 type faultStream struct {
 	rnd    *sim.Rand
 	judged int64
@@ -111,11 +119,7 @@ func (n *Network) InjectFaults(cfg FaultConfig) *FaultMedium {
 	if cfg.DelayTime <= 0 {
 		cfg.DelayTime = DefaultDelay
 	}
-	f := &FaultMedium{
-		cfg:     cfg,
-		shared:  faultStream{rnd: sim.NewRand(cfg.Seed)},
-		streams: map[Addr]*faultStream{},
-	}
+	f := &FaultMedium{cfg: cfg, streams: map[Addr]*faultStream{}}
 	n.mu.Lock()
 	n.fault = f
 	n.mu.Unlock()
@@ -139,7 +143,7 @@ func (f *FaultMedium) Stats() FaultStats {
 
 // verdict is one delivery's fate.
 type verdict struct {
-	idx     int64 // which judged delivery this was (0-based), for trace events
+	idx     int64 // the sender's judged-delivery index (0-based), for trace events
 	drop    bool
 	dup     bool
 	corrupt bool
@@ -149,21 +153,16 @@ type verdict struct {
 }
 
 // judge rolls the dice for one delivery attempt. Called under the owning
-// Network's mu, in destination-address order — the two facts that make the
-// PRNG sequence, and so the whole fault pattern, reproducible. In the
-// shared-clock model every verdict comes from one stream in global send
-// order; with perSender set (fleet mode) each sender consumes its own
-// derived stream in its own program order, which is deterministic even when
-// senders execute concurrently on the host.
-func (f *FaultMedium) judge(src Addr, perSender bool, payloadWords int) verdict {
-	st := &f.shared
-	if perSender {
-		st = f.streamFor(src)
-	}
+// Network's mu, in destination-address order, with src's own stream, which
+// src consumes in its own program order — the facts that make the PRNG
+// sequence, and so the whole fault pattern, reproducible even when senders
+// execute concurrently on the host.
+func (f *FaultMedium) judge(src Addr, payloadWords int) verdict {
+	st := f.streamFor(src)
 	idx := st.judged
 	st.judged++
 	f.stats.Judged++
-	if forced, ok := f.cfg.Force[idx]; ok {
+	if forced, ok := f.cfg.Force[Judged{Src: src, N: idx}]; ok {
 		v := f.forcedVerdict(st, forced, payloadWords)
 		v.idx = idx
 		return v

@@ -24,7 +24,7 @@ func faultPair(t *testing.T, cfg FaultConfig) (*Network, *FaultMedium, *Station,
 }
 
 func TestForcedDrop(t *testing.T) {
-	_, f, a, b := faultPair(t, FaultConfig{Force: map[int64]Fault{0: FaultDrop}})
+	_, f, a, b := faultPair(t, FaultConfig{Force: map[Judged]Fault{{Src: 1}: FaultDrop}})
 	if err := a.Send(Packet{Dst: 2, Type: 1, Payload: []Word{7}}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestForcedDrop(t *testing.T) {
 }
 
 func TestForcedDupDeliversTwice(t *testing.T) {
-	_, f, a, b := faultPair(t, FaultConfig{Force: map[int64]Fault{0: FaultDup}})
+	_, f, a, b := faultPair(t, FaultConfig{Force: map[Judged]Fault{{Src: 1}: FaultDup}})
 	if err := a.Send(Packet{Dst: 2, Type: 1, Payload: []Word{9}}); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestForcedDupDeliversTwice(t *testing.T) {
 // TestForcedCorruptIsDetectable is the checksum contract: the flipped bit
 // lands after Check was stamped, so SumOK exposes the damage.
 func TestForcedCorruptIsDetectable(t *testing.T) {
-	_, f, a, b := faultPair(t, FaultConfig{Force: map[int64]Fault{0: FaultCorrupt}})
+	_, f, a, b := faultPair(t, FaultConfig{Force: map[Judged]Fault{{Src: 1}: FaultCorrupt}})
 	if err := a.Send(Packet{Dst: 2, Type: 1, Payload: []Word{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestForcedCorruptIsDetectable(t *testing.T) {
 func TestForcedDelayHoldsUntilRelease(t *testing.T) {
 	n, f, a, b := faultPair(t, FaultConfig{
 		DelayTime: 5 * time.Millisecond,
-		Force:     map[int64]Fault{0: FaultDelay},
+		Force:     map[Judged]Fault{{Src: 1}: FaultDelay},
 	})
 	if err := a.Send(Packet{Dst: 2, Type: 1, Payload: []Word{4}}); err != nil {
 		t.Fatal(err)
@@ -167,14 +167,14 @@ func TestZeroRatesConsumeNoRandomness(t *testing.T) {
 	}
 }
 
-// TestFaultCountersTraced: the medium's verdicts show up as trace counters —
-// the evidence E10 cites.
+// TestFaultCountersTraced: the medium's verdicts show up as trace counters on
+// the sender's recorder — the evidence E10 cites.
 func TestFaultCountersTraced(t *testing.T) {
-	n, _, a, b := faultPair(t, FaultConfig{Force: map[int64]Fault{
-		0: FaultDrop, 1: FaultDup, 2: FaultCorrupt, 3: FaultDelay,
+	_, _, a, b := faultPair(t, FaultConfig{Force: map[Judged]Fault{
+		{Src: 1, N: 0}: FaultDrop, {Src: 1, N: 1}: FaultDup, {Src: 1, N: 2}: FaultCorrupt, {Src: 1, N: 3}: FaultDelay,
 	}})
 	rec := trace.New(64)
-	n.SetRecorder(rec)
+	a.SetRecorder(rec)
 	for i := 0; i < 4; i++ {
 		if err := a.Send(Packet{Dst: 2, Type: 1, Payload: []Word{Word(i & 0xFFFF)}}); err != nil {
 			t.Fatal(err)

@@ -60,8 +60,7 @@ func (o *scanQueue) promote(s *Station) {
 	if len(o.held) == 0 {
 		return
 	}
-	limit := s.Clock().Now()
-	s.net.fleetLimit(&limit)
+	limit := min(s.Clock().Now(), time.Duration(s.net.horizon.Load())-1)
 	if o.heldMin > limit {
 		return
 	}
@@ -126,16 +125,16 @@ func samePacket(a, b Packet) bool {
 
 // TestEarliestArrivalMatchesScan drives twin networks through the same
 // seeded schedule: unicast and broadcast sends with drop, dup, corrupt and
-// delay, clock advances (including lining every fleet clock up, so sends
-// from different stations and delayed and fresh sends from one station tie
-// on release time), fleet horizons, Recv and Pending at varying clocks, and
-// detaches — in fleet mode and on the shared clock. One twin's stations run
+// delay, clock advances (including lining every station's own clock up, so
+// sends from different stations and delayed and fresh sends from one station
+// tie on release time), window horizons, Recv and Pending at varying clocks,
+// and detaches — on clocks of the stations' own and on the network's. One twin's stations run
 // on the held heap and reusing inbox; the other's deliveries are siphoned
 // into the scan-and-sort reference after every operation. After every
 // operation both must agree on what Recv returns, on Pending, and on
 // EarliestArrival, which must also equal a linear scan of the heap.
 func TestEarliestArrivalMatchesScan(t *testing.T) {
-	for _, fleet := range []bool{false, true} {
+	for _, ownClocks := range []bool{false, true} {
 		heldChecks, srcTies, seqTies := 0, 0, 0
 		for seed := uint64(1); seed <= 40; seed++ {
 			rnd := sim.NewRand(seed)
@@ -158,16 +157,13 @@ func TestEarliestArrivalMatchesScan(t *testing.T) {
 			size := 2 + rnd.Intn(6)
 			for k := range nets {
 				n := New(nil)
-				if fleet {
-					n.SetFleetMode()
-				}
 				n.InjectFaults(cfg)
 				for a := Addr(1); a <= Addr(size); a++ {
 					st, err := n.Attach(a)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fleet {
+					if ownClocks {
 						st.SetClock(sim.NewClock())
 					}
 					twins[k] = append(twins[k], st)
@@ -180,7 +176,7 @@ func TestEarliestArrivalMatchesScan(t *testing.T) {
 				i := rnd.Intn(size)
 				st, refSt, ref := sts[i], refSts[i], &refs[i]
 				where := func() string {
-					return fmt.Sprintf("fleet=%v seed %d op %d station %d", fleet, seed, op, st.Addr())
+					return fmt.Sprintf("ownClocks=%v seed %d op %d station %d", ownClocks, seed, op, st.Addr())
 				}
 				switch rnd.Intn(10) {
 				case 0, 1, 2:
@@ -233,7 +229,7 @@ func TestEarliestArrivalMatchesScan(t *testing.T) {
 						t.Fatalf("%s: drained, reference still has %d pending", where(), n)
 					}
 				case 8:
-					if fleet {
+					if ownClocks {
 						var latest time.Duration
 						for _, s := range sts {
 							latest = max(latest, s.Clock().Now())
@@ -268,10 +264,10 @@ func TestEarliestArrivalMatchesScan(t *testing.T) {
 			}
 		}
 		if heldChecks == 0 {
-			t.Fatalf("fleet=%v: no check ever saw a held delivery", fleet)
+			t.Fatalf("ownClocks=%v: no check ever saw a held delivery", ownClocks)
 		}
-		if fleet && (srcTies == 0 || seqTies == 0) {
-			t.Fatalf("fleet mode: held deliveries tied on release %d times across sources, %d times within one source; want both",
+		if ownClocks && (srcTies == 0 || seqTies == 0) {
+			t.Fatalf("own clocks: held deliveries tied on release %d times across sources, %d times within one source; want both",
 				srcTies, seqTies)
 		}
 	}

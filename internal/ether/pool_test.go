@@ -31,14 +31,15 @@ func allocsWithoutGC(runs int, f func()) float64 {
 // TestBacklogFreeCycleAllocatesNothing is the hand-back path of
 // TestBacklogAllocatesOnlyTheWireCopy: when the receiver frees each packet,
 // the next Send's wire copy reuses its buffer and a steady Send→Recv→Free
-// cycle over a 64-packet backlog allocates nothing, shared and fleet.
+// cycle over a 64-packet backlog allocates nothing, on the network's clock
+// and on clocks of the stations' own.
 func TestBacklogFreeCycleAllocatesNothing(t *testing.T) {
 	emptyPoolAfter(t)
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	for _, fleet := range []bool{false, true} {
-		cycle := backlogPair(t, fleet, 64)
+	for _, ownClocks := range []bool{false, true} {
+		cycle := backlogPair(t, ownClocks, 64)
 		const batch = 256
 		a := allocsWithoutGC(20, func() {
 			for i := 0; i < batch; i++ {
@@ -46,7 +47,7 @@ func TestBacklogFreeCycleAllocatesNothing(t *testing.T) {
 			}
 		})
 		if a != 0 {
-			t.Errorf("fleet=%v: %d Send→Recv→Free cycles over a 64-packet backlog allocate %v times, want 0", fleet, batch, a)
+			t.Errorf("ownClocks=%v: %d Send→Recv→Free cycles over a 64-packet backlog allocate %v times, want 0", ownClocks, batch, a)
 		}
 	}
 }
@@ -55,11 +56,11 @@ func TestBacklogFreeCycleAllocatesNothing(t *testing.T) {
 // handing each packet back to the pool.
 func BenchmarkStationBacklogFree(b *testing.B) {
 	for _, mode := range []struct {
-		name  string
-		fleet bool
-	}{{"shared", false}, {"fleet", true}} {
+		name      string
+		ownClocks bool
+	}{{"shared", false}, {"own", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cycle := backlogPair(b, mode.fleet, 64)
+			cycle := backlogPair(b, mode.ownClocks, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -134,15 +134,15 @@ func TestConcurrentAttachDetach(t *testing.T) {
 
 // TestConcurrentSetRecorder swaps a station's recorder while another
 // goroutine sends, receives and reads the recorder on the same station.
-// Every read sees the station's recorder or the medium's, every delivery is
-// counted on exactly one of them, and once the station's recorder is
-// detached, TraceRecorder falls back to the medium's.
+// Every read sees one of the two recorders, every delivery is counted on
+// exactly one of them, and once the station's recorder is detached,
+// TraceRecorder reports none.
 func TestConcurrentSetRecorder(t *testing.T) {
 	net := New(nil)
-	wire, own := trace.New(64), trace.New(64)
-	net.SetRecorder(wire)
+	even, odd := trace.New(64), trace.New(64)
 	s, _ := net.Attach(1)
 	peer, _ := net.Attach(2)
+	s.SetRecorder(even)
 	const packets = 500
 	for k := 0; k < packets; k++ {
 		if err := peer.Send(Packet{Dst: 1, Type: Word(k)}); err != nil {
@@ -156,9 +156,9 @@ func TestConcurrentSetRecorder(t *testing.T) {
 		defer wg.Done()
 		for k := 0; k < packets; k++ {
 			if k%2 == 0 {
-				s.SetRecorder(own)
+				s.SetRecorder(odd)
 			} else {
-				s.SetRecorder(nil)
+				s.SetRecorder(even)
 			}
 			runtime.Gosched()
 		}
@@ -174,8 +174,8 @@ func TestConcurrentSetRecorder(t *testing.T) {
 			if _, ok := s.Recv(); ok {
 				got++
 			}
-			if r := s.TraceRecorder(); r != own && r != wire {
-				t.Errorf("TraceRecorder = %p, want the station's %p or the medium's %p", r, own, wire)
+			if r := s.TraceRecorder(); r != even && r != odd {
+				t.Errorf("TraceRecorder = %p, want %p or %p", r, even, odd)
 				return
 			}
 		}
@@ -185,16 +185,16 @@ func TestConcurrentSetRecorder(t *testing.T) {
 	if got != packets {
 		t.Fatalf("received %d packets, want %d", got, packets)
 	}
-	if n := wire.Counter("ether.recv") + own.Counter("ether.recv"); n != packets {
+	if n := even.Counter("ether.recv") + odd.Counter("ether.recv"); n != packets {
 		t.Errorf("recorders counted %d deliveries, want %d", n, packets)
 	}
-	s.SetRecorder(own)
-	if r := s.TraceRecorder(); r != own {
-		t.Errorf("with its own recorder attached, TraceRecorder = %p, want %p", r, own)
+	s.SetRecorder(odd)
+	if r := s.TraceRecorder(); r != odd {
+		t.Errorf("with a recorder attached, TraceRecorder = %p, want %p", r, odd)
 	}
 	s.SetRecorder(nil)
-	if r := s.TraceRecorder(); r != wire {
-		t.Errorf("after SetRecorder(nil), TraceRecorder = %p, want the medium's %p", r, wire)
+	if r := s.TraceRecorder(); r != nil {
+		t.Errorf("after SetRecorder(nil), TraceRecorder = %p, want nil", r)
 	}
 }
 

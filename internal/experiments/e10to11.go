@@ -32,14 +32,13 @@ type netRig struct {
 }
 
 // newNetRig wires the machine room to one clock with per-machine recorders:
-// the wire is its own machine (sends, collisions and fault verdicts belong
-// to the medium), the server's disk and station record into "server", and
-// each client station into "clientN". Handing in a constant function
-// collapses the room onto a single recorder with identical event streams.
+// the server's disk and station record into "server" and each client
+// station into "clientN"; a packet's send and fault verdicts belong to the
+// machine that sent it. Handing in a constant function collapses the room
+// onto a single recorder with identical event streams.
 func newNetRig(n int, machine func(string) *trace.Recorder) (*netRig, error) {
 	clock := sim.NewClock()
 	wire := ether.New(clock)
-	wire.SetRecorder(machine("wire"))
 	srvRec := machine("server")
 	drv, err := disk.NewDrive(disk.Diablo31(), 1, clock)
 	if err != nil {
@@ -188,11 +187,11 @@ func netPattern(n, salt int) []byte {
 
 // e10LoadedServer runs 8 client stations hammering one file server over a
 // wire losing 10% of its packets (§1's open-system claim, under load). The
-// wire, the server and each client record into their own machine's
-// recorder; counters are summed across every distinct recorder, so the
-// numbers come out the same whether the run traced into one recorder or
-// ten. The retransmit evidence comes from those counters, so the run keeps
-// a private recorder when tracing is off.
+// server and each client record into their own machine's recorder; counters
+// are summed across every distinct recorder, so the numbers come out the
+// same whether the run traced into one recorder or nine. The retransmit
+// evidence comes from those counters, so the run keeps a private recorder
+// when tracing is off.
 func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, error) {
 	if machine == nil {
 		rec := trace.New(1 << 16)

@@ -31,10 +31,9 @@ func e13Word(sender, msg, i int) ether.Word {
 	return ether.Word((sender*31 + msg*7 + i*3) & 0xFFFF)
 }
 
-// e13Saturation runs the saturation + fairness experiment. The wire, the
-// sink and all 24 senders each trace into their own machine's recorder; the
-// run keeps a private one when tracing is off, since its counters are
-// evidence.
+// e13Saturation runs the saturation + fairness experiment. The sink and all
+// 24 senders each trace into their own machine's recorder; the run keeps a
+// private one when tracing is off, since its counters are evidence.
 func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error) {
 	if machine == nil {
 		rec := trace.New(1 << 16)
@@ -44,7 +43,6 @@ func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error)
 
 	clock := sim.NewClock()
 	wire := ether.New(clock)
-	wire.SetRecorder(recs.get("wire"))
 	sinkSt, err := wire.Attach(1)
 	if err != nil {
 		return nil, err
@@ -70,6 +68,7 @@ func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error)
 			return nil, err
 		}
 		mrec := recs.get(fmt.Sprintf("sender%02d", i))
+		st.SetRecorder(mrec)
 		ep := pup.NewEndpoint(st, pup.Config{Seed: uint64(i + 1)})
 		conn, err := ep.Dial(1)
 		if err != nil {

@@ -84,12 +84,11 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	}
 	recs := newRecorders(machine)
 
-	// The wire is shared; the fleet engine switches it into fleet mode and
-	// feeds it each window's horizon. The loss rates are modest — enough to
-	// exercise retransmission on a hundred concurrent flows without turning
-	// the run into a retransmission benchmark.
+	// The wire is shared; the fleet engine feeds it each window's horizon.
+	// The loss rates are modest — enough to exercise retransmission on a
+	// hundred concurrent flows without turning the run into a
+	// retransmission benchmark.
 	wire := ether.New(nil)
-	wire.SetRecorder(recs.get("wire"))
 	wire.InjectFaults(ether.FaultConfig{
 		Seed:    14,
 		Drop:    ether.Rate{Num: 1, Den: 200},

@@ -102,15 +102,14 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 
 	// One wire for both phases, losing a tenth of everything on it.
 	wire := ether.New(nil)
-	wire.SetRecorder(recs.get("wire"))
 	wire.InjectFaults(ether.FaultConfig{
 		Seed: wireSeed,
 		Drop: ether.Rate{Num: 1, Den: 10},
 	})
 
-	// The cluster: per-replica clocks (fleet mode), generous audit transport
-	// budgets — at 10% loss a digest poll can take many retries and still
-	// must not be mistaken for an unreachable peer.
+	// The cluster: per-replica clocks, generous audit transport budgets —
+	// at 10% loss a digest poll can take many retries and still must not
+	// be mistaken for an unreachable peer.
 	c, err := cluster.New(cluster.Config{
 		Shards:        e15Shards,
 		Replicas:      e15Replicas,

@@ -129,8 +129,7 @@ func secs(d time.Duration) float64 { return d.Seconds() }
 
 // recorders hands out machine recorders and keeps each distinct one, so a
 // counter sums the same whether a run traced into one recorder or one per
-// machine: retransmits live on the client and server machines, drops on the
-// wire.
+// machine: retransmits and drops live on the machines that sent the packets.
 type recorders struct {
 	machine func(string) *trace.Recorder
 	seen    map[*trace.Recorder]bool

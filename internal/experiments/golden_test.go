@@ -23,10 +23,11 @@ const goldenHeader = `# SHA-256 of every artifact TestGolden regenerates, one "n
 # and names every moved line in CHANGES.md.
 `
 
-// TestGolden is "nothing moved" as one test. It builds altobench and the
-// examples, regenerates every artifact they write — each experiment's
-// Chrome trace, metrics snapshot and -json document, E10's four -scope
-// artifacts, and each example's stdout — and compares their digests with
+// TestGolden is "nothing moved" as one test. It builds altobench, the
+// examples and the pack CLIs, regenerates every artifact they write — each
+// experiment's Chrome trace, metrics snapshot and -json document, E10's four
+// -scope artifacts, each example's stdout, and each step's stdout and the
+// final image of README's CLI session — and compares their digests with
 // testdata/golden.txt. A failure names every moved artifact and reports the
 // first differing golden line the way TestDeterminism reports a divergence.
 func TestGolden(t *testing.T) {
@@ -93,13 +94,18 @@ func goldenDigests(t *testing.T) []string {
 	if err != nil || len(examples) == 0 {
 		t.Fatalf("no examples found: %v", err)
 	}
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "altoos/cmd/altobench", "altoos/examples/...")
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
+		"altoos/cmd/altobench", "altoos/cmd/altofs", "altoos/cmd/altoasm", "altoos/cmd/altoexec", "altoos/examples/...")
 	if msg, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, msg)
 	}
-	run := func(name string, args ...string) []byte {
+	// runIn runs a built command in dir ("" for this one) with stdin as its
+	// input and returns its stdout.
+	runIn := func(dir, stdin, name string, args ...string) []byte {
 		t.Helper()
 		cmd := exec.Command(filepath.Join(bin, name), args...)
+		cmd.Dir = dir
+		cmd.Stdin = strings.NewReader(stdin)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		stdout, err := cmd.Output()
@@ -107,6 +113,10 @@ func goldenDigests(t *testing.T) []string {
 			t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, stderr.String())
 		}
 		return stdout
+	}
+	run := func(name string, args ...string) []byte {
+		t.Helper()
+		return runIn("", "", name, args...)
 	}
 	readFile := func(path string) []byte {
 		t.Helper()
@@ -139,5 +149,25 @@ func goldenDigests(t *testing.T) []string {
 		name := filepath.Base(ex)
 		add("examples/"+name+".stdout", run(name))
 	}
+	// README's CLI session, with a fixed host file in place of README.md so
+	// that doc edits do not move the digests.
+	session := t.TempDir()
+	for _, f := range []string{"host.txt", "hi.asm"} {
+		if err := os.WriteFile(filepath.Join(session, f), readFile(filepath.Join("testdata", "cli", f)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		label, stdin string
+		args         []string
+	}{
+		{"altofs-create", "", []string{"altofs", "create", "alto.img"}},
+		{"altofs-put", "", []string{"altofs", "put", "alto.img", "host.txt", "readme.txt"}},
+		{"altoasm", "", []string{"altoasm", "hi.asm", "alto.img", "hi.run"}},
+		{"altoexec", "ls\ntype readme.txt\nrun hi.run\nquit\n", []string{"altoexec", "alto.img"}},
+	} {
+		add("cli/"+step.label+".stdout", runIn(session, step.stdin, step.args[0], step.args[1:]...))
+	}
+	add("cli/alto.img", readFile(filepath.Join(session, "alto.img")))
 	return digests
 }

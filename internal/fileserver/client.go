@@ -44,7 +44,7 @@ func (c *Client) Connect(server ether.Addr) error {
 	return nil
 }
 
-// rec reaches the medium's flight recorder (nil when tracing is off).
+// rec reaches the station's flight recorder (nil when tracing is off).
 func (c *Client) rec() *trace.Recorder { return c.ep.Station().TraceRecorder() }
 
 // now reads the station's simulated clock.

@@ -136,7 +136,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// rec reaches the medium's flight recorder (nil when tracing is off).
+// rec reaches the station's flight recorder (nil when tracing is off).
 func (s *Server) rec() *trace.Recorder { return s.ep.Station().TraceRecorder() }
 
 // Poll is the server's activity: one transport poll, new connections

@@ -15,13 +15,13 @@ import (
 	"altoos/internal/trace"
 )
 
-// fixture builds a server machine and n client endpoints on one wire.
+// fixture builds a server machine and n client endpoints on one wire, every
+// station recording into one recorder.
 func fixture(t testing.TB, n int) (*ether.Network, *Server, []*Client, *trace.Recorder) {
 	t.Helper()
 	clock := sim.NewClock()
 	wire := ether.New(clock)
 	rec := trace.New(1 << 16)
-	wire.SetRecorder(rec)
 
 	d, err := disk.NewDrive(disk.Diablo31(), 1, clock)
 	if err != nil {
@@ -38,6 +38,7 @@ func fixture(t testing.TB, n int) (*ether.Network, *Server, []*Client, *trace.Re
 	if err != nil {
 		t.Fatal(err)
 	}
+	sst.SetRecorder(rec)
 	srv := NewServer(fs, pup.NewEndpoint(sst, pup.Config{}))
 	clients := make([]*Client, n)
 	for i := range clients {
@@ -45,6 +46,7 @@ func fixture(t testing.TB, n int) (*ether.Network, *Server, []*Client, *trace.Re
 		if err != nil {
 			t.Fatal(err)
 		}
+		cst.SetRecorder(rec)
 		clients[i] = NewClient(pup.NewEndpoint(cst, pup.Config{Seed: uint64(i)}))
 		if err := clients[i].Connect(1); err != nil {
 			t.Fatal(err)

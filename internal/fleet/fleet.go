@@ -111,8 +111,8 @@ func MaxRounds(n int) Option {
 }
 
 // Medium hands the engine the network the fleet communicates over. The
-// engine switches it into fleet mode and publishes every window's horizon
-// to it, which is what gates deliveries to certified arrivals.
+// engine publishes every window's horizon to it, which is what gates
+// deliveries to certified arrivals.
 func Medium(n *ether.Network) Option {
 	return func(e *Engine) { e.net = n }
 }
@@ -126,9 +126,6 @@ func New(opts ...Option) *Engine {
 	}
 	for _, o := range opts {
 		o(e)
-	}
-	if e.net != nil {
-		e.net.SetFleetMode()
 	}
 	return e
 }

@@ -102,8 +102,6 @@ type Service struct {
 var (
 	// ErrBadLevel reports a level outside 1..13.
 	ErrBadLevel = errors.New("junta: no such level")
-	// ErrRemoved reports use of a facility whose level has been removed.
-	ErrRemoved = errors.New("junta: level removed")
 )
 
 // Junta manages the level table over main memory.

@@ -91,8 +91,8 @@ const (
 //
 // Every word rides in the charged, checksummed payload — context costs
 // payload, exactly like the flow word before it. The flow is mirrored into
-// ether.Packet.Flow so the medium can stamp its own events (sends,
-// collisions, fault verdicts) onto the same flow; acks echo the flow of
+// ether.Packet.Flow so the medium can stamp its own events (sends, fault
+// verdicts, receives) onto the same flow; acks echo the flow of
 // the packet they acknowledge, so a retransmitted request and the ack that
 // finally quenches it render as one causal chain.
 const headerWords = 7
@@ -232,7 +232,7 @@ func (e *Endpoint) Station() *ether.Station { return e.st }
 // so a layer above can size its own patience from the transport's budget.
 func (e *Endpoint) Config() Config { return e.cfg }
 
-// rec reaches the medium's flight recorder (nil when tracing is off).
+// rec reaches the station's flight recorder (nil when tracing is off).
 func (e *Endpoint) rec() *trace.Recorder { return e.st.TraceRecorder() }
 
 // Listen makes the endpoint accept inbound Opens; Accept collects them.

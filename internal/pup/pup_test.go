@@ -28,13 +28,13 @@ func (tn tuning) endpoint(st *ether.Station) *Endpoint {
 	return e
 }
 
-// pair builds a network with a recorder, two stations, and two endpoints:
-// srv listening on address 1, cli on address 2.
+// pair builds a network, two stations sharing one recorder, and two
+// endpoints: srv listening on address 1, cli on address 2. Forced faults
+// name a delivery by its sender and that sender's judged index.
 func pair(t testing.TB, tn tuning) (net *ether.Network, srv, cli *Endpoint, rec *trace.Recorder) {
 	t.Helper()
 	net = ether.New(nil)
 	rec = trace.New(4096)
-	net.SetRecorder(rec)
 	sst, err := net.Attach(1)
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +43,8 @@ func pair(t testing.TB, tn tuning) (net *ether.Network, srv, cli *Endpoint, rec 
 	if err != nil {
 		t.Fatal(err)
 	}
+	sst.SetRecorder(rec)
+	cst.SetRecorder(rec)
 	srv = tn.endpoint(sst)
 	cli = tn.endpoint(cst)
 	srv.Listen()
@@ -127,11 +129,10 @@ func TestTransferOverLossyWire(t *testing.T) {
 
 func TestRetransmitAfterTimeout(t *testing.T) {
 	net, srv, cli, rec := pair(t, tuning{})
-	// Deliveries are judged in order: 0 = the client's Open. Drop the first
-	// data packet (judged index 1: Dial happens before any server poll, so
-	// the client's first Send is the second delivery on the wire).
+	// The client's deliveries are judged in order: 0 = its Open. Drop the
+	// first data packet (the client's judged index 1).
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{1: ether.FaultDrop},
+		Force: map[ether.Judged]ether.Fault{{Src: 2, N: 1}: ether.FaultDrop},
 	})
 
 	conn, err := cli.Dial(1)
@@ -168,14 +169,14 @@ func TestRetransmitAfterTimeout(t *testing.T) {
 
 func TestDuplicateAck(t *testing.T) {
 	// ackEvery 1 turns off ack batching, so each data packet elicits its
-	// own ack and the wire schedule is exactly: Open(0), Data seq0(1),
-	// Data seq1(2), OpenAck(3), Ack for seq0(4), Ack for seq1(5).
-	// Duplicate the first ack: the second copy arrives while seq1 is still
-	// unacked and must count as a dup ack, not pop anything twice — and
-	// one dup ack is far below the fast-retransmit threshold.
+	// own ack and the server's sends are exactly: OpenAck(0), Ack for
+	// seq0(1), Ack for seq1(2). Duplicate the first ack: the second copy
+	// arrives while seq1 is still unacked and must count as a dup ack, not
+	// pop anything twice — and one dup ack is far below the
+	// fast-retransmit threshold.
 	net, srv, cli, rec := pair(t, tuning{ackEvery: 1})
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{4: ether.FaultDup},
+		Force: map[ether.Judged]ether.Fault{{Src: 1, N: 1}: ether.FaultDup},
 	})
 
 	conn, err := cli.Dial(1)
@@ -217,10 +218,10 @@ func TestDuplicateAck(t *testing.T) {
 func TestRetransmitCarriesOriginalFlow(t *testing.T) {
 	net, srv, cli, rec := pair(t, tuning{})
 	const flow = 777
-	// Delivery order: Open(0), first data(1). Drop the data; the client
-	// must retransmit it under the original flow.
+	// The client's deliveries: Open(0), first data(1). Drop the data; the
+	// client must retransmit it under the original flow.
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{1: ether.FaultDrop},
+		Force: map[ether.Judged]ether.Fault{{Src: 2, N: 1}: ether.FaultDrop},
 	})
 
 	conn, err := cli.Dial(1)
@@ -273,9 +274,10 @@ func TestRetransmitCarriesOriginalFlow(t *testing.T) {
 func TestDuplicateCarriesOriginalFlow(t *testing.T) {
 	net, srv, cli, rec := pair(t, tuning{})
 	const flow = 613
-	// Delivery order: Open(0), first data(1). Duplicate the data packet.
+	// The client's deliveries: Open(0), first data(1). Duplicate the data
+	// packet.
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{1: ether.FaultDup},
+		Force: map[ether.Judged]ether.Fault{{Src: 2, N: 1}: ether.FaultDup},
 	})
 
 	conn, err := cli.Dial(1)
@@ -404,9 +406,10 @@ func holeThenSACK(t *testing.T) (*trace.Recorder, time.Duration) {
 	t.Helper()
 	// initCwnd 8 lets all four sends fly before the first ack.
 	net, srv, cli, rec := pair(t, tuning{initCwnd: 8})
-	// Delivery order: Open(0), Data seq0(1), seq1(2), seq2(3), seq3(4).
+	// The client's deliveries: Open(0), Data seq0(1), seq1(2), seq2(3),
+	// seq3(4).
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{2: ether.FaultDrop},
+		Force: map[ether.Judged]ether.Fault{{Src: 2, N: 2}: ether.FaultDrop},
 	})
 	conn, err := cli.Dial(1)
 	if err != nil {
@@ -466,10 +469,11 @@ func TestHoleThenSACKReassembly(t *testing.T) { holeThenSACK(t) }
 func fastRetransmit(t *testing.T) (*trace.Recorder, time.Duration) {
 	t.Helper()
 	// ackEvery 1: per-packet acks, so each overtaker past the hole is one
-	// duplicate ack. Delivery order: Open(0), seq0(1), seq1(2) ... seq5(6).
+	// duplicate ack. The client's deliveries: Open(0), seq0(1), seq1(2)
+	// ... seq5(6).
 	net, srv, cli, rec := pair(t, tuning{initCwnd: 8, ackEvery: 1})
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{2: ether.FaultDrop},
+		Force: map[ether.Judged]ether.Fault{{Src: 2, N: 2}: ether.FaultDrop},
 	})
 	conn, err := cli.Dial(1)
 	if err != nil {
@@ -772,9 +776,9 @@ func TestDeterministicReplay(t *testing.T) {
 // closes cleanly instead of dying of exhausted retries.
 func TestCloseAfterLostOpenAck(t *testing.T) {
 	net, srv, cli, rec := pair(t, tuning{})
-	// Delivery 0 is the client's Open, 1 the server's OpenAck.
+	// The server's first delivery (its judged index 0) is the OpenAck.
 	net.InjectFaults(ether.FaultConfig{
-		Force: map[int64]ether.Fault{1: ether.FaultDrop},
+		Force: map[ether.Judged]ether.Fault{{Src: 1, N: 0}: ether.FaultDrop},
 	})
 	conn, err := cli.Dial(1)
 	if err != nil {

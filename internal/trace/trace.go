@@ -72,8 +72,6 @@ const (
 	// KindEtherSend is a packet serialized onto the wire (span; args:
 	// destination, words).
 	KindEtherSend
-	// KindEtherCollision is a send started while the medium was busy.
-	KindEtherCollision
 	// KindEtherRecv is a packet taken off a station's input queue.
 	KindEtherRecv
 	// KindDiskChain is one chained transfer: a batch of sector operations
@@ -87,8 +85,9 @@ const (
 	// (span; name: workload; args: crash point, invariant violations found).
 	KindCrashExplore
 	// KindEtherFault is one fault verdict the medium handed a delivery:
-	// drop, dup, corrupt or delay (instant; name: the verdict; args: the
-	// destination address and the judged-delivery index). The event carries
+	// drop, dup, corrupt or delay (instant, on the sender's recorder; name:
+	// the verdict; args: the destination address and the sender's
+	// judged-delivery index, the N of ether.Judged). The event carries
 	// the packet's flow ID, so injected loss shows up as extra arrows on
 	// the same causal chain instead of vanishing silently.
 	KindEtherFault
@@ -117,30 +116,29 @@ const (
 var kindInfo = [numKinds]struct {
 	name, cat, a0, a1 string
 }{
-	KindSeek:           {"seek", "disk", "from_cyl", "to_cyl"},
-	KindRotate:         {"rotate", "disk", "slot", "vda"},
-	KindDiskOp:         {"op", "disk", "vda", "outcome"},
-	KindCheckFail:      {"check-fail", "disk", "vda", "word"},
-	KindBadSector:      {"bad-sector", "disk", "vda", "outcome"},
-	KindCrashWrite:     {"crash-write", "disk", "vda", "write_idx"},
-	KindCRCMismatch:    {"crc-mismatch", "disk", "vda", "outcome"},
-	KindScavPhase:      {"phase", "scavenge", "a0", "a1"},
-	KindZoneAlloc:      {"alloc", "zone", "addr", "words"},
-	KindZoneFree:       {"free", "zone", "addr", "words"},
-	KindStreamOpen:     {"open", "stream", "fid", "mode"},
-	KindStreamClose:    {"close", "stream", "fid", "mode"},
-	KindSwapOut:        {"save-state", "swap", "fid", "pages"},
-	KindSwapIn:         {"load-state", "swap", "fid", "pages"},
-	KindEtherSend:      {"send", "ether", "dst", "words"},
-	KindEtherCollision: {"collision", "ether", "dst", "src"},
-	KindEtherRecv:      {"recv", "ether", "src", "words"},
-	KindDiskChain:      {"chain", "disk", "ops", "failures"},
-	KindFSSession:      {"session", "fileserver", "peer", "bytes"},
-	KindCrashExplore:   {"explore", "crashpoint", "point", "violations"},
-	KindEtherFault:     {"fault", "ether", "dst", "judged"},
-	KindFSRequest:      {"request", "fileserver", "peer", "bytes"},
-	KindClusterAudit:   {"audit", "cluster", "peers", "divergent"},
-	KindClusterHeal:    {"heal", "cluster", "authority", "bytes"},
+	KindSeek:         {"seek", "disk", "from_cyl", "to_cyl"},
+	KindRotate:       {"rotate", "disk", "slot", "vda"},
+	KindDiskOp:       {"op", "disk", "vda", "outcome"},
+	KindCheckFail:    {"check-fail", "disk", "vda", "word"},
+	KindBadSector:    {"bad-sector", "disk", "vda", "outcome"},
+	KindCrashWrite:   {"crash-write", "disk", "vda", "write_idx"},
+	KindCRCMismatch:  {"crc-mismatch", "disk", "vda", "outcome"},
+	KindScavPhase:    {"phase", "scavenge", "a0", "a1"},
+	KindZoneAlloc:    {"alloc", "zone", "addr", "words"},
+	KindZoneFree:     {"free", "zone", "addr", "words"},
+	KindStreamOpen:   {"open", "stream", "fid", "mode"},
+	KindStreamClose:  {"close", "stream", "fid", "mode"},
+	KindSwapOut:      {"save-state", "swap", "fid", "pages"},
+	KindSwapIn:       {"load-state", "swap", "fid", "pages"},
+	KindEtherSend:    {"send", "ether", "dst", "words"},
+	KindEtherRecv:    {"recv", "ether", "src", "words"},
+	KindDiskChain:    {"chain", "disk", "ops", "failures"},
+	KindFSSession:    {"session", "fileserver", "peer", "bytes"},
+	KindCrashExplore: {"explore", "crashpoint", "point", "violations"},
+	KindEtherFault:   {"fault", "ether", "dst", "judged"},
+	KindFSRequest:    {"request", "fileserver", "peer", "bytes"},
+	KindClusterAudit: {"audit", "cluster", "peers", "divergent"},
+	KindClusterHeal:  {"heal", "cluster", "authority", "bytes"},
 }
 
 // String implements fmt.Stringer.
@@ -337,7 +335,6 @@ type Span struct {
 	k      Kind
 	name   string
 	a0, a1 int64
-	flow   int64
 	start  time.Duration
 }
 
@@ -350,20 +347,12 @@ func (r *Recorder) Begin(c *sim.Clock, k Kind, name string, a0, a1 int64) Span {
 	return Span{r: r, c: c, k: k, name: name, a0: a0, a1: a1, start: c.Now()}
 }
 
-// BeginFlow opens a span bound to a causal flow ID.
-func (r *Recorder) BeginFlow(c *sim.Clock, k Kind, name string, a0, a1, flow int64) Span {
-	if r == nil || c == nil {
-		return Span{}
-	}
-	return Span{r: r, c: c, k: k, name: name, a0: a0, a1: a1, flow: flow, start: c.Now()}
-}
-
 // End closes the span at its clock's current time and records it.
 func (s Span) End() {
 	if s.r == nil {
 		return
 	}
-	s.r.EmitSpanFlow(s.start, s.c.Now()-s.start, s.k, s.name, s.a0, s.a1, s.flow)
+	s.r.EmitSpan(s.start, s.c.Now()-s.start, s.k, s.name, s.a0, s.a1)
 }
 
 // EndWith closes the span, overriding its numeric arguments — for results
@@ -372,7 +361,7 @@ func (s Span) EndWith(a0, a1 int64) {
 	if s.r == nil {
 		return
 	}
-	s.r.EmitSpanFlow(s.start, s.c.Now()-s.start, s.k, s.name, a0, a1, s.flow)
+	s.r.EmitSpan(s.start, s.c.Now()-s.start, s.k, s.name, a0, a1)
 }
 
 // Add bumps a named counter.

@@ -137,18 +137,6 @@ func (z *MemZone) Avail() int {
 	return largest
 }
 
-// FreeWords returns the total number of free words in the zone (headers of
-// free blocks included).
-func (z *MemZone) FreeWords() int {
-	total := 0
-	z.walk(func(a mem.Addr, size int, used bool) {
-		if !used {
-			total += size
-		}
-	})
-	return total
-}
-
 // walk visits every block in address order.
 func (z *MemZone) walk(f func(a mem.Addr, size int, used bool)) {
 	off := 0
