@@ -1,10 +1,10 @@
 // altobench runs the experiments that regenerate every quantitative claim in
 // the paper and prints each one's table: the paper's sentence next to the
 // measured shape (EXPERIMENTS.md compares them claim by claim). -json prints
-// result documents instead; -trace writes one flight recorder's Chrome trace
-// and metrics; -scope writes the merged per-machine trace, collapsed stacks,
-// top table and metrics as <id>.* files; -machines and -clients resize E14
-// and E15; -seeds is the make cluster-seeds gate. Every timestamp is
+// result documents instead; -scope records one flight recorder per machine
+// and writes the merged Chrome trace, collapsed stacks, top table and
+// metrics as <id>.* files; -machines and -clients resize E14 and E15;
+// -seeds is the make cluster-seeds gate. Every timestamp is
 // simulated, so each output is byte-identical across runs and -workers
 // widths. Run altobench -h for the flags; README.md has examples.
 //
@@ -42,14 +42,14 @@ All times are simulated (virtual disk/CPU clock).
 
 // config is one invocation: the flags, which of them were set, and the ids.
 type config struct {
-	ids                          []string
-	banner                       bool
-	set                          map[string]bool
-	workers, events              int
-	machines, clients            int
-	json, list                   bool
-	trace, metrics, scope, seeds string
-	cpuprofile, memprofile       string
+	ids                    []string
+	banner                 bool
+	set                    map[string]bool
+	workers, events        int
+	machines, clients      int
+	json, list             bool
+	scope, seeds           string
+	cpuprofile, memprofile string
 }
 
 func main() {
@@ -88,10 +88,8 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 	c := &config{set: map[string]bool{}}
 	fs.IntVar(&c.workers, "workers", 1, "worker-pool `width` for the fleet schedule and the -scope merge")
 	fs.BoolVar(&c.json, "json", false, "print each result as a JSON document instead of its table")
-	fs.StringVar(&c.trace, "trace", "", "record one experiment into one recorder; write its Chrome trace to `file`")
-	fs.StringVar(&c.metrics, "metrics", "", "with -trace, write the metrics snapshot as JSON to `file`")
 	fs.StringVar(&c.scope, "scope", "", "record one recorder per machine; write the merged <id>.* artifacts to `dir`")
-	fs.IntVar(&c.events, "events", trace.DefaultEvents, "ring capacity in events of each -trace or -scope recorder")
+	fs.IntVar(&c.events, "events", trace.DefaultEvents, "ring capacity in events of each -scope recorder")
 	fs.IntVar(&c.machines, "machines", 100, "client Altos in E14's fleet")
 	fs.IntVar(&c.clients, "clients", 24, "client machines in E15's cluster")
 	fs.StringVar(&c.seeds, "seeds", "", "run E15 on every wire seed in `lo-hi` at workers 1 and 2")
@@ -112,7 +110,7 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		}
 	}
 	modes := 0
-	for _, f := range []string{"json", "trace", "scope", "seeds"} {
+	for _, f := range []string{"json", "scope", "seeds"} {
 		if c.set[f] {
 			modes++
 		}
@@ -135,12 +133,9 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		{c.set["machines"] && other("e14"), "-machines applies to e14 only"},
 		{c.set["clients"] && other("e15"), "-clients applies to e15 only"},
 		{c.set["seeds"] && other("e15"), "-seeds applies to e15 only"},
-		{modes > 1, "at most one of -json, -trace, -scope and -seeds"},
+		{modes > 1, "at most one of -json, -scope and -seeds"},
 		{c.workers < 1, "-workers must be at least 1"},
-		{c.set["trace"] && c.workers > 1, "-trace shares one recorder, which is deterministic only at -workers 1"},
-		{c.set["trace"] && len(c.ids) > 1, "-trace takes exactly one id"},
-		{c.set["metrics"] && !c.set["trace"], "-metrics needs -trace"},
-		{c.set["events"] && !c.set["trace"] && !c.set["scope"], "-events needs -trace or -scope"},
+		{c.set["events"] && !c.set["scope"], "-events needs -scope"},
 		{c.set["seeds"] && c.set["workers"], "-seeds runs at workers 1 and 2; drop -workers"},
 	} {
 		if r.bad {
@@ -170,9 +165,7 @@ func (c *config) exec(w io.Writer) error {
 		fmt.Fprint(w, banner)
 	}
 	each := c.report
-	if c.set["trace"] {
-		each = c.writeTrace
-	} else if c.set["scope"] {
+	if c.set["scope"] {
 		each = c.writeScope
 	}
 	for _, id := range c.ids {
@@ -219,27 +212,6 @@ func (c *config) report(w io.Writer, id string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// writeTrace runs the experiment with every machine recording into one
-// recorder and writes its Chrome trace and, with -metrics, its snapshot.
-func (c *config) writeTrace(w io.Writer, id string) error {
-	rec := trace.New(c.events)
-	res, err := c.run(id, func(string) *trace.Recorder { return rec })
-	if err != nil {
-		return err
-	}
-	snap := rec.Snapshot()
-	if err := writeFile(c.trace, rec.WriteChromeTrace); err != nil {
-		return err
-	}
-	if c.metrics != "" {
-		if err := writeFile(c.metrics, snap.WriteJSON); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "%s\nwrote %d events to %s (%d dropped by the ring)\n\n%s", res.Table(), rec.Len(), c.trace, snap.Dropped, snap.Text())
-	return nil
 }
 
 // writeScope runs the experiment with one recorder per machine and writes

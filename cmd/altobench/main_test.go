@@ -6,8 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,13 +44,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-machines", "25"}, "-machines applies to e14 only"},
 		{[]string{"-clients", "6", "e14"}, "-clients applies to e15 only"},
 		{[]string{"-seeds", "0-3", "e1"}, "-seeds applies to e15 only"},
-		{[]string{"-trace", "t.json", "-workers", "2", "e1"}, "-trace shares one recorder"},
-		{[]string{"-trace", "t.json", "e1", "e2"}, "-trace takes exactly one id"},
-		{[]string{"-trace", "t.json"}, "-trace takes exactly one id"},
-		{[]string{"-trace", "t.json", "-scope", ".", "e1"}, "at most one of"},
+		{[]string{"-json", "-scope", ".", "e1"}, "at most one of"},
 		{[]string{"-json", "-seeds", "0-3"}, "at most one of"},
-		{[]string{"-metrics", "m.json", "e1"}, "-metrics needs -trace"},
-		{[]string{"-events", "64", "e1"}, "-events needs -trace or -scope"},
+		{[]string{"-events", "64", "e1"}, "-events needs -scope"},
+		{[]string{"-trace", "t.json", "e1"}, "flag provided but not defined: -trace"},
 		{[]string{"-seeds", "0-3", "-workers", "2"}, "-seeds runs at workers 1 and 2"},
 		{[]string{"-workers", "0", "e1"}, "-workers must be at least 1"},
 		{[]string{"-json", "results.json"}, `"results.json" is not an experiment id`},
@@ -62,7 +57,6 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"E3", "e6"}, ""},
 		{[]string{"-machines", "25", "-workers", "4", "e14"}, ""},
 		{[]string{"-clients", "6", "e15"}, ""},
-		{[]string{"-trace", "t.json", "-metrics", "m.json", "-events", "64", "e4"}, ""},
 		{[]string{"-workers", "8", "-events", "64", "-scope", ".", "e10", "e13"}, ""},
 		{[]string{"-seeds", "0-199", "-clients", "4"}, ""},
 		{[]string{"-seeds", "3", "e15"}, ""},
@@ -110,56 +104,18 @@ func TestJSON(t *testing.T) {
 	}
 }
 
-// runOnce executes one experiment as altobench -trace -metrics does and
-// returns the exported trace and metrics bytes.
-func runOnce(t *testing.T, id string) (traceJSON, metricsJSON []byte) {
-	t.Helper()
-	dir := t.TempDir()
-	tp, mp := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
-	altobench(t, "-trace", tp, "-metrics", mp, id)
-	tb, err := os.ReadFile(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := os.ReadFile(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb, mb
-}
-
-// TestTracesAreByteIdentical is the determinism contract: the recorder is
-// timed exclusively off the simulated clock, so two runs of the same
-// experiment must export exactly the same bytes, trace and metrics alike.
-func TestTracesAreByteIdentical(t *testing.T) {
-	for _, id := range []string{"e1", "e2", "e8", "e10", "e12", "e13"} {
-		t.Run(id, func(t *testing.T) {
-			t1, m1 := runOnce(t, id)
-			t2, m2 := runOnce(t, id)
-			if !bytes.Equal(t1, t2) {
-				t.Fatalf("%s: two runs exported different trace bytes (%d vs %d bytes)", id, len(t1), len(t2))
-			}
-			if !bytes.Equal(m1, m2) {
-				t.Fatalf("%s: two runs exported different metrics bytes:\n%s\n---\n%s", id, m1, m2)
-			}
-			if len(t1) == 0 || !bytes.Contains(t1, []byte(`"traceEvents"`)) {
-				t.Fatalf("%s: trace export does not look like a Chrome trace: %.80s", id, t1)
-			}
-		})
-	}
-}
-
 // TestTraceCarriesDiskEvents spot-checks that an experiment that touches the
-// disk actually lands events and counters in the export.
+// disk actually lands events and counters in its -scope recording and export.
 func TestTraceCarriesDiskEvents(t *testing.T) {
-	rec := trace.New(trace.DefaultEvents)
-	if _, err := experiments.Run("e1", 1, func(string) *trace.Recorder { return rec }); err != nil {
+	fleet := scope.NewFleet(trace.DefaultEvents)
+	if _, err := experiments.Run("e1", 1, fleet.Machine); err != nil {
 		t.Fatalf("run e1: %v", err)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("e1 recorded no events")
+	machines := fleet.Machines()
+	if len(machines) != 1 || machines[0].Rec.Len() == 0 {
+		t.Fatalf("e1 recorded no events on its one machine: %+v", machines)
 	}
-	snap := rec.Snapshot()
+	snap := machines[0].Rec.Snapshot()
 	if snap.Events == 0 {
 		t.Fatal("snapshot reports zero events")
 	}
@@ -172,12 +128,12 @@ func TestTraceCarriesDiskEvents(t *testing.T) {
 	if !sawOps {
 		t.Fatalf("no disk.ops counter in snapshot: %s", snap.Text())
 	}
-	var tb bytes.Buffer
-	if err := rec.WriteChromeTrace(&tb); err != nil {
+	traceJSON, _, _, err := render(scope.Merge(machines, 1))
+	if err != nil {
 		t.Fatalf("write trace: %v", err)
 	}
 	for _, want := range []string{`"cat":"disk"`, `"ph":"X"`, `"thread_name"`} {
-		if !strings.Contains(tb.String(), want) {
+		if !bytes.Contains(traceJSON, []byte(want)) {
 			t.Fatalf("trace export missing %s", want)
 		}
 	}

@@ -49,6 +49,19 @@ func (d *Dev) GoodSpan(c *sim.Clock) {
 	sp.End()
 }
 
+// GoodFlow pairs the charge with an instant on a causal flow.
+func (d *Dev) GoodFlow(c *sim.Clock) {
+	c.Advance(time.Millisecond)
+	d.rec.EmitFlow(c.Now(), trace.KindEtherSend, "fix", 0, 0, 1)
+}
+
+// GoodSpanFlow pairs the charge with a span on a causal flow.
+func (d *Dev) GoodSpanFlow(c *sim.Clock) {
+	start := c.Now()
+	c.Advance(time.Millisecond)
+	d.rec.EmitSpanFlow(start, c.Now()-start, trace.KindDiskOp, "fix", 0, 0, 1)
+}
+
 // GoodAccessor charges nothing: accessors and constructors pass without
 // special cases.
 func (d *Dev) GoodAccessor() int64 {

@@ -34,8 +34,7 @@ type netRig struct {
 // newNetRig wires the machine room to one clock with per-machine recorders:
 // the server's disk and station record into "server" and each client
 // station into "clientN"; a packet's send and fault verdicts belong to the
-// machine that sent it. Handing in a constant function collapses the room
-// onto a single recorder with identical event streams.
+// machine that sent it.
 func newNetRig(n int, machine func(string) *trace.Recorder) (*netRig, error) {
 	clock := sim.NewClock()
 	wire := ether.New(clock)
@@ -187,16 +186,9 @@ func netPattern(n, salt int) []byte {
 
 // e10LoadedServer runs 8 client stations hammering one file server over a
 // wire losing 10% of its packets (§1's open-system claim, under load). The
-// server and each client record into their own machine's recorder; counters
-// are summed across every distinct recorder, so the numbers come out the
-// same whether the run traced into one recorder or nine. The retransmit
-// evidence comes from those counters, so the run keeps a private recorder
-// when tracing is off.
+// server and each client record into their own machine's recorder, and the
+// retransmit evidence is the counters summed across the nine.
 func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, error) {
-	if machine == nil {
-		rec := trace.New(1 << 16)
-		machine = func(string) *trace.Recorder { return rec }
-	}
 	recs := newRecorders(machine)
 	const clients = 8
 	r, err := newNetRig(clients, recs.get)
@@ -272,11 +264,13 @@ func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, erro
 // It primes each client's file once (uncounted: disk formatting
 // and page-growth writes say nothing about the transport) and then measures
 // a phase of same-size overwrites and fetches — warm congestion windows,
-// chained interior disk transfers, the wire under real pressure. All
-// numbers are counter/clock deltas around the measured phase, so the same
-// recorder can persist across sweep points (altobench -trace hands in one;
-// see cmd/altobench's TestTracesAreByteIdentical).
-func e11LossSweep(tr *trace.Recorder) (*Result, error) {
+// chained interior disk transfers, the wire under real pressure. Every sweep
+// point builds the same three machines (server, client0, client1), so a
+// machine's recorder persists across the sweep; all numbers are clock
+// deltas and deltas of counters summed over the three, around the measured
+// phase.
+func e11LossSweep(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+	recs := newRecorders(machine)
 	res := &Result{
 		ID:    "E11",
 		Title: "steady-state goodput vs. packet loss",
@@ -287,11 +281,7 @@ func e11LossSweep(tr *trace.Recorder) (*Result, error) {
 	// cover), short enough that five sweep points stay cheap.
 	const fileBytes = 16*disk.PageBytes - 76
 	for _, lossPct := range []int{0, 5, 10, 15, 20} {
-		rec := tr
-		if rec == nil {
-			rec = trace.New(1 << 16)
-		}
-		r, err := newNetRig(2, func(string) *trace.Recorder { return rec })
+		r, err := newNetRig(2, recs.get)
 		if err != nil {
 			return nil, err
 		}
@@ -307,10 +297,10 @@ func e11LossSweep(tr *trace.Recorder) (*Result, error) {
 			return nil, fmt.Errorf("loss %d%% prime: %w", lossPct, err)
 		}
 		markClock := r.clock.Now()
-		markRetrans := rec.Counter("pup.retransmit")
-		markRexWords := rec.Counter("pup.retransmit.words")
-		markDataWords := rec.Counter("pup.data.words")
-		markEtherWords := rec.Counter("ether.words")
+		markRetrans := recs.counter("pup.retransmit")
+		markRexWords := recs.counter("pup.retransmit.words")
+		markDataWords := recs.counter("pup.data.words")
+		markEtherWords := recs.counter("ether.words")
 		scripts := make([][]netOp, 2)
 		for i := range scripts {
 			name := fmt.Sprintf("sweep%d", i)
@@ -328,10 +318,10 @@ func e11LossSweep(tr *trace.Recorder) (*Result, error) {
 			return nil, fmt.Errorf("loss %d%%: %w", lossPct, err)
 		}
 		phase := r.clock.Now() - markClock
-		retrans := rec.Counter("pup.retransmit") - markRetrans
-		rexWords := rec.Counter("pup.retransmit.words") - markRexWords
-		dataWords := rec.Counter("pup.data.words") - markDataWords
-		wireBusy := time.Duration(rec.Counter("ether.words")-markEtherWords) * ether.WireTime
+		retrans := recs.counter("pup.retransmit") - markRetrans
+		rexWords := recs.counter("pup.retransmit.words") - markRexWords
+		dataWords := recs.counter("pup.data.words") - markDataWords
+		wireBusy := time.Duration(recs.counter("ether.words")-markEtherWords) * ether.WireTime
 		if err := r.closeAll(); err != nil {
 			return nil, fmt.Errorf("loss %d%%: %w", lossPct, err)
 		}

@@ -32,13 +32,8 @@ func e13Word(sender, msg, i int) ether.Word {
 }
 
 // e13Saturation runs the saturation + fairness experiment. The sink and all
-// 24 senders each trace into their own machine's recorder; the run keeps a
-// private one when tracing is off, since its counters are evidence.
+// 24 senders each trace into their own machine's recorder.
 func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error) {
-	if machine == nil {
-		rec := trace.New(1 << 16)
-		machine = func(string) *trace.Recorder { return rec }
-	}
 	recs := newRecorders(machine)
 
 	clock := sim.NewClock()
@@ -76,11 +71,7 @@ func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error)
 		}
 		// One trace flow per stream, allocated on the sender's own machine,
 		// carried in every header — retransmissions included.
-		if mrec != nil {
-			conn.SetFlow(mrec.NextFlow())
-		} else {
-			conn.SetFlow(int64(i + 1))
-		}
+		conn.SetFlow(mrec.NextFlow())
 		senders[i] = &sender{ep: ep, conn: conn}
 	}
 

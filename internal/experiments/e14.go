@@ -79,9 +79,6 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	if machines < 1 {
 		return nil, fmt.Errorf("e14: need at least 1 client machine, got %d", machines)
 	}
-	if machine == nil {
-		machine = func(string) *trace.Recorder { return trace.New(1 << 10) }
-	}
 	recs := newRecorders(machine)
 
 	// The wire is shared; the fleet engine feeds it each window's horizon.

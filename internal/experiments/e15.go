@@ -95,9 +95,6 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	if clients < 1 {
 		return nil, fmt.Errorf("e15: need at least 1 client machine, got %d", clients)
 	}
-	if machine == nil {
-		machine = func(string) *trace.Recorder { return trace.New(1 << 10) }
-	}
 	recs := newRecorders(machine)
 
 	// One wire for both phases, losing a tenth of everything on it.

@@ -128,8 +128,10 @@ func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 func secs(d time.Duration) float64 { return d.Seconds() }
 
 // recorders hands out machine recorders and keeps each distinct one, so a
-// counter sums the same whether a run traced into one recorder or one per
-// machine: retransmits and drops live on the machines that sent the packets.
+// counter sums over every machine the run named: retransmits and drops live
+// on the machines that sent the packets. With no machine function each name
+// gets a private recorder, since those counters are the experiment's
+// evidence even when tracing is off.
 type recorders struct {
 	machine func(string) *trace.Recorder
 	seen    map[*trace.Recorder]bool
@@ -137,13 +139,22 @@ type recorders struct {
 }
 
 func newRecorders(machine func(string) *trace.Recorder) *recorders {
+	if machine == nil {
+		own := map[string]*trace.Recorder{}
+		machine = func(name string) *trace.Recorder {
+			if own[name] == nil {
+				own[name] = trace.New(1 << 10)
+			}
+			return own[name]
+		}
+	}
 	return &recorders{machine: machine, seen: map[*trace.Recorder]bool{}}
 }
 
 // get returns the named machine's recorder.
 func (rs *recorders) get(name string) *trace.Recorder {
 	r := rs.machine(name)
-	if r != nil && !rs.seen[r] {
+	if !rs.seen[r] {
 		rs.seen[r] = true
 		rs.all = append(rs.all, r)
 	}
@@ -162,11 +173,9 @@ func (rs *recorders) counter(name string) int64 {
 // Runner names one experiment and its entry point. Run executes it: workers
 // is the fleet engine's worker-pool width (experiments that run no fleet
 // ignore it; the schedule is identical at any width), and machine maps a
-// simulated machine's name to its flight recorder — nil turns tracing off,
-// and scope.Fleet.Machine gives each machine its own. Experiments that model
-// one machine record into machine("machine"). A machine function that hands
-// every name the same recorder keeps the event order deterministic only at
-// one worker.
+// simulated machine's name to its own flight recorder, as
+// scope.Fleet.Machine does — nil turns tracing off. Experiments that model
+// one machine record into machine("machine").
 type Runner struct {
 	ID    string
 	Title string
@@ -195,7 +204,7 @@ var registry = []Runner{
 	{ID: "e8", Title: "fault injection", Run: single(e8Robustness)},
 	{ID: "e9", Title: "installed hints", Run: single(e9InstalledHints)},
 	{ID: "e10", Title: "loaded file server over a lossy wire", Run: e10LoadedServer},
-	{ID: "e11", Title: "goodput vs. packet loss", Run: single(e11LossSweep)},
+	{ID: "e11", Title: "goodput vs. packet loss", Run: e11LossSweep},
 	{ID: "e12", Title: "exhaustive crash-point sweep", Run: single(e12CrashSweep)},
 	{ID: "e13", Title: "segment saturation and fairness", Run: e13Saturation},
 	{ID: "e14", Title: "fleet fan-in: a hundred Altos on one file server", Run: e14FleetFanIn},

@@ -25,9 +25,10 @@ const goldenHeader = `# SHA-256 of every artifact TestGolden regenerates, one "n
 
 // TestGolden is "nothing moved" as one test. It builds altobench, the
 // examples and the pack CLIs, regenerates every artifact they write — each
-// experiment's Chrome trace, metrics snapshot and -json document, E10's four
-// -scope artifacts, each example's stdout, and each step's stdout and the
-// final image of README's CLI session — and compares their digests with
+// experiment's -json document and its four -workers 2 -scope artifacts
+// (merged Chrome trace, collapsed stacks, top table, metrics), each
+// example's stdout, and each step's stdout and the final image of README's
+// CLI session — and compares their digests with
 // testdata/golden.txt. A failure names every moved artifact and reports the
 // first differing golden line the way TestDeterminism reports a divergence.
 func TestGolden(t *testing.T) {
@@ -130,20 +131,12 @@ func goldenDigests(t *testing.T) []string {
 	add := func(name string, data []byte) {
 		digests = append(digests, fmt.Sprintf("%s %x", name, sha256.Sum256(data)))
 	}
+	run("altobench", "-workers", "2", "-scope", out)
 	for _, id := range IDs() {
-		tr, mt := filepath.Join(out, id+".trace.json"), filepath.Join(out, id+".metrics.json")
-		run("altobench", "-trace", tr, "-metrics", mt, id)
-		add(id+".trace.json", readFile(tr))
-		add(id+".metrics.json", readFile(mt))
 		add(id+".json", run("altobench", "-json", id))
-	}
-	scopeDir := filepath.Join(out, "scope")
-	if err := os.Mkdir(scopeDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	run("altobench", "-workers", "2", "-scope", scopeDir, "e10")
-	for _, suffix := range []string{".trace.json", ".collapsed", ".profile.txt", ".metrics.txt"} {
-		add("scope/e10"+suffix, readFile(filepath.Join(scopeDir, "e10"+suffix)))
+		for _, suffix := range []string{".trace.json", ".collapsed", ".profile.txt", ".metrics.txt"} {
+			add("scope/"+id+suffix, readFile(filepath.Join(out, id+suffix)))
+		}
 	}
 	for _, ex := range examples {
 		name := filepath.Base(ex)

@@ -11,8 +11,8 @@
 // timer off the shared simulated clock during Poll. There are no
 // goroutines, no wall-clock timers, and no map-order dependence: two runs
 // of the same workload retransmit the same packets at the same simulated
-// times (cmd/altobench's TestTracesAreByteIdentical asserts the property
-// byte-for-byte).
+// times (internal/experiments' TestDeterminism asserts the property
+// event-for-event).
 //
 // Reliability mechanics, v2 — selective repeat instead of go-back-N:
 //

@@ -656,8 +656,8 @@ func TestRTOAdaptation(t *testing.T) { rtoAdaptation(t) }
 
 // TestEdgeCaseReplayByteIdentity re-runs every Force-scripted edge case and
 // demands the second run's trace is event-for-event identical to the first
-// — the property cmd/altobench's TestTracesAreByteIdentical holds over
-// whole experiments, held at the unit level where the edge cases live.
+// — the property internal/experiments' TestDeterminism holds over whole
+// experiments, held at the unit level where the edge cases live.
 func TestEdgeCaseReplayByteIdentity(t *testing.T) {
 	scenarios := []struct {
 		name string

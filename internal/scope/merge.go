@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,6 +134,19 @@ type chromeEvent struct {
 	Args  map[string]int64 `json:"args,omitempty"`
 }
 
+// lanes are the category lanes each machine's process shows, in display
+// order; a category's thread id is its 1-based position here, and unknown
+// categories share the lane after the named ones.
+var lanes = []string{"disk", "scavenge", "zone", "stream", "swap", "ether", "fileserver", "crashpoint"}
+
+// lane returns the thread id category cat renders on.
+func lane(cat string) int {
+	if i := slices.Index(lanes, cat); i >= 0 {
+		return i + 1
+	}
+	return len(lanes) + 1
+}
+
 // usec converts simulated time to trace_event microseconds.
 func usec(d time.Duration) float64 { return float64(d) / 1e3 }
 
@@ -184,10 +198,9 @@ func (m *Merged) WriteChrome(w io.Writer) error {
 		return flush(string(b))
 	}
 
-	lanes := trace.Lanes()
 	for i := range m.machines {
-		// process_name wants a string arg; write it by hand like the
-		// single-machine exporter does.
+		// process_name and thread_name want a string arg, which
+		// chromeEvent.Args cannot hold; write them by hand.
 		if err := flush(fmt.Sprintf(`{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"pid":%d,"tid":0,"args":{"name":%q}}`,
 			i+1, m.machines[i].name)); err != nil {
 			return err
@@ -215,7 +228,7 @@ func (m *Merged) WriteChrome(w io.Writer) error {
 			Cat:  ev.Kind.Category(),
 			Ts:   usec(ev.T),
 			Pid:  me.machine + 1,
-			Tid:  trace.LaneIndex(ev.Kind.Category()),
+			Tid:  lane(ev.Kind.Category()),
 			Args: map[string]int64{a0n: ev.A0, a1n: ev.A1},
 		}
 		if ce.Name == "" {

@@ -1,7 +1,7 @@
 // Package scope is the fleet observability layer: it takes the per-machine
-// flight recorders of a multi-machine run (each machine one internal/trace
-// Recorder, all timed off the one shared sim.Clock) and produces the three
-// artifacts that make a cross-machine run debuggable:
+// flight recorders of a run (each machine one internal/trace Recorder,
+// timed off that machine's sim.Clock; fleet machines each run on their own)
+// and produces the three artifacts that make a cross-machine run debuggable:
 //
 //   - one merged Chrome trace_event document, one process per machine, with
 //     the causal flows stitched across machines as ph:s/t/f arrow events —

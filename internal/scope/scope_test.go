@@ -2,6 +2,7 @@ package scope
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,93 @@ func TestMergeReportsRingEviction(t *testing.T) {
 	tj, _, _ := render(t, f.Machines(), 1)
 	if !strings.Contains(tj, `"name":"ring-evicted"`) || !strings.Contains(tj, `"dropped":6`) {
 		t.Errorf("merged trace does not self-describe eviction:\n%s", tj)
+	}
+}
+
+// TestChromeTraceSelfDescribesEviction: a one-machine export says whether
+// its ring wrapped — a metadata instant carrying the dropped count — so a
+// truncated timeline is never mistaken for a quiet machine, and a ring that
+// did not wrap stays silent about eviction.
+func TestChromeTraceSelfDescribesEviction(t *testing.T) {
+	r := trace.New(4)
+	for i := 0; i < 10; i++ {
+		r.Emit(time.Duration(i)*time.Millisecond, trace.KindDiskOp, "op", int64(i), 0)
+	}
+	tj, _, _ := render(t, []MachineTrace{{Name: "m", Rec: r}}, 1)
+	for _, want := range []string{`"name":"ring-evicted"`, `"dropped":6`} {
+		if !strings.Contains(tj, want) {
+			t.Errorf("export of a wrapped ring lacks %s:\n%s", want, tj)
+		}
+	}
+	q := trace.New(4)
+	q.Emit(0, trace.KindDiskOp, "op", 1, 0)
+	if tj, _, _ := render(t, []MachineTrace{{Name: "m", Rec: q}}, 1); strings.Contains(tj, "ring-evicted") {
+		t.Errorf("export of an unwrapped ring claims eviction:\n%s", tj)
+	}
+}
+
+// TestChromeTraceShape pins one machine's export: its process name, one
+// thread name per lane, then its events in order — a span as ph X with its
+// duration, an instant as ph i, both in microseconds of simulated time.
+func TestChromeTraceShape(t *testing.T) {
+	f := NewFleet(16)
+	r := f.Machine("m")
+	r.EmitSpan(40*time.Millisecond, 5*time.Millisecond, trace.KindDiskOp, "check/read", 123, 0)
+	r.Emit(45*time.Millisecond, trace.KindCheckFail, "label", 123, 2)
+	tj, _, _ := render(t, f.Machines(), 1)
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(tj), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v\n%s", err, tj)
+	}
+	// process_name, one thread_name per lane, and the 2 real events.
+	if want := 1 + len(lanes) + 2; len(doc.TraceEvents) != want {
+		t.Fatalf("got %d trace events, want %d", len(doc.TraceEvents), want)
+	}
+	span := doc.TraceEvents[1+len(lanes)]
+	if span["ph"] != "X" || span["ts"].(float64) != 40000 || span["dur"].(float64) != 5000 || span["tid"].(float64) != 1 {
+		t.Errorf("span event wrong: %v", span)
+	}
+	inst := doc.TraceEvents[2+len(lanes)]
+	if inst["ph"] != "i" || inst["cat"] != "disk" {
+		t.Errorf("instant event wrong: %v", inst)
+	}
+}
+
+// TestNilRecorderMergesToValidJSON: a machine whose recorder is nil (tracing
+// off) still exports a loadable document.
+func TestNilRecorderMergesToValidJSON(t *testing.T) {
+	tj, _, _ := render(t, []MachineTrace{{Name: "off"}}, 1)
+	if !json.Valid([]byte(tj)) {
+		t.Fatalf("empty trace is not valid JSON: %s", tj)
+	}
+}
+
+// TestExportDeterminism: identical emission sequences yield byte-identical
+// exports, trace and metrics snapshot alike (internal/experiments'
+// TestDeterminism and TestGolden assert the same over whole experiments).
+func TestExportDeterminism(t *testing.T) {
+	kinds := []trace.Kind{trace.KindSeek, trace.KindDiskOp, trace.KindCheckFail, trace.KindEtherSend, trace.KindFSRequest}
+	build := func() []MachineTrace {
+		f := NewFleet(64)
+		r := f.Machine("m")
+		for i := 0; i < 40; i++ {
+			r.Emit(time.Duration(i)*time.Millisecond, kinds[i%len(kinds)], "e", int64(i), int64(i*i))
+			r.Add("counter.a", int64(i))
+			r.Add("counter.b", 1)
+			r.Observe("hist", float64(i))
+		}
+		return f.Machines()
+	}
+	a, b := build(), build()
+	ta, _, _ := render(t, a, 1)
+	tb, _, _ := render(t, b, 1)
+	if ta != tb {
+		t.Error("identical recordings exported different trace bytes")
+	}
+	if a[0].Rec.Snapshot().Text() != b[0].Rec.Snapshot().Text() {
+		t.Error("identical recordings exported different metrics bytes")
 	}
 }
 

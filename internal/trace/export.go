@@ -1,158 +1,28 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Exporters. Two formats:
-//
-//   - Chrome trace_event JSON (WriteChromeTrace): load the file in
-//     chrome://tracing (or https://ui.perfetto.dev) to see the storage
-//     stack on a timeline, one lane per subsystem, in simulated time.
-//   - A metrics snapshot (Snapshot + WriteText/WriteJSON): counters and
-//     histograms, sorted by name.
-//
-// Both are deterministic: events go out in recorded order, names in sorted
-// order, and every number formats the same way on every run. Byte-identical
-// output for identical workloads is part of the package contract.
-
-// chromeEvent is one trace_event entry. Field order fixes the JSON shape;
-// args is a map, which encoding/json marshals with sorted keys.
-type chromeEvent struct {
-	Name  string           `json:"name"`
-	Cat   string           `json:"cat"`
-	Ph    string           `json:"ph"`
-	Ts    float64          `json:"ts"`
-	Dur   *float64         `json:"dur,omitempty"`
-	Pid   int              `json:"pid"`
-	Tid   int              `json:"tid"`
-	Scope string           `json:"s,omitempty"`
-	Args  map[string]int64 `json:"args,omitempty"`
-}
-
-// lanes maps a category to its thread id, so each subsystem renders as one
-// named lane. Order here is display order in the viewer.
-var lanes = []string{"disk", "scavenge", "zone", "stream", "swap", "ether", "fileserver", "crashpoint"}
-
-func laneOf(cat string) int {
-	for i, c := range lanes {
-		if c == cat {
-			return i + 1
-		}
-	}
-	return len(lanes) + 1
-}
-
-// Lanes returns the category lanes in display order, for exporters outside
-// the package (the fleet merger names the same lanes per machine).
-func Lanes() []string { return append([]string(nil), lanes...) }
-
-// LaneIndex returns the 1-based thread id a category renders on; unknown
-// categories share the lane after the named ones.
-func LaneIndex(cat string) int { return laneOf(cat) }
-
-// usec converts simulated time to trace_event microseconds.
-func usec(d time.Duration) float64 { return float64(d) / 1e3 }
-
-// WriteChromeTrace writes the ring's events as a Chrome trace_event JSON
-// document, one event per line.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	writeEv := func(ev chromeEvent, last bool) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		sep := ",\n"
-		if last {
-			sep = "\n"
-		}
-		_, err = io.WriteString(bw, sep)
-		return err
-	}
-
-	events := r.Events() // nil receiver yields an empty trace
-	dropped := r.Snapshot().Dropped
-	// Name the lanes first, so the viewer shows subsystems, not numbers.
-	for i, cat := range lanes {
-		// thread_name metadata wants a string arg; emit it by hand since
-		// chromeEvent.Args is numeric.
-		b := fmt.Sprintf(`{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":1,"tid":%d,"args":{"name":%q}}`,
-			i+1, cat)
-		sep := ",\n"
-		if dropped == 0 && len(events) == 0 && i == len(lanes)-1 {
-			sep = "\n"
-		}
-		if _, err := io.WriteString(bw, b+sep); err != nil {
-			return err
-		}
-	}
-	// A ring that evicted self-describes it up front: a truncated trace must
-	// be distinguishable from a short run without consulting the metrics
-	// snapshot. The instant lands at ts 0 with process scope, ahead of every
-	// surviving event.
-	if dropped > 0 {
-		ev := chromeEvent{Name: "ring-evicted", Cat: "__metadata", Ph: "i", Pid: 1, Tid: 0,
-			Scope: "p", Args: map[string]int64{"dropped": dropped}}
-		if err := writeEv(ev, len(events) == 0); err != nil {
-			return err
-		}
-	}
-	for i, ev := range events {
-		a0n, a1n := ev.Kind.ArgNames()
-		ce := chromeEvent{
-			Name: ev.Name,
-			Cat:  ev.Kind.Category(),
-			Ts:   usec(ev.T),
-			Pid:  1,
-			Tid:  laneOf(ev.Kind.Category()),
-			Args: map[string]int64{a0n: ev.A0, a1n: ev.A1},
-		}
-		if ce.Name == "" {
-			ce.Name = ev.Kind.String()
-		}
-		if ev.Flow != 0 {
-			ce.Args["flow"] = ev.Flow
-		}
-		if ev.Dur > 0 {
-			d := usec(ev.Dur)
-			ce.Ph, ce.Dur = "X", &d
-		} else {
-			ce.Ph, ce.Scope = "i", "t"
-		}
-		if err := writeEv(ce, i == len(events)-1); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(bw, "]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+// The metrics snapshot (Snapshot + WriteText): counters and histograms,
+// sorted by name, every number formatted the same way on every run, so
+// identical workloads snapshot to identical bytes. The Chrome trace of a
+// run's events is internal/scope's job.
 
 // CounterSnap is one counter in a metrics snapshot.
 type CounterSnap struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
+	Name  string
+	Value int64
 }
 
 // BucketSnap is one non-empty histogram bucket: Count samples with
 // value < Lt (and >= the previous bucket's bound).
 type BucketSnap struct {
-	Lt    float64 `json:"lt"`
-	Count int64   `json:"count"`
+	Lt    float64
+	Count int64
 }
 
 // HistSnap is one histogram in a metrics snapshot. P50/P90/P99 are derived
@@ -160,15 +30,11 @@ type BucketSnap struct {
 // cumulative count crosses the quantile, clamped to the observed [Min, Max]
 // — a deterministic integer computation, so snapshots stay byte-identical.
 type HistSnap struct {
-	Name    string       `json:"name"`
-	Count   int64        `json:"count"`
-	Sum     float64      `json:"sum"`
-	Min     float64      `json:"min"`
-	Max     float64      `json:"max"`
-	P50     float64      `json:"p50"`
-	P90     float64      `json:"p90"`
-	P99     float64      `json:"p99"`
-	Buckets []BucketSnap `json:"buckets,omitempty"`
+	Name          string
+	Count         int64
+	Sum, Min, Max float64
+	P50, P90, P99 float64
+	Buckets       []BucketSnap
 }
 
 // Mean returns the histogram's average sample.
@@ -206,10 +72,10 @@ func (h HistSnap) quantile(q int64) float64 {
 
 // Metrics is a point-in-time copy of the recorder's aggregates.
 type Metrics struct {
-	Events     int64         `json:"events"`
-	Dropped    int64         `json:"dropped"`
-	Counters   []CounterSnap `json:"counters"`
-	Histograms []HistSnap    `json:"histograms"`
+	Events     int64
+	Dropped    int64
+	Counters   []CounterSnap
+	Histograms []HistSnap
 }
 
 // Snapshot copies the counters and histograms, sorted by name. A nil
@@ -239,16 +105,6 @@ func (r *Recorder) Snapshot() Metrics {
 	}
 	sort.Slice(m.Histograms, func(i, j int) bool { return m.Histograms[i].Name < m.Histograms[j].Name })
 	return m
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (m Metrics) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
 }
 
 // WriteText writes the snapshot as aligned name/value lines for terminals

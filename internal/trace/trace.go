@@ -1,9 +1,10 @@
 // Package trace is the flight recorder for the simulated machine: a
 // zero-dependency, deterministic event-tracing and metrics layer timed
 // exclusively off sim.Clock. The disk, scavenger, zones, streams, swapper
-// and network emit typed events into a fixed-capacity ring buffer, and
-// exporters turn the recording into a Chrome trace_event file (for
-// chrome://tracing) or a compact metrics snapshot.
+// and network emit typed events into a fixed-capacity ring buffer; the
+// recorder keeps a compact metrics snapshot, and internal/scope merges each
+// machine's recording into one Chrome trace_event file (for
+// chrome://tracing).
 //
 // The paper explains the system almost entirely through timing arguments —
 // label checks cost "one more revolution", scavenging "takes about a
@@ -14,8 +15,8 @@
 // virtual clock the hardware models advance), never the host's wall clock,
 // and the exporters iterate in recorded or sorted order only. Two runs of
 // the same workload therefore produce byte-identical traces; a trace diff
-// is a behaviour diff. cmd/altobench's TestTracesAreByteIdentical asserts
-// this property over whole experiments.
+// is a behaviour diff. internal/experiments' TestDeterminism and TestGolden
+// assert this property over whole experiments.
 //
 // A nil *Recorder is a valid no-op recorder: every method checks the
 // receiver, so instrumented hot paths pay one branch when tracing is off.

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -26,13 +24,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	m := r.Snapshot()
 	if m.Events != 0 || len(m.Counters) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", m)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatalf("empty trace is not valid JSON: %s", buf.String())
 	}
 }
 
@@ -134,34 +125,6 @@ func TestCountersAndHistograms(t *testing.T) {
 	}
 }
 
-func TestChromeTraceShape(t *testing.T) {
-	r := New(16)
-	r.EmitSpan(40*time.Millisecond, 5*time.Millisecond, KindDiskOp, "check/read", 123, 0)
-	r.Emit(45*time.Millisecond, KindCheckFail, "label", 123, 2)
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	// One lane-name metadata event per named lane + 2 real ones.
-	if want := len(lanes) + 2; len(doc.TraceEvents) != want {
-		t.Fatalf("got %d trace events, want %d", len(doc.TraceEvents), want)
-	}
-	span := doc.TraceEvents[len(lanes)]
-	if span["ph"] != "X" || span["ts"].(float64) != 40000 || span["dur"].(float64) != 5000 {
-		t.Errorf("span event wrong: %v", span)
-	}
-	inst := doc.TraceEvents[len(lanes)+1]
-	if inst["ph"] != "i" || inst["cat"] != "disk" {
-		t.Errorf("instant event wrong: %v", inst)
-	}
-}
-
 // TestHistogramPercentiles pins the bucket-derived quantiles: each is the
 // upper bound of the log₂ bucket where the cumulative count crosses the
 // quantile, clamped to the observed extremes — integer math only, so two
@@ -194,79 +157,6 @@ func TestHistogramPercentiles(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("text snapshot missing %q:\n%s", want, text)
 		}
-	}
-	var jb bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jb.String(), `"p50": 2`) {
-		t.Errorf("JSON snapshot missing p50:\n%s", jb.String())
-	}
-}
-
-// TestChromeTraceSelfDescribesEviction: a ring that wrapped must say so in
-// its own export — a metadata instant carrying the dropped count — so a
-// truncated timeline is never mistaken for a quiet machine.
-func TestChromeTraceSelfDescribesEviction(t *testing.T) {
-	r := New(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(time.Duration(i)*time.Millisecond, KindDiskOp, "op", int64(i), 0)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"name":"ring-evicted"`, `"dropped":6`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("export of a wrapped ring lacks %s:\n%s", want, buf.String())
-		}
-	}
-	// And a ring that did not wrap stays silent about eviction.
-	var quiet bytes.Buffer
-	q := New(4)
-	q.Emit(0, KindDiskOp, "op", 1, 0)
-	if err := q.WriteChromeTrace(&quiet); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(quiet.String(), "ring-evicted") {
-		t.Error("export of an unwrapped ring claims eviction")
-	}
-}
-
-// TestExportDeterminism is the package-level contract: identical emission
-// sequences yield byte-identical exports (cmd/altobench's
-// TestTracesAreByteIdentical asserts the same end-to-end over whole
-// experiments).
-func TestExportDeterminism(t *testing.T) {
-	build := func() *Recorder {
-		r := New(64)
-		for i := 0; i < 40; i++ {
-			r.Emit(time.Duration(i)*time.Millisecond, Kind(i%int(numKinds)), "e", int64(i), int64(i*i))
-			r.Add("counter.a", int64(i))
-			r.Add("counter.b", 1)
-			r.Observe("hist", float64(i))
-		}
-		return r
-	}
-	var t1, t2, m1, m2 bytes.Buffer
-	a, b := build(), build()
-	if err := a.WriteChromeTrace(&t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteChromeTrace(&t2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(t1.Bytes(), t2.Bytes()) {
-		t.Error("identical recordings exported different trace bytes")
-	}
-	if err := a.Snapshot().WriteJSON(&m1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Snapshot().WriteJSON(&m2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(m1.Bytes(), m2.Bytes()) {
-		t.Error("identical recordings exported different metrics bytes")
 	}
 }
 

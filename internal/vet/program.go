@@ -52,7 +52,8 @@ type funcFacts struct {
 	// tracecover keys on.
 	simWork bool
 	// emitPkgs: module packages containing a trace emission site (Recorder
-	// Emit/EmitSpan/Add/Observe/Begin, Span End/EndWith) the function may
+	// Emit/EmitSpan/EmitFlow/EmitSpanFlow/Add/Observe/Begin, Span
+	// End/EndWith) the function may
 	// reach. tracecover requires an operation in package P to reach an
 	// emission attributed to P, not merely one buried in a lower layer.
 	emitPkgs map[string]bool
@@ -280,13 +281,14 @@ func (p *Program) resolve(callee *types.Func) []*types.Func {
 }
 
 // isTraceEmission reports whether fn is a flight-recorder emission method:
-// trace.Recorder Emit/EmitSpan/Add/Observe/Begin or trace.Span End/EndWith.
+// trace.Recorder Emit/EmitSpan/EmitFlow/EmitSpanFlow/Add/Observe/Begin or
+// trace.Span End/EndWith.
 func isTraceEmission(m *Module, fn *types.Func) bool {
 	if fn.Pkg() == nil || fn.Pkg().Path() != m.Path+"/internal/trace" {
 		return false
 	}
 	switch fn.Name() {
-	case "Emit", "EmitSpan", "Add", "Observe", "Begin", "End", "EndWith":
+	case "Emit", "EmitSpan", "EmitFlow", "EmitSpanFlow", "Add", "Observe", "Begin", "End", "EndWith":
 		return true
 	}
 	return false
