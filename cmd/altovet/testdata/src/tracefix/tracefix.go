@@ -12,6 +12,13 @@ import (
 	"altoos/internal/trace"
 )
 
+// The fixture's interned counter and histogram: a bump through a handle is
+// an emission like any other.
+var (
+	cOp      = trace.NewCounter("fix.op")
+	hLatency = trace.NewHist("fix.latency")
+)
+
 // Dev is a stand-in device: per-machine state plus its recorder.
 type Dev struct {
 	rec *trace.Recorder
@@ -39,7 +46,23 @@ func BadDeep(c *sim.Clock) { // want "exported BadDeep charges simulated time bu
 func (d *Dev) GoodOp(c *sim.Clock) {
 	c.Advance(2 * time.Millisecond)
 	d.ops++
-	d.rec.Add("fix.op", 1)
+	d.rec.Add(cOp, 1)
+}
+
+// GoodHandleBump's only emission is a counter bump through the handle, in
+// a helper: reachability finds it there.
+func (d *Dev) GoodHandleBump(c *sim.Clock) {
+	c.Advance(time.Millisecond)
+	d.count()
+}
+
+// count bumps the fixture's counter by handle.
+func (d *Dev) count() { d.rec.Add(cOp, 1) }
+
+// GoodObserve's only emission is a histogram sample through its handle.
+func (d *Dev) GoodObserve(c *sim.Clock) {
+	c.Advance(time.Millisecond)
+	d.rec.Observe(hLatency, 1)
 }
 
 // GoodSpan pairs the charge with a span.

@@ -71,7 +71,7 @@ func (r *Replica) AuditRound(sync, idle func()) (AuditOutcome, error) {
 			// An unreachable peer sits this round out; its copies are
 			// neither voted on nor treated as missing.
 			out.Unreachable++
-			r.rec.Add("cluster.audit.unreachable", 1)
+			r.rec.Add(cAuditUnreachable, 1)
 			continue
 		}
 		digs, err := fileserver.ParseDigests(data)
@@ -92,7 +92,7 @@ func (r *Replica) AuditRound(sync, idle func()) (AuditOutcome, error) {
 			// The authority went silent mid-heal: the file stays
 			// divergent, and the next round retries it.
 			out.Unreachable++
-			r.rec.Add("cluster.audit.unreachable", 1)
+			r.rec.Add(cAuditUnreachable, 1)
 			continue
 		}
 		out.Healed++
@@ -100,8 +100,8 @@ func (r *Replica) AuditRound(sync, idle func()) (AuditOutcome, error) {
 
 	r.rec.EmitSpanFlow(start, r.clock.Now()-start, trace.KindClusterAudit, r.Name(),
 		int64(len(r.peers)-out.Unreachable), int64(out.Divergent), flow)
-	r.rec.Add("cluster.round", 1)
-	r.rec.Add("cluster.divergence", int64(out.Divergent))
+	r.rec.Add(cRound, 1)
+	r.rec.Add(cDivergence, int64(out.Divergent))
 	return out, nil
 }
 
@@ -122,8 +122,8 @@ func (r *Replica) heal(rep repair, flow int64, sync, idle func()) (bool, error) 
 	r.lastHealR = r.rounds
 	r.rec.EmitSpanFlow(start, r.clock.Now()-start, trace.KindClusterHeal, rep.name,
 		int64(rep.authority), int64(len(data)), flow)
-	r.rec.Add("cluster.heal", 1)
-	r.rec.Add("cluster.heal.bytes", int64(len(data)))
+	r.rec.Add(cHeal, 1)
+	r.rec.Add(cHealBytes, int64(len(data)))
 	return true, nil
 }
 

@@ -87,7 +87,7 @@ func (c *Client) Store(name string, data []byte, wait WaitFunc) error {
 	if stored == 0 {
 		return fmt.Errorf("cluster: store %q: every replica skipped", name)
 	}
-	c.rec().Add("cluster.client.store", 1)
+	c.rec().Add(cClientStore, 1)
 	return nil
 }
 
@@ -118,7 +118,7 @@ func (c *Client) Fetch(name string, wait WaitFunc) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		c.rec().Add("cluster.client.fetch", 1)
+		c.rec().Add(cClientFetch, 1)
 		return data, nil
 	}
 	if lastErr == nil {

@@ -30,6 +30,22 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cAuditUnreachable = trace.NewCounter("cluster.audit.unreachable")
+	cClientFetch      = trace.NewCounter("cluster.client.fetch")
+	cClientStore      = trace.NewCounter("cluster.client.store")
+	cDivergence       = trace.NewCounter("cluster.divergence")
+	cFormat           = trace.NewCounter("cluster.format")
+	cHeal             = trace.NewCounter("cluster.heal")
+	cHealBytes        = trace.NewCounter("cluster.heal.bytes")
+	cPollWork         = trace.NewCounter("cluster.poll.work")
+	cReadLocal        = trace.NewCounter("cluster.read.local")
+	cReboot           = trace.NewCounter("cluster.reboot")
+	cRound            = trace.NewCounter("cluster.round")
+	cStoreLocal       = trace.NewCounter("cluster.store.local")
+)
+
 // Config describes a cluster to build.
 type Config struct {
 	// Shards and Replicas fix the placement map: Shards×Replicas machines.
@@ -194,7 +210,7 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 	if !shared {
 		r.clock.Reset()
 	}
-	r.rec.Add("cluster.format", 1)
+	r.rec.Add(cFormat, 1)
 	return r, nil
 }
 
@@ -212,7 +228,7 @@ func (r *Replica) Reboot() error {
 	r.fs = fs
 	r.srv = fileserver.NewServer(fs, pup.NewEndpoint(r.srvSt, pup.Config{}))
 	r.audEp = pup.NewEndpoint(r.audSt, r.audCfg)
-	r.rec.Add("cluster.reboot", 1)
+	r.rec.Add(cReboot, 1)
 	return nil
 }
 
@@ -229,7 +245,7 @@ func (r *Replica) Poll() (bool, error) {
 		return true, err
 	}
 	if worked || w2 {
-		r.rec.Add("cluster.poll.work", 1)
+		r.rec.Add(cPollWork, 1)
 	}
 	return worked || w2, nil
 }

@@ -60,7 +60,7 @@ func StoreLocal(fs *file.FS, name string, data []byte) error {
 		return fmt.Errorf("sync %q failed", name)
 	}
 	if drv, ok := fs.Device().(*disk.Drive); ok {
-		drv.TraceRecorder().Add("cluster.store.local", 1)
+		drv.TraceRecorder().Add(cStoreLocal, 1)
 	}
 	return nil
 }
@@ -86,7 +86,7 @@ func ReadLocal(fs *file.FS, name string) ([]byte, error) {
 		out = ether.AppendBytes(out, buf[:], n)
 	}
 	if drv, ok := fs.Device().(*disk.Drive); ok {
-		drv.TraceRecorder().Add("cluster.read.local", 1)
+		drv.TraceRecorder().Add(cReadLocal, 1)
 	}
 	return out, nil
 }

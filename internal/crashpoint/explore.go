@@ -12,6 +12,14 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cPoints     = trace.NewCounter("crashpoint.points")
+	cRepairs    = trace.NewCounter("crashpoint.repairs")
+	cRuns       = trace.NewCounter("crashpoint.runs")
+	cViolations = trace.NewCounter("crashpoint.violations")
+)
+
 // Options configures one exploration sweep.
 type Options struct {
 	// Points caps how many crash points are explored; <= 0 (or more than
@@ -286,9 +294,9 @@ func emitTrace(rec *trace.Recorder, name string, res *Result) {
 		}
 		rec.EmitSpan(off, o.sim, trace.KindCrashExplore, label, int64(o.Point), int64(len(o.Violations)))
 		off += o.sim
-		rec.Add("crashpoint.runs", 1)
-		rec.Add("crashpoint.violations", int64(len(o.Violations)))
-		rec.Add("crashpoint.repairs", int64(o.Repairs.Total()))
+		rec.Add(cRuns, 1)
+		rec.Add(cViolations, int64(len(o.Violations)))
+		rec.Add(cRepairs, int64(o.Repairs.Total()))
 	}
-	rec.Add("crashpoint.points", int64(len(res.Points)))
+	rec.Add(cPoints, int64(len(res.Points)))
 }

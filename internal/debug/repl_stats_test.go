@@ -15,8 +15,8 @@ import (
 func TestREPLStats(t *testing.T) {
 	w := newWorld(t)
 	rec := trace.New(256)
-	rec.Add("disk.ops", 42)
-	rec.Observe("disk.op.revs", 1.5)
+	rec.Add(trace.NewCounter("disk.ops"), 42)
+	rec.Observe(trace.NewHist("disk.op.revs"), 1.5)
 	w.dbg.Trace = rec
 	out := replSession(t, w, "stats\nq\n")
 	for _, want := range []string{"events", "disk.ops", "42", "disk.op.revs", "p50=", "p99="} {

@@ -117,7 +117,7 @@ func (d *Drive) DoChain(ops []Op, mode ChainMode) []error {
 		now := d.clock.Now()
 		d.rec.EmitSpan(chainStart, now-chainStart, trace.KindDiskChain,
 			mode.String(), int64(len(ops)), failures)
-		d.rec.Add("disk.chains", 1)
+		d.rec.Add(cChains, 1)
 	}
 	return errs
 }

@@ -130,15 +130,15 @@ func (d *denseDrive) traceOp(op *Op, start time.Duration, err error) {
 	case errors.Is(err, ErrBadSector):
 		outcome = opBadSector
 		d.rec.Emit(now, trace.KindBadSector, "", int64(op.Addr), outcome)
-		d.rec.Add("disk.bad_sector", 1)
+		d.rec.Add(cBadSector, 1)
 	case errors.Is(err, ErrCrashed):
 		outcome = opCrashed
 	default:
 		outcome = opError
 	}
 	d.rec.EmitSpan(start, now-start, trace.KindDiskOp, opName(op), int64(op.Addr), outcome)
-	d.rec.Add("disk.ops", 1)
-	d.rec.Observe("disk.op.revs", float64(now-start)/float64(d.geom.RevTime))
+	d.rec.Add(cOps, 1)
+	d.rec.Observe(hOpRevs, float64(now-start)/float64(d.geom.RevTime))
 }
 
 func (d *denseDrive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
@@ -163,7 +163,7 @@ func (d *denseDrive) doPart(addr VDA, part Part, a Action, dst, mem []Word) erro
 				d.stats.CheckFail++
 				if d.rec != nil {
 					d.rec.Emit(d.clock.Now(), trace.KindCheckFail, part.String(), int64(addr), int64(i))
-					d.rec.Add("disk.check.fail", 1)
+					d.rec.Add(cCheckFail, 1)
 				}
 				return &CheckError{Addr: addr, Part: part, WordIdx: i, Expected: mem[i], OnDisk: dst[i]}
 			}
@@ -178,7 +178,7 @@ func (d *denseDrive) doPart(addr VDA, part Part, a Action, dst, mem []Word) erro
 			d.stats.CrashedWrites++
 			if d.rec != nil {
 				d.rec.Emit(d.clock.Now(), trace.KindCrashWrite, part.String(), int64(addr), d.writeSeq)
-				d.rec.Add("disk.write.crashed", 1)
+				d.rec.Add(cWriteCrashed, 1)
 			}
 			return ErrCrashed
 		}
@@ -190,12 +190,12 @@ func (d *denseDrive) doPart(addr VDA, part Part, a Action, dst, mem []Word) erro
 				tearInto(dst, mem, addr, part)
 				d.stats.TornWrites++
 				if d.rec != nil {
-					d.rec.Add("disk.write.torn", 1)
+					d.rec.Add(cWriteTorn, 1)
 				}
 			}
 			if d.rec != nil {
 				d.rec.Emit(d.clock.Now(), trace.KindCrashWrite, part.String(), int64(addr), d.writeSeq)
-				d.rec.Add("disk.write.crashed", 1)
+				d.rec.Add(cWriteCrashed, 1)
 			}
 			return ErrCrashed
 		}
@@ -224,7 +224,7 @@ func (d *denseDrive) advanceTo(addr VDA) {
 		d.stats.Seeks++
 		if d.rec != nil {
 			d.rec.EmitSpan(start, t-start, trace.KindSeek, "", int64(from), int64(cyl))
-			d.rec.Add("disk.seeks", 1)
+			d.rec.Add(cSeeks, 1)
 		}
 	}
 	st := g.SectorTime()
@@ -246,7 +246,7 @@ func (d *denseDrive) advanceTo(addr VDA) {
 func (d *denseDrive) checkValueCRC(addr VDA, dst []Word) {
 	if valueCRC(dst) != d.sectors[addr].vcrc {
 		d.rec.Emit(d.clock.Now(), trace.KindCRCMismatch, "value", int64(addr), opError)
-		d.rec.Add("disk.crc.mismatch", 1)
+		d.rec.Add(cCrcMismatch, 1)
 	}
 }
 
@@ -312,7 +312,7 @@ func (d *denseDrive) DoChain(ops []Op, mode ChainMode) []error {
 		now := d.clock.Now()
 		d.rec.EmitSpan(chainStart, now-chainStart, trace.KindDiskChain,
 			mode.String(), int64(len(ops)), failures)
-		d.rec.Add("disk.chains", 1)
+		d.rec.Add(cChains, 1)
 	}
 	return errs
 }

@@ -11,6 +11,19 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cBadSector    = trace.NewCounter("disk.bad_sector")
+	cChains       = trace.NewCounter("disk.chains")
+	cCheckFail    = trace.NewCounter("disk.check.fail")
+	cCrcMismatch  = trace.NewCounter("disk.crc.mismatch")
+	hOpRevs       = trace.NewHist("disk.op.revs")
+	cOps          = trace.NewCounter("disk.ops")
+	cSeeks        = trace.NewCounter("disk.seeks")
+	cWriteCrashed = trace.NewCounter("disk.write.crashed")
+	cWriteTorn    = trace.NewCounter("disk.write.torn")
+)
+
 // Action selects what a disk operation does to one part of a sector.
 type Action uint8
 
@@ -510,15 +523,15 @@ func (d *Drive) traceOp(op *Op, start time.Duration, err error) {
 	case errors.Is(err, ErrBadSector):
 		outcome = opBadSector
 		d.rec.Emit(now, trace.KindBadSector, "", int64(op.Addr), outcome)
-		d.rec.Add("disk.bad_sector", 1)
+		d.rec.Add(cBadSector, 1)
 	case errors.Is(err, ErrCrashed):
 		outcome = opCrashed
 	default:
 		outcome = opError
 	}
 	d.rec.EmitSpan(start, now-start, trace.KindDiskOp, opName(op), int64(op.Addr), outcome)
-	d.rec.Add("disk.ops", 1)
-	d.rec.Observe("disk.op.revs", float64(now-start)/float64(d.geom.RevTime))
+	d.rec.Add(cOps, 1)
+	d.rec.Observe(hOpRevs, float64(now-start)/float64(d.geom.RevTime))
 }
 
 // opNames precomputes the "header/label/value" action triple for every
@@ -591,7 +604,7 @@ func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word
 				d.stats.CheckFail++
 				if d.rec != nil {
 					d.rec.Emit(d.clock.Now(), trace.KindCheckFail, part.String(), int64(addr), int64(i))
-					d.rec.Add("disk.check.fail", 1)
+					d.rec.Add(cCheckFail, 1)
 				}
 				return &CheckError{Addr: addr, Part: part, WordIdx: i, Expected: mem[i], OnDisk: dst[i]}
 			}
@@ -606,7 +619,7 @@ func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word
 			d.stats.CrashedWrites++
 			if d.rec != nil {
 				d.rec.Emit(d.clock.Now(), trace.KindCrashWrite, part.String(), int64(addr), d.writeSeq)
-				d.rec.Add("disk.write.crashed", 1)
+				d.rec.Add(cWriteCrashed, 1)
 			}
 			return ErrCrashed
 		}
@@ -623,12 +636,12 @@ func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word
 				tearInto(dst, mem, addr, part)
 				d.stats.TornWrites++
 				if d.rec != nil {
-					d.rec.Add("disk.write.torn", 1)
+					d.rec.Add(cWriteTorn, 1)
 				}
 			}
 			if d.rec != nil {
 				d.rec.Emit(d.clock.Now(), trace.KindCrashWrite, part.String(), int64(addr), d.writeSeq)
-				d.rec.Add("disk.write.crashed", 1)
+				d.rec.Add(cWriteCrashed, 1)
 			}
 			return ErrCrashed
 		}
@@ -676,7 +689,7 @@ func (d *Drive) advanceTo(addr VDA) {
 		d.stats.Seeks++
 		if d.rec != nil {
 			d.rec.EmitSpan(start, t-start, trace.KindSeek, "", int64(from), int64(cyl))
-			d.rec.Add("disk.seeks", 1)
+			d.rec.Add(cSeeks, 1)
 		}
 	}
 	// Rotational position is a global property of the spindle: the slot that
@@ -706,7 +719,7 @@ func (d *Drive) advanceTo(addr VDA) {
 func (d *Drive) checkValueCRC(addr VDA, vcrc Word, dst []Word) {
 	if valueCRC(dst) != vcrc {
 		d.rec.Emit(d.clock.Now(), trace.KindCRCMismatch, "value", int64(addr), opError)
-		d.rec.Add("disk.crc.mismatch", 1)
+		d.rec.Add(cCrcMismatch, 1)
 	}
 }
 

@@ -26,6 +26,17 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cCorrupt = trace.NewCounter("ether.corrupt")
+	cDelay   = trace.NewCounter("ether.delay")
+	cDrop    = trace.NewCounter("ether.drop")
+	cDup     = trace.NewCounter("ether.dup")
+	cRecv    = trace.NewCounter("ether.recv")
+	cSend    = trace.NewCounter("ether.send")
+	cWords   = trace.NewCounter("ether.words")
+)
+
 // Word is the unit of packet payloads, as everywhere in the system.
 type Word = uint16
 
@@ -388,8 +399,8 @@ func (s *Station) Send(p Packet) error {
 	seq := s.txSeq
 	if rec != nil {
 		rec.EmitSpanFlow(start, dur, trace.KindEtherSend, "", int64(p.Dst), int64(wireWords), int64(p.Flow))
-		rec.Add("ether.send", 1)
-		rec.Add("ether.words", int64(wireWords))
+		rec.Add(cSend, 1)
+		rec.Add(cWords, int64(wireWords))
 	}
 	// Destinations in address order: n.order is maintained sorted, so the
 	// fan-out — and with it the fault model's verdict draw order — is
@@ -419,20 +430,20 @@ func (s *Station) Send(p Packet) error {
 			// retransmit that seems to come from nowhere.
 			if v.drop {
 				rec.EmitFlow(start, trace.KindEtherFault, "drop", int64(st.addr), v.idx, int64(p.Flow))
-				rec.Add("ether.drop", 1)
+				rec.Add(cDrop, 1)
 				continue
 			}
 			if v.dup {
 				rec.EmitFlow(start, trace.KindEtherFault, "dup", int64(st.addr), v.idx, int64(p.Flow))
-				rec.Add("ether.dup", 1)
+				rec.Add(cDup, 1)
 			}
 			if v.corrupt {
 				rec.EmitFlow(start, trace.KindEtherFault, "corrupt", int64(st.addr), v.idx, int64(p.Flow))
-				rec.Add("ether.corrupt", 1)
+				rec.Add(cCorrupt, 1)
 			}
 			if v.delay > 0 {
 				rec.EmitFlow(start, trace.KindEtherFault, "delay", int64(st.addr), v.idx, int64(p.Flow))
-				rec.Add("ether.delay", 1)
+				rec.Add(cDelay, 1)
 			}
 		}
 		dels = append(dels, d)
@@ -554,7 +565,7 @@ func (s *Station) Recv() (Packet, bool) {
 	}
 	if rec != nil {
 		rec.EmitFlow(now, trace.KindEtherRecv, "", int64(p.Src), int64(len(p.Payload)+HeaderWords), int64(p.Flow))
-		rec.Add("ether.recv", 1)
+		rec.Add(cRecv, 1)
 	}
 	return p, true
 }

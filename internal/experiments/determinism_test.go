@@ -25,7 +25,7 @@ var determinismWidths = []int{1, 1, 2, 4, 8, 8}
 func TestDeterminism(t *testing.T) {
 	for _, r := range registry {
 		t.Run(r.ID, func(t *testing.T) {
-			if err := checkDeterminism(r.ID, r.Run); err != nil {
+			if err := checkDeterminism(r.ID, r.Run, trace.DefaultEvents); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -41,18 +41,22 @@ type runImage struct {
 	metrics  []string
 }
 
+// A machine's events are what its ring still holds: the first is the
+// machine's event number dropped in emission order, its lifetime sequence.
 type machineImage struct {
 	name     string
 	events   []trace.Event
+	dropped  int
 	snapshot string
 }
 
-// checkDeterminism runs one experiment at every width in determinismWidths
-// and describes the first divergence from the first run, if any.
-func checkDeterminism(id string, run func(int, func(string) *trace.Recorder) (*Result, error)) error {
+// checkDeterminism runs one experiment at every width in determinismWidths,
+// each machine recording into a ring of the given capacity, and describes
+// the first divergence from the first run, if any.
+func checkDeterminism(id string, run func(int, func(string) *trace.Recorder) (*Result, error), events int) error {
 	var base *runImage
 	for i, workers := range determinismWidths {
-		img, err := imageOf(run, workers)
+		img, err := imageOf(run, workers, events)
 		if err != nil {
 			return fmt.Errorf("%s run %d (workers=%d): %w", id, i+1, workers, err)
 		}
@@ -72,15 +76,16 @@ func checkDeterminism(id string, run func(int, func(string) *trace.Recorder) (*R
 }
 
 // imageOf runs the experiment once with one recorder per machine.
-func imageOf(run func(int, func(string) *trace.Recorder) (*Result, error), workers int) (*runImage, error) {
-	fl := scope.NewFleet(trace.DefaultEvents)
+func imageOf(run func(int, func(string) *trace.Recorder) (*Result, error), workers, events int) (*runImage, error) {
+	fl := scope.NewFleet(events)
 	res, err := run(workers, fl.Machine)
 	if err != nil {
 		return nil, err
 	}
 	img := &runImage{}
 	for _, m := range fl.Machines() {
-		img.machines = append(img.machines, machineImage{name: m.Name, events: m.Rec.Events(), snapshot: m.Rec.Snapshot().Text()})
+		snap := m.Rec.Snapshot()
+		img.machines = append(img.machines, machineImage{name: m.Name, events: m.Rec.Events(), dropped: int(snap.Dropped), snapshot: snap.Text()})
 	}
 	sort.Slice(img.machines, func(i, j int) bool { return img.machines[i].name < img.machines[j].name })
 	for k, v := range res.Metrics {
@@ -107,42 +112,68 @@ func divergence(base, got *runImage) string {
 	}
 	for i, bm := range base.machines {
 		gm := got.machines[i]
-		if !slices.Equal(bm.events, gm.events) {
-			return firstDiff(base.label, got.label, fmt.Sprintf("machine %q, event", bm.name), eventLines(bm.events), eventLines(gm.events))
+		if bm.dropped != gm.dropped || !slices.Equal(bm.events, gm.events) {
+			return firstDiff(base.label, got.label, fmt.Sprintf("machine %q, event", bm.name),
+				numbered{bm.dropped, eventLines(bm.events)}, numbered{gm.dropped, eventLines(gm.events)})
 		}
 		if bm.snapshot != gm.snapshot {
-			return firstDiff(base.label, got.label, fmt.Sprintf("machine %q, snapshot line", bm.name), lines(bm.snapshot), lines(gm.snapshot))
+			return firstDiff(base.label, got.label, fmt.Sprintf("machine %q, snapshot line", bm.name),
+				numbered{lines: lines(bm.snapshot)}, numbered{lines: lines(gm.snapshot)})
 		}
 	}
-	return firstDiff(base.label, got.label, "result metric", base.metrics, got.metrics)
+	return firstDiff(base.label, got.label, "result metric", numbered{lines: base.metrics}, numbered{lines: got.metrics})
 }
 
 // contextLines is how many lines before the first difference a report
 // shows.
 const contextLines = 3
 
-// firstDiff reports the first index at which a and b differ, "" if none:
-// where, the lines before it, and each run's version of the line.
-func firstDiff(aLabel, bLabel, where string, a, b []string) string {
-	i := 0
-	for i < len(a) && i < len(b) && a[i] == b[i] {
+// numbered is a run of lines whose first is line number from: a machine's
+// events start at its lifetime sequence number, since its ring may have
+// evicted the ones before.
+type numbered struct {
+	from  int
+	lines []string
+}
+
+// end is the number one past the last line.
+func (n numbered) end() int { return n.from + len(n.lines) }
+
+// at renders line i, or says why the run has none.
+func (n numbered) at(i int) string {
+	switch {
+	case i < n.from:
+		return fmt.Sprintf("(evicted; the ring starts at %d)", n.from)
+	case i >= n.end():
+		return fmt.Sprintf("(ends after %d)", n.end())
+	}
+	return n.lines[i-n.from]
+}
+
+// firstDiff reports the first line number at which a and b differ, "" if
+// none: where, the lines before it, and each run's version of the line.
+// Lines are matched by number, so two rings that evicted different counts
+// are still compared event for event; when the lines both runs hold agree,
+// the difference is the first line only one of them holds.
+func firstDiff(aLabel, bLabel, where string, a, b numbered) string {
+	i := max(a.from, b.from)
+	for i < a.end() && i < b.end() && a.at(i) == b.at(i) {
 		i++
 	}
-	if i == len(a) && i == len(b) {
+	switch {
+	case i < a.end() && i < b.end():
+		// Both runs hold line i, and it differs.
+	case a.from != b.from:
+		i = min(a.from, b.from) // one run holds lines the other evicted
+	case i == a.end() && i == b.end():
 		return ""
-	}
-	at := func(s []string) string {
-		if i < len(s) {
-			return s[i]
-		}
-		return fmt.Sprintf("(ends after %d)", len(s))
 	}
 	var w strings.Builder
 	fmt.Fprintf(&w, "%s %d\n", where, i)
-	for j := max(0, i-contextLines); j < i; j++ {
-		fmt.Fprintf(&w, "  %6d   %s\n", j, a[j])
+	for j := max(a.from, i-contextLines); j < i; j++ {
+		fmt.Fprintf(&w, "  %6d   %s\n", j, a.at(j))
 	}
-	fmt.Fprintf(&w, "  %s: %s\n  %s: %s", aLabel, at(a), bLabel, at(b))
+	fmt.Fprintf(&w, "  %s: %s\n  %s: %s", aLabel, a.at(i), bLabel, b.at(i))
 	return w.String()
 }
 
@@ -178,7 +209,7 @@ func TestDeterminismReportsFirstDivergence(t *testing.T) {
 		}
 		return &Result{ID: "fake", Metrics: map[string]float64{"ops": 20}}, nil
 	}
-	err := checkDeterminism("fake", fake)
+	err := checkDeterminism("fake", fake, trace.DefaultEvents)
 	if err == nil {
 		t.Fatal("a run whose events changed passed the determinism check")
 	}
@@ -199,5 +230,72 @@ func TestDeterminismReportsFirstDivergence(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Errorf("harness ran %d times, want it to stop at the first divergent run (3)", runs)
+	}
+}
+
+// TestDeterminismNamesEventsBySequence: with a ring that evicts, the report
+// names the differing event by the machine's lifetime sequence number — the
+// count of events it evicted plus the ring index — not by ring position,
+// which shifts with every eviction. Runs that evicted different counts are
+// still compared event for event.
+func TestDeterminismNamesEventsBySequence(t *testing.T) {
+	const ring = 4
+	check := func(events func(run int) int, changeAt func(run int) int) string {
+		runs := 0
+		fake := func(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+			runs++
+			rec := machine("m")
+			for i := int64(0); i < int64(events(runs)); i++ {
+				a1 := i
+				if int(i) == changeAt(runs) {
+					a1 = 99
+				}
+				rec.Emit(time.Duration(i)*time.Millisecond, trace.KindDiskOp, "probe", i, a1)
+			}
+			return &Result{ID: "fake"}, nil
+		}
+		err := checkDeterminism("fake", fake, ring)
+		if err == nil {
+			t.Fatal("a run whose events changed passed the determinism check")
+		}
+		return err.Error()
+	}
+	never := func(int) int { return -1 }
+
+	// Ten events through a four-slot ring: the ring holds events 6..9, and
+	// a change to event 8 — ring index 2 — is reported as event 8.
+	msg := check(func(int) int { return 10 }, func(run int) int {
+		if run == 2 {
+			return 8
+		}
+		return -1
+	})
+	for _, want := range []string{
+		`machine "m", event 8`,
+		`       6   t=6000000 dur=0 disk/op "probe" a0=6 a1=6 flow=0`,
+		`       7   t=7000000`,
+		`run 1 (workers=1): t=8000000 dur=0 disk/op "probe" a0=8 a1=8 flow=0`,
+		`run 2 (workers=1): t=8000000 dur=0 disk/op "probe" a0=8 a1=99 flow=0`,
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("report lacks %q:\n%s", want, msg)
+		}
+	}
+	if strings.Contains(msg, "event 2") {
+		t.Errorf("report names the ring position:\n%s", msg)
+	}
+
+	// One more event in the second run: both rings hold events 7..9 alike,
+	// and the report names the event only one run holds — the first run's
+	// event 6, which the second evicted.
+	msg = check(func(run int) int { return 10 + run - 1 }, never)
+	for _, want := range []string{
+		`machine "m", event 6`,
+		`run 1 (workers=1): t=6000000`,
+		`run 2 (workers=1): (evicted; the ring starts at 7)`,
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("report lacks %q:\n%s", want, msg)
+		}
 	}
 }

@@ -123,7 +123,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	// not part of the experiment's timeline, so its clock restarts at zero
 	// and the serve loop is the whole program.
 	srvClock.Reset()
-	eng.Add(fleet.MachineConfig{
+	if err := eng.Add(fleet.MachineConfig{
 		Name:    "server",
 		Clock:   srvClock,
 		Station: srvSt,
@@ -141,7 +141,9 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 			}
 			return nil
 		},
-	})
+	}); err != nil {
+		return nil, err
+	}
 
 	// The clients: each Alto boots its own OS from its own mini pack, runs
 	// a local file workload, then stores its payload on the server, fetches
@@ -159,7 +161,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 		st.SetClock(clk)
 		mrec := recs.get(fmt.Sprintf("alto%03d", i))
 		st.SetRecorder(mrec)
-		eng.Add(fleet.MachineConfig{
+		if err := eng.Add(fleet.MachineConfig{
 			Name:    fmt.Sprintf("alto%03d", i),
 			Clock:   clk,
 			Station: st,
@@ -287,7 +289,9 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 				}
 				return nil
 			},
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	if err := eng.Run(); err != nil {

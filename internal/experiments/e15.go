@@ -140,13 +140,15 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	eng1 := fleet.New(fleet.Workers(workers), fleet.Medium(wire))
 	for _, r := range c.Replicas {
 		r := r
-		eng1.Add(fleet.MachineConfig{
+		if err := eng1.Add(fleet.MachineConfig{
 			Name:     r.Name(),
 			Clock:    r.Clock(),
 			Stations: r.Stations(),
 			Daemon:   true,
 			Program:  r.ServeProgram(),
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	sessions := 0
 	for i := 0; i < clients; i++ {
@@ -159,7 +161,7 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 		st.SetClock(clk)
 		st.SetRecorder(recs.get(fmt.Sprintf("client%02d", i)))
 		sessions += (e15Files + e15Overwrites) * e15Replicas
-		eng1.Add(fleet.MachineConfig{
+		if err := eng1.Add(fleet.MachineConfig{
 			Name:    fmt.Sprintf("client%02d", i),
 			Clock:   clk,
 			Station: st,
@@ -220,7 +222,9 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 				}
 				return nil
 			},
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if err := eng1.Run(); err != nil {
 		return nil, fmt.Errorf("e15 load phase: %w", err)
@@ -248,14 +252,16 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	for g, r := range c.Replicas {
 		r := r
 		startAt := r.Clock().Now() + 10*time.Millisecond + time.Duration(g)*e15AuditStagger
-		eng2.Add(fleet.MachineConfig{
+		if err := eng2.Add(fleet.MachineConfig{
 			Name:     r.Name(),
 			Clock:    r.Clock(),
 			Stations: r.Stations(),
 			Daemon:   true,
 			StartAt:  startAt,
 			Program:  r.AuditProgram(startAt),
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if err := eng2.Run(); err != nil {
 		return nil, fmt.Errorf("e15 audit phase: %w", err)

@@ -39,7 +39,7 @@ func TestE15Determinism(t *testing.T) {
 	run := func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
 		return E15Cluster(clients, workers, E15WireSeed, machine)
 	}
-	if err := checkDeterminism("e15 (6 clients)", run); err != nil {
+	if err := checkDeterminism("e15 (6 clients)", run, trace.DefaultEvents); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -58,7 +58,7 @@ func TestGolden(t *testing.T) {
 // (lines "name digest"), then the first differing entry with the entries
 // before it; "" when they match.
 func goldenDiff(want, got []string) string {
-	d := firstDiff(goldenFile, "this tree", "golden entry", want, got)
+	d := firstDiff(goldenFile, "this tree", "golden entry", numbered{lines: want}, numbered{lines: got})
 	if d == "" {
 		return ""
 	}

@@ -40,7 +40,7 @@ func (c *Client) Connect(server ether.Addr) error {
 		return err
 	}
 	c.conn = conn
-	c.rec().Add("fs.client.dial", 1)
+	c.rec().Add(cClientDial, 1)
 	return nil
 }
 
@@ -166,7 +166,7 @@ func (c *Client) finish(err error) {
 		c.rec().EmitSpanFlow(c.started, c.now()-c.started, trace.KindFSSession, "client",
 			int64(c.conn.Remote()), int64(c.in.n), c.flow)
 	}
-	c.rec().Add("fs.client.done", 1)
+	c.rec().Add(cClientDone, 1)
 }
 
 // Done reports whether the transfer completed (or failed).

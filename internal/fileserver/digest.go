@@ -82,7 +82,7 @@ func DigestTable(fs *file.FS) ([]Digest, error) {
 		out = append(out, d)
 	}
 	if drv != nil {
-		drv.TraceRecorder().Add("fs.scrub.pages", pages)
+		drv.TraceRecorder().Add(cScrubPages, pages)
 	}
 	return out, nil
 }

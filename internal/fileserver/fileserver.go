@@ -37,6 +37,17 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cClientDial   = trace.NewCounter("fs.client.dial")
+	cClientDone   = trace.NewCounter("fs.client.done")
+	cDigest       = trace.NewCounter("fs.digest")
+	cFetch        = trace.NewCounter("fs.fetch")
+	cScrubPages   = trace.NewCounter("fs.scrub.pages")
+	cSessionClose = trace.NewCounter("fs.session.close")
+	cStore        = trace.NewCounter("fs.store")
+)
+
 // Message opcodes (the first payload word of every transport message).
 const (
 	MsgFetch ether.Word = 1 + iota
@@ -197,7 +208,7 @@ func (s *Server) closeSession(ss *session) {
 		now := s.ep.Station().Clock().Now()
 		rec.EmitSpanFlow(ss.opened, now-ss.opened, trace.KindFSSession, "",
 			int64(ss.conn.Remote()), ss.moved, ss.flow)
-		rec.Add("fs.session.close", 1)
+		rec.Add(cSessionClose, 1)
 	}
 }
 
@@ -282,7 +293,7 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 			now := s.ep.Station().Clock().Now()
 			rec.EmitSpanFlow(start, now-start, trace.KindFSRequest, "fetch",
 				int64(ss.conn.Remote()), int64(n), flow)
-			rec.Add("fs.fetch", 1)
+			rec.Add(cFetch, 1)
 		}
 	case MsgDigest:
 		start := s.ep.Station().Clock().Now()
@@ -302,7 +313,7 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 			now := s.ep.Station().Clock().Now()
 			rec.EmitSpanFlow(start, now-start, trace.KindFSRequest, "digest",
 				int64(ss.conn.Remote()), int64(len(data)), flow)
-			rec.Add("fs.digest", 1)
+			rec.Add(cDigest, 1)
 		}
 	case MsgStore:
 		name, err := ether.UnpackString(msg[1:])
@@ -345,7 +356,7 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 			now := s.ep.Station().Clock().Now()
 			rec.EmitSpanFlow(ss.storeStart, now-ss.storeStart, trace.KindFSRequest, "store",
 				int64(ss.conn.Remote()), int64(ss.in.n), ss.storeFlow)
-			rec.Add("fs.store", 1)
+			rec.Add(cStore, 1)
 		}
 		ss.outq = append(ss.outq, []ether.Word{MsgOK})
 	}

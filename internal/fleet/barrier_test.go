@@ -9,6 +9,7 @@ import (
 	"altoos/internal/ether"
 	"altoos/internal/fleet"
 	"altoos/internal/sim"
+	"altoos/internal/trace"
 )
 
 // barrierFleet is the window-barrier workload: n machines on one medium,
@@ -42,7 +43,9 @@ func barrierFleet(t testing.TB, n, yields int) *fleet.Engine {
 				return nil
 			}}
 		}
-		eng.Add(cfg)
+		if err := eng.Add(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return eng
 }
@@ -95,21 +98,22 @@ func testSteadyAllocatesNothing(t *testing.T, n int) {
 	})
 }
 
-// mustPanic runs f and fails unless it panics with a message containing
-// want.
-func mustPanic(t *testing.T, want string, f func()) {
+// mustAdd adds cfg to eng and fails the test if Add refuses it.
+func mustAdd(t *testing.T, eng *fleet.Engine, cfg fleet.MachineConfig) {
 	t.Helper()
-	defer func() {
-		t.Helper()
-		r := recover()
-		if r == nil {
-			t.Fatalf("no panic; want one mentioning %q", want)
-		}
-		if msg, _ := r.(string); !strings.Contains(msg, want) {
-			t.Fatalf("panic %v; want one mentioning %q", r, want)
-		}
-	}()
-	f()
+	if err := eng.Add(cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addFails adds cfg to eng and fails the test unless Add refuses it with an
+// error containing want.
+func addFails(t *testing.T, eng *fleet.Engine, cfg fleet.MachineConfig, want string) {
+	t.Helper()
+	err := eng.Add(cfg)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Add(%s) = %v; want an error mentioning %q", cfg.Name, err, want)
+	}
 }
 
 func nop(*fleet.Machine) error { return nil }
@@ -120,34 +124,62 @@ func nop(*fleet.Machine) error { return nil }
 func TestAddRejectsSharedClock(t *testing.T) {
 	eng := fleet.New()
 	clk := sim.NewClock()
-	eng.Add(fleet.MachineConfig{Name: "a", Clock: clk, Program: nop})
-	mustPanic(t, "shares its Clock with machine a", func() {
-		eng.Add(fleet.MachineConfig{Name: "b", Clock: clk, Program: nop})
-	})
+	mustAdd(t, eng, fleet.MachineConfig{Name: "a", Clock: clk, Program: nop})
+	addFails(t, eng, fleet.MachineConfig{Name: "b", Clock: clk, Program: nop}, "shares its Clock with machine a")
+	addFails(t, eng, fleet.MachineConfig{Name: "c", Program: nop}, "has no Clock")
 }
 
 // TestAddRejectsBoundStation: a station's delivery hook names one machine,
 // so a station cannot join a second machine — in this engine or another —
-// until the engine holding it has run.
+// until the engine holding it has run. A refused machine leaves none of its
+// stations bound.
 func TestAddRejectsBoundStation(t *testing.T) {
 	net := ether.New(nil)
 	sa, _ := net.Attach(1)
 	sb, _ := net.Attach(2)
 	eng := fleet.New(fleet.Medium(net))
-	eng.Add(fleet.MachineConfig{Name: "a", Clock: sim.NewClock(), Station: sa, Program: nop})
-	mustPanic(t, "station 1 is already bound", func() {
-		eng.Add(fleet.MachineConfig{Name: "b", Clock: sim.NewClock(), Stations: []*ether.Station{sb, sa}, Program: nop})
-	})
-	mustPanic(t, "station 1 is already bound", func() {
-		fleet.New(fleet.Medium(net)).Add(fleet.MachineConfig{Name: "c", Clock: sim.NewClock(), Station: sa, Program: nop})
-	})
+	mustAdd(t, eng, fleet.MachineConfig{Name: "a", Clock: sim.NewClock(), Station: sa, Program: nop})
+	addFails(t, eng, fleet.MachineConfig{Name: "b", Clock: sim.NewClock(), Stations: []*ether.Station{sb, sa}, Program: nop}, "station 1 is already bound")
+	addFails(t, fleet.New(fleet.Medium(net)), fleet.MachineConfig{Name: "c", Clock: sim.NewClock(), Station: sa, Program: nop}, "station 1 is already bound")
+	mustAdd(t, eng, fleet.MachineConfig{Name: "b2", Clock: sim.NewClock(), Station: sb, Program: nop})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Run released the engine's stations: a later phase may bind them.
 	next := fleet.New(fleet.Medium(net))
-	next.Add(fleet.MachineConfig{Name: "a2", Clock: sim.NewClock(), Station: sa, Program: nop})
+	mustAdd(t, next, fleet.MachineConfig{Name: "a2", Clock: sim.NewClock(), Station: sa, Program: nop})
 	if err := next.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddRejectsSharedRecorder: a flight recorder has one writer and no
+// lock, so the engine refuses a machine whose station records into a
+// recorder another machine's station already carries — two machines in one
+// window would write it from two goroutines. One machine's stations may
+// share a recorder, as a cluster replica's serving and auditing stations
+// do.
+func TestAddRejectsSharedRecorder(t *testing.T) {
+	net := ether.New(nil)
+	sa, _ := net.Attach(1)
+	sa2, _ := net.Attach(2)
+	sb, _ := net.Attach(3)
+	sc, _ := net.Attach(4)
+	rec := trace.New(16)
+	for _, st := range []*ether.Station{sa, sa2, sb} {
+		st.SetRecorder(rec)
+	}
+	sc.SetRecorder(trace.New(16))
+	eng := fleet.New(fleet.Medium(net))
+	mustAdd(t, eng, fleet.MachineConfig{Name: "replica", Clock: sim.NewClock(), Stations: []*ether.Station{sa, sa2}, Program: nop})
+	addFails(t, eng, fleet.MachineConfig{Name: "intruder", Clock: sim.NewClock(), Station: sb, Program: nop}, "station 3 records into machine replica's recorder")
+	// The refused machine was not registered: its station may join another
+	// machine once it records elsewhere, and untraced stations never
+	// conflict.
+	sb.SetRecorder(nil)
+	mustAdd(t, eng, fleet.MachineConfig{Name: "untraced", Clock: sim.NewClock(), Stations: []*ether.Station{sb}, Program: nop})
+	mustAdd(t, eng, fleet.MachineConfig{Name: "traced", Clock: sim.NewClock(), Station: sc, Program: nop})
+	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

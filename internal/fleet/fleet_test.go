@@ -30,7 +30,7 @@ func ringRun(t *testing.T, n, msgs, workers int) string {
 		}
 		st.SetClock(clk)
 		next := ether.Addr((i+1)%n + 1)
-		eng.Add(MachineConfig{
+		if err := eng.Add(MachineConfig{
 			Name:    fmt.Sprintf("m%d", i),
 			Clock:   clk,
 			Station: st,
@@ -67,7 +67,9 @@ func ringRun(t *testing.T, n, msgs, workers int) string {
 				logs[i] = append(logs[i], fmt.Sprintf("m%d done at %v", i, clk.Now()))
 				return nil
 			},
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatalf("fleet run (workers=%d): %v", workers, err)
@@ -108,15 +110,17 @@ func TestWindowedWakesBlockedReceiver(t *testing.T) {
 	sb.SetClock(cb)
 	var gotAt time.Duration
 	eng := New(Medium(net))
-	eng.Add(MachineConfig{
+	if err := eng.Add(MachineConfig{
 		Name: "sender", Clock: ca, Station: sa,
 		// Boot late so the receiver parks ∞ first.
 		StartAt: time.Millisecond,
 		Program: func(m *Machine) error {
 			return sa.Send(ether.Packet{Dst: 2, Payload: []ether.Word{9}})
 		},
-	})
-	eng.Add(MachineConfig{
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Add(MachineConfig{
 		Name: "receiver", Clock: cb, Station: sb,
 		Program: func(m *Machine) error {
 			for {
@@ -128,7 +132,9 @@ func TestWindowedWakesBlockedReceiver(t *testing.T) {
 				m.Idle()
 			}
 		},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +155,7 @@ func TestDaemonDrains(t *testing.T) {
 	sc.SetClock(cc)
 	served := 0
 	eng := New(Medium(net))
-	eng.Add(MachineConfig{
+	if err := eng.Add(MachineConfig{
 		Name: "server", Clock: cs, Station: ss, Daemon: true,
 		Program: func(m *Machine) error {
 			for !m.Draining() {
@@ -165,8 +171,10 @@ func TestDaemonDrains(t *testing.T) {
 			}
 			return nil
 		},
-	})
-	eng.Add(MachineConfig{
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Add(MachineConfig{
 		Name: "client", Clock: cc, Station: sc,
 		Program: func(m *Machine) error {
 			if err := sc.Send(ether.Packet{Dst: 1, Type: 77}); err != nil {
@@ -183,7 +191,9 @@ func TestDaemonDrains(t *testing.T) {
 				m.Idle()
 			}
 		},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +206,15 @@ func TestDaemonDrains(t *testing.T) {
 // delivery fails the run instead of hanging it.
 func TestStallIsAnError(t *testing.T) {
 	eng := New()
-	eng.Add(MachineConfig{
+	if err := eng.Add(MachineConfig{
 		Name: "waiter", Clock: sim.NewClock(),
 		Program: func(m *Machine) error {
 			m.Idle() // no deadline, no station: parks forever
 			return nil
 		},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	err := eng.Run()
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -214,18 +226,22 @@ func TestStallIsAnError(t *testing.T) {
 func TestErrorAbortsFleet(t *testing.T) {
 	boom := errors.New("boom")
 	eng := New()
-	eng.Add(MachineConfig{
+	if err := eng.Add(MachineConfig{
 		Name: "failer", Clock: sim.NewClock(),
 		Program: func(m *Machine) error { return boom },
-	})
-	eng.Add(MachineConfig{
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Add(MachineConfig{
 		Name: "bystander", Clock: sim.NewClock(),
 		Program: func(m *Machine) error {
 			for {
 				m.Yield()
 			}
 		},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Run(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}

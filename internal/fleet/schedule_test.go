@@ -151,7 +151,9 @@ func randomFleet(t *testing.T, seed uint64, workers int) (*fleet.Engine, func() 
 		} else {
 			cfg.Stations = sp.sts
 		}
-		eng.Add(cfg)
+		if err := eng.Add(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return eng, func() string {
 		var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"altoos/internal/fleet"
 	"altoos/internal/sim"
@@ -23,7 +24,7 @@ type unwindFleet struct {
 	boom             error
 }
 
-func newUnwindFleet(end string) *unwindFleet {
+func newUnwindFleet(t *testing.T, end string) *unwindFleet {
 	f := &unwindFleet{boom: errors.New("boom")}
 	var opts []fleet.Option
 	if end == "cap" {
@@ -45,9 +46,29 @@ func newUnwindFleet(end string) *unwindFleet {
 				m.Yield()
 			}
 		}
-		f.eng.Add(cfg)
+		if err := f.eng.Add(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return f
+}
+
+// settledGoroutines counts goroutines once the count holds still: a
+// coroutine that has finished hands control back before its goroutine has
+// exited, so a count taken at once may include one still on its way out
+// (an earlier subtest's, under the race detector's slower exits). A
+// goroutine parked for good never leaves, so a leak still shows.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // TestRunUnwindsMachines: however Run returns — normally, after a machine's
@@ -56,10 +77,10 @@ func newUnwindFleet(end string) *unwindFleet {
 func TestRunUnwindsMachines(t *testing.T) {
 	for _, end := range []string{"normal", "error", "cap"} {
 		t.Run(end, func(t *testing.T) {
-			f := newUnwindFleet(end)
-			before := runtime.NumGoroutine()
+			f := newUnwindFleet(t, end)
+			before := settledGoroutines()
 			err := f.eng.Run()
-			after := runtime.NumGoroutine()
+			after := settledGoroutines()
 			switch end {
 			case "normal":
 				if err != nil {
@@ -92,12 +113,14 @@ func TestRunUnwindsMachines(t *testing.T) {
 func TestProgramPanicReachesRun(t *testing.T) {
 	t.Run("coupled=false", func(t *testing.T) {
 		type bug struct{ msg string }
-		f := newUnwindFleet("cap")
-		f.eng.Add(fleet.MachineConfig{Name: "panicker", Clock: sim.NewClock(), Program: func(m *fleet.Machine) error {
+		f := newUnwindFleet(t, "cap")
+		if err := f.eng.Add(fleet.MachineConfig{Name: "panicker", Clock: sim.NewClock(), Program: func(m *fleet.Machine) error {
 			m.Yield()
 			panic(bug{"program bug"})
-		}})
-		before := runtime.NumGoroutine()
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		before := settledGoroutines()
 		got := func() (r any) {
 			defer func() { r = recover() }()
 			_ = f.eng.Run()
@@ -109,7 +132,7 @@ func TestProgramPanicReachesRun(t *testing.T) {
 		if f.started != 3 || f.unwound != 3 {
 			t.Errorf("%d bystanders started, %d unwound; want 3 and 3", f.started, f.unwound)
 		}
-		if after := runtime.NumGoroutine(); after != before {
+		if after := settledGoroutines(); after != before {
 			t.Errorf("%d goroutines before Run, %d after", before, after)
 		}
 	})

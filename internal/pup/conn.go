@@ -352,7 +352,7 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		}
 		c.rttvar += (err - c.rttvar) / 4
 	}
-	c.ep.rec().Observe("pup.srtt.ms", float64(c.srtt)/1e6)
+	c.ep.rec().Observe(hSrttMs, float64(c.srtt)/1e6)
 }
 
 // setCwnd moves the congestion window, recording the trajectory.
@@ -367,7 +367,7 @@ func (c *Conn) setCwnd(w int) {
 		return
 	}
 	c.cwnd = w
-	c.ep.rec().Observe("pup.cwnd", float64(w))
+	c.ep.rec().Observe(hCwnd, float64(w))
 }
 
 // grow opens the congestion window for acked packets: +1 per ack in slow
@@ -411,11 +411,11 @@ func (c *Conn) transmit(op *outPacket, rexmit bool) error {
 	rec := c.ep.rec()
 	if rexmit {
 		op.rexmits++
-		rec.Add("pup.retransmit", 1)
-		rec.Add("pup.retransmit.words", int64(len(op.data)))
+		rec.Add(cRetransmit, 1)
+		rec.Add(cRetransmitWords, int64(len(op.data)))
 	} else {
-		rec.Add("pup.data.send", 1)
-		rec.Add("pup.data.words", int64(len(op.data)))
+		rec.Add(cDataSend, 1)
+		rec.Add(cDataWords, int64(len(op.data)))
 	}
 	now := c.ep.clock.Now()
 	op.sentAt = now
@@ -426,7 +426,7 @@ func (c *Conn) transmit(op *outPacket, rexmit bool) error {
 // sendAck emits a bare ack carrying the full ack state (cumulative ack,
 // advertised window, SACK mask), echoing the flow that provoked it.
 func (c *Conn) sendAck(flow uint16) error {
-	c.ep.rec().Add("pup.ack.sent", 1)
+	c.ep.rec().Add(cAckSent, 1)
 	return c.ep.sendPacket(c, TypeAck, 0, flow, nil)
 }
 
@@ -464,7 +464,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		c.ooo = dropFront(c.ooo, drained)
 		c.oooSeq = dropFront(c.oooSeq, drained)
 		delivered := 1 + drained
-		rec.Add("pup.data.recv", int64(delivered))
+		rec.Add(cDataRecv, int64(delivered))
 		c.ackPending += delivered
 		c.ackFlow = flow
 		if delivered > 1 || c.ackPending >= c.ep.ackEvery {
@@ -479,7 +479,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		return nil
 	case seqLess(seq, c.recvNext):
 		// Old news: our ack was lost. Re-ack immediately.
-		rec.Add("pup.dup.data", 1)
+		rec.Add(cDupData, 1)
 		return c.sendAck(flow)
 	default:
 		// A hole opened (or a duplicate overtaker arrived). Buffer what
@@ -487,7 +487,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		// turns the sender's timers into surgical retransmissions.
 		d := seq - c.recvNext
 		if int(d) > sackSpan || len(c.ooo) >= recvWindow {
-			rec.Add("pup.window.drop", 1)
+			rec.Add(cWindowDrop, 1)
 			return c.sendAck(flow)
 		}
 		pos := len(c.oooSeq)
@@ -504,7 +504,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 			}
 		}
 		if dup {
-			rec.Add("pup.dup.data", 1)
+			rec.Add(cDupData, 1)
 		} else {
 			c.ooo = append(c.ooo, inMsg{})
 			copy(c.ooo[pos+1:], c.ooo[pos:])
@@ -512,7 +512,7 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 			c.oooSeq = append(c.oooSeq, 0)
 			copy(c.oooSeq[pos+1:], c.oooSeq[pos:])
 			c.oooSeq[pos] = seq
-			rec.Add("pup.ooo.buffered", 1)
+			rec.Add(cOooBuffered, 1)
 		}
 		return c.sendAck(flow)
 	}
@@ -590,7 +590,7 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 				// next hole. Resend it now instead of waiting out a timer
 				// (NewReno's partial-ack rule, with SACK precision).
 				c.sendQ[0].fastLoss = true
-				c.ep.rec().Add("pup.retransmit.fast", 1)
+				c.ep.rec().Add(cRetransmitFast, 1)
 				return c.transmit(&c.sendQ[0], true)
 			}
 		}
@@ -608,7 +608,7 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 		return nil
 	}
 	c.dupAcks++
-	c.ep.rec().Add("pup.dup.ack", 1)
+	c.ep.rec().Add(cDupAck, 1)
 	if c.dupAcks == dupAckThreshold && !c.recovering {
 		// Fast retransmit: the first unsacked packet is the hole.
 		c.halve()
@@ -619,7 +619,7 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 				continue
 			}
 			c.sendQ[i].fastLoss = true
-			c.ep.rec().Add("pup.retransmit.fast", 1)
+			c.ep.rec().Add(cRetransmitFast, 1)
 			return c.transmit(&c.sendQ[i], true)
 		}
 		return nil
@@ -642,7 +642,7 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 		}
 		if candidate >= 0 {
 			c.sendQ[candidate].fastLoss = true
-			c.ep.rec().Add("pup.retransmit.fast", 1)
+			c.ep.rec().Add(cRetransmitFast, 1)
 			return c.transmit(&c.sendQ[candidate], true)
 		}
 	}
@@ -653,7 +653,7 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 func (c *Conn) fail(err error) {
 	c.err = err
 	c.state = StateClosed
-	c.ep.rec().Add("pup.fail", 1)
+	c.ep.rec().Add(cFail, 1)
 }
 
 // tick fires due timers: the delayed ack, control retransmissions, and the
@@ -683,14 +683,14 @@ func (c *Conn) tick(now time.Duration) (worked, waiting bool, err error) {
 			if err := c.sendCtrl(c.ctrl.kind); err != nil {
 				return true, true, err
 			}
-			c.ep.rec().Add("pup.retransmit", 1)
+			c.ep.rec().Add(cRetransmit, 1)
 			worked = true
 		}
 	}
 	if c.ackArmed {
 		waiting = true
 		if now >= c.ackDue {
-			c.ep.rec().Add("pup.ack.delayed", 1)
+			c.ep.rec().Add(cAckDelayed, 1)
 			if err := c.sendAck(c.ackFlow); err != nil {
 				return true, true, err
 			}
@@ -734,7 +734,7 @@ func (c *Conn) tick(now time.Duration) (worked, waiting bool, err error) {
 		if c.sendQ[i].backoff < 1<<16 {
 			c.sendQ[i].backoff *= 2
 		}
-		c.ep.rec().Add("pup.retransmit.rto", 1)
+		c.ep.rec().Add(cRetransmitRto, 1)
 		if err := c.transmit(&c.sendQ[i], true); err != nil {
 			return true, true, err
 		}

@@ -63,6 +63,30 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cAccept          = trace.NewCounter("pup.accept")
+	cAckDelayed      = trace.NewCounter("pup.ack.delayed")
+	cAckSent         = trace.NewCounter("pup.ack.sent")
+	cChecksumDrop    = trace.NewCounter("pup.checksum.drop")
+	cClose           = trace.NewCounter("pup.close")
+	hCwnd            = trace.NewHist("pup.cwnd")
+	cDataRecv        = trace.NewCounter("pup.data.recv")
+	cDataSend        = trace.NewCounter("pup.data.send")
+	cDataWords       = trace.NewCounter("pup.data.words")
+	cDupAck          = trace.NewCounter("pup.dup.ack")
+	cDupData         = trace.NewCounter("pup.dup.data")
+	cFail            = trace.NewCounter("pup.fail")
+	cOooBuffered     = trace.NewCounter("pup.ooo.buffered")
+	cOpen            = trace.NewCounter("pup.open")
+	cRetransmit      = trace.NewCounter("pup.retransmit")
+	cRetransmitFast  = trace.NewCounter("pup.retransmit.fast")
+	cRetransmitRto   = trace.NewCounter("pup.retransmit.rto")
+	cRetransmitWords = trace.NewCounter("pup.retransmit.words")
+	hSrttMs          = trace.NewHist("pup.srtt.ms")
+	cWindowDrop      = trace.NewCounter("pup.window.drop")
+)
+
 // Packet types, claiming a range of their own (0x50 up).
 const (
 	// TypeOpen asks the remote endpoint to create a connection.
@@ -264,7 +288,7 @@ func (e *Endpoint) Dial(remote ether.Addr) (*Conn, error) {
 	if err := c.sendCtrl(TypeOpen); err != nil {
 		return nil, err
 	}
-	e.rec().Add("pup.open", 1)
+	e.rec().Add(cOpen, 1)
 	return c, nil
 }
 
@@ -363,7 +387,7 @@ func (e *Endpoint) reap() {
 // business.
 func (e *Endpoint) dispatch(pkt ether.Packet) error {
 	if !pkt.SumOK() {
-		e.rec().Add("pup.checksum.drop", 1)
+		e.rec().Add(cChecksumDrop, 1)
 		return nil
 	}
 	if len(pkt.Payload) < headerWords {
@@ -414,7 +438,7 @@ func (e *Endpoint) dispatch(pkt ether.Packet) error {
 		if c != nil && c.state == StateClosing {
 			c.state = StateClosed
 			c.ctrl = ctrlState{}
-			e.rec().Add("pup.close", 1)
+			e.rec().Add(cClose, 1)
 		}
 		return nil
 	}
@@ -430,7 +454,7 @@ func (e *Endpoint) handleOpen(from ether.Addr, id, flow uint16, c *Conn) error {
 		c = e.newConn(from, id, StateOpen, true)
 		e.add(c)
 		e.backlog = append(e.backlog, c)
-		e.rec().Add("pup.accept", 1)
+		e.rec().Add(cAccept, 1)
 	}
 	// The OpenAck rides the connection's real header, so the dialer learns
 	// our receive window before its first data burst. A duplicated Open

@@ -218,7 +218,7 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 	}
 	sp.End()
 	if s.rec != nil {
-		s.rec.Add("compact.pages.moved", int64(rep.PagesMoved))
+		s.rec.Add(cPagesMoved, int64(rep.PagesMoved))
 	}
 
 	// Links, leaders, the allocation map and directory address hints are all

@@ -40,6 +40,17 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cPagesMoved      = trace.NewCounter("compact.pages.moved")
+	cFiles           = trace.NewCounter("scavenge.files")
+	cLeadersRepaired = trace.NewCounter("scavenge.leaders.repaired")
+	cLinksRepaired   = trace.NewCounter("scavenge.links.repaired")
+	cOrphansAdopted  = trace.NewCounter("scavenge.orphans.adopted")
+	cPagesFreed      = trace.NewCounter("scavenge.pages.freed")
+	cRuns            = trace.NewCounter("scavenge.runs")
+)
+
 // Report describes everything one scavenging pass found and repaired.
 type Report struct {
 	SectorsScanned int
@@ -182,12 +193,12 @@ func (s *scavenger) traceReport(rep *Report) {
 	if s.rec == nil {
 		return
 	}
-	s.rec.Add("scavenge.runs", 1)
-	s.rec.Add("scavenge.files", int64(rep.FilesFound))
-	s.rec.Add("scavenge.links.repaired", int64(rep.LinksRepaired))
-	s.rec.Add("scavenge.leaders.repaired", int64(rep.LeadersRepaired))
-	s.rec.Add("scavenge.pages.freed", int64(rep.PagesFreed))
-	s.rec.Add("scavenge.orphans.adopted", int64(rep.OrphansAdopted))
+	s.rec.Add(cRuns, 1)
+	s.rec.Add(cFiles, int64(rep.FilesFound))
+	s.rec.Add(cLinksRepaired, int64(rep.LinksRepaired))
+	s.rec.Add(cLeadersRepaired, int64(rep.LeadersRepaired))
+	s.rec.Add(cPagesFreed, int64(rep.PagesFreed))
+	s.rec.Add(cOrphansAdopted, int64(rep.OrphansAdopted))
 }
 
 // Run scavenges the device with the whole table in memory and returns a

@@ -187,14 +187,15 @@ func TestNilRecorderMergesToValidJSON(t *testing.T) {
 // TestDeterminism and TestGolden assert the same over whole experiments).
 func TestExportDeterminism(t *testing.T) {
 	kinds := []trace.Kind{trace.KindSeek, trace.KindDiskOp, trace.KindCheckFail, trace.KindEtherSend, trace.KindFSRequest}
+	ca, cb, h := trace.NewCounter("counter.a"), trace.NewCounter("counter.b"), trace.NewHist("hist")
 	build := func() []MachineTrace {
 		f := NewFleet(64)
 		r := f.Machine("m")
 		for i := 0; i < 40; i++ {
 			r.Emit(time.Duration(i)*time.Millisecond, kinds[i%len(kinds)], "e", int64(i), int64(i*i))
-			r.Add("counter.a", int64(i))
-			r.Add("counter.b", 1)
-			r.Observe("hist", float64(i))
+			r.Add(ca, int64(i))
+			r.Add(cb, 1)
+			r.Observe(h, float64(i))
 		}
 		return f.Machines()
 	}

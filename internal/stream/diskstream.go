@@ -11,6 +11,12 @@ import (
 	"altoos/internal/zone"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cClose = trace.NewCounter("stream.close")
+	cOpen  = trace.NewCounter("stream.open")
+)
+
 // Mode selects a disk stream's direction.
 type Mode int
 
@@ -85,7 +91,7 @@ func NewDisk(f *file.File, z zone.Zone, m *mem.Memory, mode Mode) (*DiskStream, 
 	dev := f.Device()
 	if rec := trace.Of(dev); rec != nil {
 		rec.Emit(dev.Clock().Now(), trace.KindStreamOpen, f.Name(), int64(f.FN().FV.FID), int64(mode))
-		rec.Add("stream.open", 1)
+		rec.Add(cOpen, 1)
 	}
 	return s, nil
 }
@@ -347,7 +353,7 @@ func (s *DiskStream) Close() error {
 	dev := s.f.Device()
 	if rec := trace.Of(dev); rec != nil {
 		rec.Emit(dev.Clock().Now(), trace.KindStreamClose, s.f.Name(), int64(s.f.FN().FV.FID), int64(s.mode))
-		rec.Add("stream.close", 1)
+		rec.Add(cClose, 1)
 	}
 	if flushErr != nil {
 		return flushErr

@@ -30,6 +30,12 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cInload  = trace.NewCounter("swap.inload")
+	cOutload = trace.NewCounter("swap.outload")
+)
+
 // MsgWords is the size of the message vector ("about 20 words", §4.1).
 const MsgWords = 20
 
@@ -74,7 +80,7 @@ func saveTo(f *file.File, c *cpu.CPU) error {
 	dev := f.Device()
 	sp := trace.Of(dev).Begin(dev.Clock(), trace.KindSwapOut, f.Name(), int64(f.FN().FV.FID), statePages)
 	defer sp.End()
-	trace.Of(dev).Add("swap.outload", 1)
+	trace.Of(dev).Add(cOutload, 1)
 	// Installation: grow the file once so every later save is pure
 	// streaming writes.
 	if err := ensureSize(f); err != nil {
@@ -131,7 +137,7 @@ func LoadState(fs *file.FS, c *cpu.CPU, fn file.FN) error {
 	dev := f.Device()
 	sp := trace.Of(dev).Begin(dev.Clock(), trace.KindSwapIn, f.Name(), int64(fn.FV.FID), statePages)
 	defer sp.End()
-	trace.Of(dev).Add("swap.inload", 1)
+	trace.Of(dev).Add(cInload, 1)
 	var hdr [disk.PageWords]disk.Word
 	if _, err := f.ReadPage(headerPage, &hdr); err != nil {
 		return err

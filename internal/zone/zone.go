@@ -21,6 +21,14 @@ import (
 	"altoos/internal/trace"
 )
 
+// The counters and histograms this package records, interned once.
+var (
+	cAlloc      = trace.NewCounter("zone.alloc")
+	cAllocFail  = trace.NewCounter("zone.alloc.fail")
+	cFree       = trace.NewCounter("zone.free")
+	hInuseWords = trace.NewHist("zone.inuse.words")
+)
+
 // Zone is the abstract free-storage object: anything that can allocate and
 // free blocks of words in main memory.
 type Zone interface {
@@ -84,11 +92,11 @@ func (z *MemZone) emit(k trace.Kind, a mem.Addr, words int) {
 	}
 	z.rec.Emit(z.clk.Now(), k, "", int64(a), int64(words))
 	if k == trace.KindZoneAlloc {
-		z.rec.Add("zone.alloc", 1)
+		z.rec.Add(cAlloc, 1)
 	} else {
-		z.rec.Add("zone.free", 1)
+		z.rec.Add(cFree, 1)
 	}
-	z.rec.Observe("zone.inuse.words", float64(z.stats.InUse))
+	z.rec.Observe(hInuseWords, float64(z.stats.InUse))
 }
 
 // Stats describes a zone's activity and occupancy.
@@ -193,7 +201,7 @@ func (z *MemZone) Alloc(n int) (mem.Addr, error) {
 	}
 	z.stats.Failures++
 	if z.rec != nil {
-		z.rec.Add("zone.alloc.fail", 1)
+		z.rec.Add(cAllocFail, 1)
 	}
 	return 0, fmt.Errorf("%w: %d words (largest free %d)", ErrNoRoom, n, z.Avail())
 }
