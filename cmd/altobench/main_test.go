@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -292,6 +293,39 @@ func TestE10MergedArtifactsAreByteIdentical(t *testing.T) {
 				t.Errorf("%s differs between %q and %q", name, variants[0].label, v.label)
 			}
 		}
+	}
+}
+
+// TestE11SweepPointsKeepTheirOwnTimelines: E11 names its machines per
+// sweep point (loss10/server, ...), so each point's clock, which starts at
+// zero, has lanes of its own in the merged artifacts. When the five points
+// shared three recorders their spans overlapped as if concurrent, and the
+// collapsed profile held disk ops nested under a rotation wait — a stack
+// one drive cannot produce.
+func TestE11SweepPointsKeepTheirOwnTimelines(t *testing.T) {
+	fleet := scope.NewFleet(trace.DefaultEvents)
+	if _, err := experiments.Run("e11", 2, fleet.Machine); err != nil {
+		t.Fatal(err)
+	}
+	machines := fleet.Machines()
+	var names []string
+	for _, m := range machines {
+		names = append(names, m.Name)
+	}
+	for _, want := range []string{"loss0/server", "loss10/client0", "loss20/client1"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("no machine %s among %v", want, names)
+		}
+	}
+	if len(names) != 15 {
+		t.Errorf("%d machines, want 3 for each of 5 sweep points: %v", len(names), names)
+	}
+	_, collapsed, _, err := render(scope.Merge(machines, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(collapsed, []byte("disk/rotate;disk")); n > 0 {
+		t.Errorf("collapsed profile nests a disk op under a rotation wait in %d stacks", n)
 	}
 }
 

@@ -265,10 +265,11 @@ func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, erro
 // and page-growth writes say nothing about the transport) and then measures
 // a phase of same-size overwrites and fetches — warm congestion windows,
 // chained interior disk transfers, the wire under real pressure. Every sweep
-// point builds the same three machines (server, client0, client1), so a
-// machine's recorder persists across the sweep; all numbers are clock
-// deltas and deltas of counters summed over the three, around the measured
-// phase.
+// point builds three machines of its own, named for the point
+// (loss10/server, loss10/client0, loss10/client1): each point's clock
+// starts at zero, so machines shared across points would fold five
+// timelines onto one time axis. All numbers are clock deltas and deltas of
+// counters summed over every machine, around the measured phase.
 func e11LossSweep(_ int, machine func(string) *trace.Recorder) (*Result, error) {
 	recs := newRecorders(machine)
 	res := &Result{
@@ -281,7 +282,10 @@ func e11LossSweep(_ int, machine func(string) *trace.Recorder) (*Result, error) 
 	// cover), short enough that five sweep points stay cheap.
 	const fileBytes = 16*disk.PageBytes - 76
 	for _, lossPct := range []int{0, 5, 10, 15, 20} {
-		r, err := newNetRig(2, recs.get)
+		point := func(name string) *trace.Recorder {
+			return recs.get(fmt.Sprintf("loss%d/%s", lossPct, name))
+		}
+		r, err := newNetRig(2, point)
 		if err != nil {
 			return nil, err
 		}
