@@ -42,8 +42,9 @@ var MutexOrderAnalyzer = &Analyzer{
 // into them cannot participate in a cycle.
 var leafLockPackages = map[string]bool{
 	"internal/sim": true,
-	// The flight recorder never calls out of its package while locked, so
-	// any subsystem may emit events while holding its own lock.
+	// The flight recorder's emit path takes no lock, and its name registry
+	// never calls out of the package while locked, so any subsystem may
+	// emit events while holding its own lock.
 	"internal/trace": true,
 }
 

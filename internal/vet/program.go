@@ -282,7 +282,8 @@ func (p *Program) resolve(callee *types.Func) []*types.Func {
 
 // isTraceEmission reports whether fn is a flight-recorder emission method:
 // trace.Recorder Emit/EmitSpan/EmitFlow/EmitSpanFlow/Add/Observe/Begin or
-// trace.Span End/EndWith.
+// trace.Span End/EndWith. Add and Observe take interned handles
+// (trace.NewCounter, trace.NewHist), so a handle bump is an emission site.
 func isTraceEmission(m *Module, fn *types.Func) bool {
 	if fn.Pkg() == nil || fn.Pkg().Path() != m.Path+"/internal/trace" {
 		return false
