@@ -28,7 +28,7 @@ func TestDefaultWorkloadSweepRecovers(t *testing.T) {
 }
 
 // TestReportJSONIsStableAndParseable pins the report format the CI gate and
-// benchdiff consumers read: valid JSON, byte-identical across runs, with
+// other -json consumers read: valid JSON, byte-identical across runs, with
 // the fields the docs promise.
 func TestReportJSONIsStableAndParseable(t *testing.T) {
 	w, _ := crashpoint.Lookup("dir-insert")

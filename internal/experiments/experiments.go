@@ -1,7 +1,8 @@
 // Package experiments regenerates every quantitative claim in the paper's
 // text — its "tables and figures". The paper is a design paper with no
 // numbered exhibits, so each embedded claim is promoted to an experiment
-// E1..E9 (see DESIGN.md §3 and EXPERIMENTS.md for the index). Each
+// E1..E15, and each design decision the paper argues for is turned off in an
+// ablation A1..A4 (see DESIGN.md §3 and EXPERIMENTS.md for the index). Each
 // experiment builds the workload it needs from scratch, runs it on the
 // simulated machine, and reports the measured shape next to the paper's
 // sentence.
@@ -192,7 +193,8 @@ func single(run func(*trace.Recorder) (*Result, error)) func(int, func(string) *
 	}
 }
 
-// registry lists every experiment in order.
+// registry lists every experiment in order: the claims E1–E15, then the
+// ablations A1–A4 (ablations.go).
 var registry = []Runner{
 	{ID: "e1", Title: "raw sequential transfer", Run: single(e1RawTransfer)},
 	{ID: "e2", Title: "allocation and free cost", Run: single(e2AllocFreeCost)},
@@ -209,6 +211,10 @@ var registry = []Runner{
 	{ID: "e13", Title: "segment saturation and fairness", Run: e13Saturation},
 	{ID: "e14", Title: "fleet fan-in: a hundred Altos on one file server", Run: e14FleetFanIn},
 	{ID: "e15", Title: "sharded cluster with a distributed Scavenger", Run: e15ClusterAudit},
+	{ID: "a1", Title: "label check on ordinary writes, ablated", Run: single(a1LabelCheck)},
+	{ID: "a2", Title: "consecutive allocation, ablated", Run: single(a2ConsecutiveAllocation)},
+	{ID: "a3", Title: "per-file hint cache, ablated", Run: single(a3HintCache)},
+	{ID: "a4", Title: "directory journaling, the rejected alternative", Run: single(a4DirectoryJournal)},
 }
 
 // IDs lists the experiment ids Run accepts, in order.

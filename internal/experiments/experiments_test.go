@@ -173,14 +173,51 @@ func TestE12CrashSweep(t *testing.T) {
 	check(t, r, "crash_points_total", 100, 1000)
 }
 
+// sectorMS is one Diablo 31 sector time (a 40 ms revolution over 12
+// sectors): the per-page cost of reading at full disk speed.
+const sectorMS = 40.0 / 12
+
+func TestA1LabelCheck(t *testing.T) {
+	r := mustRun(t, "a1")
+	// §3.3: "on any other write the label is checked, at no cost in time".
+	check(t, r, "revs_check_overhead", 0, 0)
+	check(t, r, "revs/write_checked", 0.5, 2)
+}
+
+func TestA2ConsecutiveAllocation(t *testing.T) {
+	r := mustRun(t, "a2")
+	// §3.6: consecutively allocated files read at full disk speed — within
+	// two sector times a page — and scattering them costs an order of
+	// magnitude.
+	check(t, r, "ms/page_consecutive", sectorMS, 2*sectorMS)
+	check(t, r, "slowdown_without_policy", 10, 30)
+}
+
+func TestA3HintCache(t *testing.T) {
+	r := mustRun(t, "a3")
+	// §3.6: a correct hint reaches a page in one access, so a hinted
+	// sequential read streams at disk speed; living on links from the
+	// leader costs an order of magnitude.
+	check(t, r, "ms/page_with_hints", sectorMS, 2*sectorMS)
+	check(t, r, "slowdown_without_hints", 10, 60)
+}
+
+func TestA4DirectoryJournal(t *testing.T) {
+	r := mustRun(t, "a4")
+	// §3.5: "we do not consider our directories important enough to warrant
+	// such attentions" — a journaled insert writes its log record before
+	// the directory page, so it costs at least twice a plain insert.
+	check(t, r, "journal_overhead_factor", 2, 10)
+}
+
 // TestAllRunsEveryExperiment walks the registry: every experiment runs and
 // renders a well-formed table, and IDs lists each one.
 func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	if len(registry) != 15 || len(IDs()) != len(registry) {
-		t.Fatalf("registry has %d experiments and IDs lists %d, want 15 each", len(registry), len(IDs()))
+	if len(registry) != 19 || len(IDs()) != len(registry) {
+		t.Fatalf("registry has %d experiments and IDs lists %d, want 19 each", len(registry), len(IDs()))
 	}
 	for _, e := range registry {
 		r, err := e.Run(1, nil)
