@@ -188,13 +188,15 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 	if r.drive, err = disk.NewDrive(cfg.Geometry, disk.Word(global+1), r.clock); err != nil {
 		return nil, err
 	}
-	r.drive.SetRecorder(r.rec)
 	if r.fs, err = file.Format(r.drive); err != nil {
 		return nil, err
 	}
 	if _, err = dir.InitRoot(r.fs); err != nil {
 		return nil, err
 	}
+	// The recorder is attached after the format, whose disk ops belong to
+	// no timeline: an unshared clock restarts at zero below.
+	r.drive.SetRecorder(r.rec)
 	r.srv = fileserver.NewServer(r.fs, pup.NewEndpoint(r.srvSt, pup.Config{}))
 
 	r.audCfg = cfg.AuditPup

@@ -110,7 +110,6 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	if err != nil {
 		return nil, err
 	}
-	srvDrv.SetRecorder(srvRec)
 	srvFS, err := file.Format(srvDrv)
 	if err != nil {
 		return nil, err
@@ -120,8 +119,10 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	}
 	srv := fileserver.NewServer(srvFS, pup.NewEndpoint(srvSt, pup.Config{}))
 	// The server was up before the building woke: formatting its pack is
-	// not part of the experiment's timeline, so its clock restarts at zero
-	// and the serve loop is the whole program.
+	// not part of the experiment's timeline, so the drive records only
+	// from here, its clock restarts at zero and the serve loop is the
+	// whole program.
+	srvDrv.SetRecorder(srvRec)
 	srvClock.Reset()
 	if err := eng.Add(fleet.MachineConfig{
 		Name:    "server",
