@@ -267,6 +267,20 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 		return nil, fmt.Errorf("e15 audit phase: %w", err)
 	}
 
+	// The run ends with the audit phase. The offline check below reads
+	// every pack through the replicas' drives, which charges their clocks,
+	// so the end time is read first.
+	var simEnd time.Duration
+	maxHealRound := 0
+	for _, r := range c.Replicas {
+		if t := r.Clock().Now(); t > simEnd {
+			simEnd = t
+		}
+		if hr := r.LastHealRound(); hr > maxHealRound {
+			maxHealRound = hr
+		}
+	}
+
 	// ---- Offline verification, straight off every pack: the replicated
 	// namespace must hold every file at its final version everywhere.
 	filesLost, bytesCorrupted := 0, 0
@@ -295,16 +309,6 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 		}
 	}
 
-	var simEnd time.Duration
-	maxHealRound := 0
-	for _, r := range c.Replicas {
-		if t := r.Clock().Now(); t > simEnd {
-			simEnd = t
-		}
-		if hr := r.LastHealRound(); hr > maxHealRound {
-			maxHealRound = hr
-		}
-	}
 	steps := eng1.Steps() + eng2.Steps()
 	divergence := recs.counter("cluster.divergence")
 	heals := recs.counter("cluster.heal")
