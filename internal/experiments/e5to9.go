@@ -488,10 +488,3 @@ func e9InstalledHints(tr *trace.Recorder) (*Result, error) {
 	res.metric("hints_failed_after_delete", float64(failed))
 	return res, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
