@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printStats renders the informational per-analyzer table `make vet-stats`
+// printStats renders the informational per-analyzer table `make altovet`
 // shows: surviving findings and suppressions in use.
 func printStats(w io.Writer, s *vet.Stats) {
 	names := map[string]bool{}

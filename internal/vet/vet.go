@@ -120,7 +120,7 @@ func analyzerNames() map[string]bool {
 	return m
 }
 
-// Stats summarizes one run for the vet-stats report: surviving and
+// Stats summarizes one run for altovet's -stats table: surviving and
 // suppressed finding counts per analyzer.
 type Stats struct {
 	Findings map[string]int // surviving diagnostics, by analyzer
