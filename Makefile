@@ -62,11 +62,12 @@ perf-check:
 	$(GO) -C perf test ./...
 	$(GO) -C perf run . -workload all -check
 
-# bench-smoke runs every layer benchmark under internal/ once, so a broken
-# benchmark fails the gate instead of waiting for someone to time it. It
-# checks that they run, not what they measure.
+# bench-smoke runs every layer benchmark under internal/ and the root
+# package's experiment benchmarks (BenchmarkExperiment, BenchmarkE14FleetFanIn)
+# once, so a broken benchmark fails the gate instead of waiting for someone
+# to time it. It checks that they run, not what they measure.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
 
 # fuzz-smoke searches with each native fuzz target for 10 s. Plain `go test`
 # runs only their seed corpora; this makes the gate look for new inputs too.
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFileserverMessages$$' -fuzztime 10s ./internal/fileserver
 	$(GO) test -run '^$$' -fuzz '^FuzzDriveTwin$$' -fuzztime 10s ./internal/disk
 	$(GO) test -run '^$$' -fuzz '^FuzzHintLadder$$' -fuzztime 10s ./internal/file
+	$(GO) test -run '^$$' -fuzz '^FuzzMemoryTwin$$' -fuzztime 10s ./internal/mem
 
 fmt:
 	gofmt -l -w .

@@ -373,3 +373,20 @@ func TestExecutiveScavengeKeepsSystemFSInSync(t *testing.T) {
 		t.Fatal("Executive compact desynchronized the FS")
 	}
 }
+
+// TestBootTouchesFewPages pins what a boot costs in main memory: the
+// paged store gives a page storage only on its first nonzero store, and a
+// freshly booted System or Diskless Alto stores into a handful of its 256
+// pages, not the whole 128 KB.
+func TestBootTouchesFewPages(t *testing.T) {
+	s, _ := newSys(t)
+	d, err := NewDiskless(DisklessConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"System": s.Mem.TouchedPages(), "Diskless": d.Mem.TouchedPages()} {
+		if n > 4 {
+			t.Errorf("%s boot touches %d pages, want at most 4", name, n)
+		}
+	}
+}

@@ -93,7 +93,18 @@ type Op struct {
 	HeaderData *[HeaderWords]Word
 	LabelData  *[LabelWords]Word
 	ValueData  *[PageWords]Word
+
+	// Probe marks an operation whose caller asks only whether its checks
+	// pass, as the hint ladder does of a hint it may drop: a failed check
+	// returns errProbeCheck, which IsCheck recognizes, instead of building
+	// a *CheckError. The drive's statistics and trace are the same either
+	// way.
+	Probe bool
 }
+
+// errProbeCheck is a failed check of a Probe operation. It carries no
+// detail and costs no allocation.
+var errProbeCheck = errors.New("disk: check failed")
 
 // CheckError reports a failed check action: the operation was aborted at the
 // given part and word, before any later action ran.
@@ -134,6 +145,9 @@ var (
 // skips.)
 func IsCheck(err error) bool {
 	for err != nil {
+		if err == errProbeCheck {
+			return true
+		}
 		switch e := err.(type) {
 		case *CheckError:
 			return true
@@ -493,13 +507,13 @@ func (d *Drive) do(op *Op) error {
 		header, label, value = hdr[:], lbl[:], onesValue[:]
 	}
 
-	if err := d.doPart(s, op.Addr, PartHeader, op.Header, header, slice2(op.HeaderData)); err != nil {
+	if err := d.doPart(s, op, PartHeader, op.Header, header, slice2(op.HeaderData)); err != nil {
 		return err
 	}
-	if err := d.doPart(s, op.Addr, PartLabel, op.Label, label, slice7(op.LabelData)); err != nil {
+	if err := d.doPart(s, op, PartLabel, op.Label, label, slice7(op.LabelData)); err != nil {
 		return err
 	}
-	return d.doPart(s, op.Addr, PartValue, op.Value, value, slice256(op.ValueData))
+	return d.doPart(s, op, PartValue, op.Value, value, slice256(op.ValueData))
 }
 
 // Outcome codes carried in a KindDiskOp event's second argument.
@@ -578,11 +592,12 @@ func slice256(p *[PageWords]Word) []Word {
 	return p[:]
 }
 
-// doPart applies one action to one sector part. s is the sector's storage,
-// or nil when dst is the format pattern of a never-written sector: its
-// checksum is the constant onesCRC, so reading it never mismatches, and no
-// write reaches it. d.mu is held.
-func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word) error {
+// doPart applies one of op's actions to one sector part. s is the sector's
+// storage, or nil when dst is the format pattern of a never-written sector:
+// its checksum is the constant onesCRC, so reading it never mismatches, and
+// no write reaches it. d.mu is held.
+func (d *Drive) doPart(s *sector, op *Op, part Part, a Action, dst, mem []Word) error {
+	addr := op.Addr
 	switch a {
 	case None:
 		return nil
@@ -605,6 +620,9 @@ func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word
 				if d.rec != nil {
 					d.rec.Emit(d.clock.Now(), trace.KindCheckFail, part.String(), int64(addr), int64(i))
 					d.rec.Add(cCheckFail, 1)
+				}
+				if op.Probe {
+					return errProbeCheck
 				}
 				return &CheckError{Addr: addr, Part: part, WordIdx: i, Expected: mem[i], OnDisk: dst[i]}
 			}

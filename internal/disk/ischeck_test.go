@@ -53,3 +53,40 @@ func TestIsCheckDoesNotAllocate(t *testing.T) {
 		t.Errorf("IsCheck: %v allocs, want 0", a)
 	}
 }
+
+// TestProbeCheckFailsWithoutAllocating: a failed check of a Probe operation
+// returns an error IsCheck recognizes, allocates nothing and counts as a
+// check failure like any other; the same operation without Probe still
+// surfaces the full *CheckError with its text.
+func TestProbeCheckFailsWithoutAllocating(t *testing.T) {
+	d := newTestDrive(t)
+	var v [PageWords]Word
+	if err := Allocate(d, 11, testLabel(0), &v); err != nil {
+		t.Fatal(err)
+	}
+	var lbl [LabelWords]Word
+	op := func(probe bool) error {
+		lbl = checkWords(testLabel(1)) // the wrong page number
+		return d.Do(&Op{Addr: 11, Label: Check, LabelData: &lbl, Probe: probe})
+	}
+	err := op(false)
+	var ce *CheckError
+	if !errors.As(err, &ce) {
+		t.Fatalf("a failed check returned %v, want a *CheckError", err)
+	}
+	const want = "disk: check failed at 11 label word 3: expected 0x0001, disk has 0x0000"
+	if err.Error() != want {
+		t.Errorf("check error text %q, want %q", err, want)
+	}
+	fails := d.Stats().CheckFail
+	if a := testing.AllocsPerRun(100, func() {
+		if err := op(true); !IsCheck(err) {
+			t.Fatalf("a failed probe returned %v, want a check failure", err)
+		}
+	}); a != 0 {
+		t.Errorf("a failed probe: %v allocs, want 0", a)
+	}
+	if got := d.Stats().CheckFail - fails; got != 101 {
+		t.Errorf("101 failed probes counted %d check failures", got)
+	}
+}

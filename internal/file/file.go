@@ -279,7 +279,7 @@ func (f *File) loadLeader() error {
 	// Trust the leader's last-page hint if it verifies; otherwise chase
 	// links from the front.
 	if ldr.LastAddr != disk.NilVDA {
-		if lbl, err := f.readLabel(ldr.LastAddr, ldr.LastPN); err == nil && lbl.Next == disk.NilVDA {
+		if lbl, err := f.readLabel(ldr.LastAddr, ldr.LastPN, true); err == nil && lbl.Next == disk.NilVDA {
 			f.lastPN, f.lastLen = ldr.LastPN, int(lbl.Length)
 			f.setHint(ldr.LastPN, ldr.LastAddr)
 			return nil
@@ -296,10 +296,12 @@ func (f *File) loadLeader() error {
 
 // readLabel is disk.ReadLabel for page pn of this file, issued through the
 // handle's scratch: passed through the Device interface, a fresh operation
-// and pattern would move to the heap on every call.
-func (f *File) readLabel(addr disk.VDA, pn disk.Word) (disk.Label, error) {
+// and pattern would move to the heap on every call. A probe is a read whose
+// caller drops the error, trying a hint it may discard: its failed check
+// comes back without a *disk.CheckError and so allocates nothing.
+func (f *File) readLabel(addr disk.VDA, pn disk.Word, probe bool) (disk.Label, error) {
 	f.sc.lpat = disk.LinkPattern(f.fn.FV, pn)
-	f.sc.lop = disk.Op{Addr: addr, Label: disk.Check, LabelData: &f.sc.lpat}
+	f.sc.lop = disk.Op{Addr: addr, Label: disk.Check, LabelData: &f.sc.lpat, Probe: probe}
 	if err := f.fs.dev.Do(&f.sc.lop); err != nil {
 		return disk.Label{}, err
 	}
@@ -310,7 +312,7 @@ func (f *File) readLabel(addr disk.VDA, pn disk.Word) (disk.Label, error) {
 // hints along the way. Returns the last page's number, address and length.
 func (f *File) chaseToEnd(pn disk.Word, addr disk.VDA) (disk.Word, disk.VDA, int, error) {
 	for {
-		lbl, err := f.readLabel(addr, pn)
+		lbl, err := f.readLabel(addr, pn, false)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -326,8 +328,8 @@ func (f *File) chaseToEnd(pn disk.Word, addr disk.VDA) (disk.Word, disk.VDA, int
 	}
 }
 
-// access performs op (whose Addr it fills in) on page pn, climbing the hint
-// ladder of §3.6 on label-check failures:
+// access performs op (whose Addr and Probe it fills in) on page pn,
+// climbing the hint ladder of §3.6 on label-check failures:
 //
 //  1. the exact hint address for pn;
 //  2. links followed from the nearest correct hint (typically the leader);
@@ -345,6 +347,9 @@ func (f *File) access(pn disk.Word, op *disk.Op) (disk.VDA, error) {
 	// this frame — the hot path must not allocate.
 	var snap opSnapshot
 	snap.save(op)
+	// access never surfaces a failed check, it climbs the ladder instead,
+	// so every try is a probe and a stale hint costs no allocation.
+	op.Probe = true
 
 	// Level 1: direct hint.
 	if a := f.hint(pn); a != disk.NilVDA {
@@ -478,13 +483,13 @@ func (f *File) locateByLinks(pn disk.Word) (disk.VDA, error) {
 	}
 	if addr == disk.NilVDA {
 		// No surviving hints at all; try the full-name leader address.
-		if _, err := f.readLabel(f.fn.Leader, 0); err != nil {
+		if _, err := f.readLabel(f.fn.Leader, 0, false); err != nil {
 			return 0, err
 		}
 		cur, addr = 0, f.fn.Leader
 	}
 	for cur != pn {
-		lbl, err := f.readLabel(addr, cur)
+		lbl, err := f.readLabel(addr, cur, false)
 		if err != nil {
 			return 0, err
 		}
@@ -518,7 +523,7 @@ func (f *File) probeHint(hpn int) (disk.Word, disk.VDA) {
 		return 0, disk.NilVDA
 	}
 	pn, a := disk.Word(hpn), f.hints[hpn]
-	if _, err := f.readLabel(a, pn); err != nil {
+	if _, err := f.readLabel(a, pn, true); err != nil {
 		f.dropHint(pn)
 		return 0, disk.NilVDA
 	}

@@ -253,14 +253,32 @@ func TestReadPagesAllocatesNothing(t *testing.T) {
 // BenchmarkLocateByLinks times a ladder climb through stale hints: every
 // fourth page of a 32-page file carries one, every eighth a correct one.
 func BenchmarkLocateByLinks(b *testing.B) {
-	_, f, _ := thirtyTwoPages(b)
+	climb := staleLadder(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		climb()
+	}
+}
+
+// TestLocateByLinksAllocatesNothing pins BenchmarkLocateByLinks at zero
+// allocations: the stale hints it probes fail their checks without building
+// a *disk.CheckError.
+func TestLocateByLinksAllocatesNothing(t *testing.T) {
+	if a := testing.AllocsPerRun(100, staleLadder(t)); a != 0 {
+		t.Errorf("a ladder climb through stale hints: %v allocs, want 0", a)
+	}
+}
+
+// staleLadder returns one BenchmarkLocateByLinks climb: plant the hints on
+// a 32-page file, then locate page 27 by links.
+func staleLadder(tb testing.TB) func() {
+	_, f, _ := thirtyTwoPages(tb)
 	truth := make([]disk.VDA, 33)
 	for p := range truth {
 		truth[p] = f.hint(disk.Word(p))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		f.ForgetHints()
 		for p := 4; p < len(truth); p += 4 {
 			a := truth[p]
@@ -270,7 +288,7 @@ func BenchmarkLocateByLinks(b *testing.B) {
 			f.SetHint(disk.Word(p), a)
 		}
 		if _, err := f.locateByLinks(disk.Word(27)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

@@ -80,7 +80,30 @@ func TestSteadyHandoffAllocatesNothing(t *testing.T) { testSteadyAllocatesNothin
 // testSteadyAllocatesNothing drives barrierFleet with n machines window by
 // window and demands that a steady-state window allocate nothing.
 func testSteadyAllocatesNothing(t *testing.T, n int) {
-	eng := barrierFleet(t, n, -1)
+	steadyWindowAllocs(t, barrierFleet(t, n, -1), 1)
+}
+
+// TestPoolWindowAllocatesNothing pins the worker pool's cost: at two
+// workers, a steady-state window of four machines, run by the pool's helper
+// and the calling goroutine together, starts no goroutine and allocates
+// nothing.
+func TestPoolWindowAllocatesNothing(t *testing.T) {
+	eng := fleet.New(fleet.Workers(2), fleet.MaxRounds(math.MaxInt))
+	for i := 0; i < 4; i++ {
+		clk := sim.NewClock()
+		mustAdd(t, eng, fleet.MachineConfig{Name: "yielder", Clock: clk, Program: func(m *fleet.Machine) error {
+			for {
+				clk.Advance(time.Microsecond)
+				m.Yield()
+			}
+		}})
+	}
+	steadyWindowAllocs(t, eng, 4)
+}
+
+// steadyWindowAllocs drives eng window by window and demands that a
+// steady-state window run width machines and allocate nothing.
+func steadyWindowAllocs(t *testing.T, eng *fleet.Engine, width int64) {
 	fleet.DriveWindows(eng, func(window func(int) (bool, error)) {
 		round := 0
 		step := func() {
@@ -92,8 +115,12 @@ func testSteadyAllocatesNothing(t *testing.T, n int) {
 		for i := 0; i < 10; i++ {
 			step() // boot: every machine's first activation, then steady state
 		}
+		steps, start := eng.Steps(), round
 		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 			t.Errorf("a steady-state window allocates %v times, want 0", allocs)
+		}
+		if got := (eng.Steps() - steps) / int64(round-start); got != width {
+			t.Errorf("a steady-state window runs %d machines, want %d", got, width)
 		}
 	})
 }

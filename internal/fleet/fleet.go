@@ -82,6 +82,21 @@ type Engine struct {
 	dirtyMu sync.Mutex
 	dirty   []*Machine
 
+	// The worker pool: workers-1 helper goroutines that live from Run's
+	// start to its end. A window of two or more machines resets cursor,
+	// sends its batch on work once per helper it needs and claims slots on
+	// the calling goroutine too; barrier counts the helpers still claiming,
+	// and exited the helpers still alive. A program's panic on any of them
+	// is held until the barrier, then raised again on Run's goroutine:
+	// panicked is the machine whose program raised panicValue.
+	work       chan []*Machine
+	cursor     atomic.Int64
+	barrier    sync.WaitGroup
+	exited     sync.WaitGroup
+	panicMu    sync.Mutex
+	panicked   *Machine
+	panicValue any
+
 	// checkBatch, when set, sees every window's batch before it runs. Only
 	// tests set it: it is how the schedule-equivalence oracle watches.
 	checkBatch func(batch []*Machine)
@@ -221,15 +236,24 @@ func (e *Engine) markDirty(m *Machine) {
 // occurred. It must be called exactly once.
 func (e *Engine) Run() error { return e.run(e.loopWindows) }
 
-// run makes every machine a coroutine, drives the schedule with loop, then
-// unwinds the unfinished machines and releases the stations' delivery
-// hooks. The unwinding is deferred, so it also runs when a program's panic
-// propagates out of loop.
+// run makes every machine a coroutine, starts the worker pool's helpers,
+// drives the schedule with loop, then joins the helpers, unwinds the
+// unfinished machines and releases the stations' delivery hooks. The
+// unwinding is deferred, so it also runs when a program's panic propagates
+// out of loop.
 func (e *Engine) run(loop func() error) error {
 	for _, m := range e.machines {
 		m.next, m.stop = iter.Pull(m.runner)
 	}
+	helpers := min(e.workers, len(e.machines)) - 1
+	e.work = make(chan []*Machine, max(helpers, 0))
+	for h := 0; h < helpers; h++ {
+		e.exited.Add(1)
+		go e.help()
+	}
 	defer func() {
+		close(e.work)
+		e.exited.Wait()
 		for _, m := range e.machines {
 			m.stop()
 			for _, st := range m.sts {
@@ -384,9 +408,11 @@ func (e *Engine) retire(m *Machine) {
 }
 
 // runBatch executes one window's machines. With one worker they run
-// serially in event order; with more, a worker pool claims machines off an
-// atomic cursor — the same slot-addressed pattern the crash explorer uses —
-// and the window barrier is the pool's WaitGroup.
+// serially in event order; with more, the pool's helpers and the calling
+// goroutine claim machines off the engine's atomic cursor — the same
+// slot-addressed pattern the crash explorer uses — and the window barrier
+// is the pool's WaitGroup. A window starts no goroutine and allocates
+// nothing.
 func (e *Engine) runBatch(batch []*Machine) {
 	n := e.workers
 	if n > len(batch) {
@@ -398,22 +424,51 @@ func (e *Engine) runBatch(batch []*Machine) {
 		}
 		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(batch) {
-					return
-				}
-				e.stepAt(batch[i], batch[i].effWake)
-			}
-		}()
+	e.cursor.Store(0)
+	e.barrier.Add(n - 1)
+	for w := 1; w < n; w++ {
+		e.work <- batch
 	}
-	wg.Wait()
+	e.claim(batch)
+	e.barrier.Wait()
+	if e.panicked != nil {
+		panic(e.panicValue)
+	}
+}
+
+// help is one pool helper: it claims slots of every batch it is handed
+// until Run closes the work channel.
+func (e *Engine) help() {
+	defer e.exited.Done()
+	for batch := range e.work {
+		e.claim(batch)
+		e.barrier.Done()
+	}
+}
+
+// claim runs batch machines off the cursor until none is left. A program
+// that panics is recorded, lowest creation index first so the value Run
+// raises does not depend on which worker ran what, and ends this worker's
+// claiming; the others finish the window.
+func (e *Engine) claim(batch []*Machine) {
+	var m *Machine
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicMu.Lock()
+			if e.panicked == nil || m.idx < e.panicked.idx {
+				e.panicked, e.panicValue = m, r
+			}
+			e.panicMu.Unlock()
+		}
+	}()
+	for {
+		i := int(e.cursor.Add(1) - 1)
+		if i >= len(batch) {
+			return
+		}
+		m = batch[i]
+		e.stepAt(m, m.effWake)
+	}
 }
 
 // stepAt resumes one parked machine at the given wake time and returns when

@@ -60,6 +60,11 @@ type DiskStream struct {
 	wb      [windowPages][disk.PageWords]disk.Word // write-behind (UpdateMode only)
 	wbStart disk.Word                              // first page in wb; 0 = empty
 	wbN     int
+
+	// stage carries a single page between the disk and the working page: a
+	// page read lands here before it is stored into memory, and a page
+	// flushed is loaded from memory here before it is written.
+	stage [disk.PageWords]disk.Word
 }
 
 // windowPages bounds both transfer windows: one chain moves at most this
@@ -134,12 +139,11 @@ func (s *DiskStream) loadPage(pn disk.Word) error {
 			// Fall through to the single-page ladder on any trouble.
 		}
 	}
-	var v [disk.PageWords]disk.Word
-	n, err := s.f.ReadPage(pn, &v)
+	n, err := s.f.ReadPage(pn, &s.stage)
 	if err != nil {
 		return err
 	}
-	s.fill(&v, n)
+	s.fill(&s.stage, n)
 	s.pn = pn
 	s.seqNext = pn + 1
 	return nil
@@ -147,9 +151,7 @@ func (s *DiskStream) loadPage(pn disk.Word) error {
 
 // fill copies a page into the zone-backed buffer.
 func (s *DiskStream) fill(v *[disk.PageWords]disk.Word, n int) {
-	for i, w := range v {
-		s.m.Store(s.buf+mem.Addr(i), w)
-	}
+	s.m.StoreBlock(s.buf, v[:])
 	s.pageLen = n
 }
 
@@ -170,10 +172,7 @@ func (s *DiskStream) flushBuf() error {
 	if !s.dirty || s.pn == 0 {
 		return nil
 	}
-	var v [disk.PageWords]disk.Word
-	for i := range v {
-		v[i] = s.m.Load(s.buf + mem.Addr(i))
-	}
+	s.m.LoadBlock(s.buf, s.stage[:])
 	lastPN := s.f.LastPN()
 	length := s.pageLen
 	if s.pn < lastPN {
@@ -184,7 +183,7 @@ func (s *DiskStream) flushBuf() error {
 		if s.wbN == 0 {
 			s.wbStart = s.pn
 		}
-		s.wb[s.wbN] = v
+		s.wb[s.wbN] = s.stage
 		s.wbN++
 		s.dirty = false
 		if s.wbN == windowPages {
@@ -195,7 +194,7 @@ func (s *DiskStream) flushBuf() error {
 	if err := s.flushPending(); err != nil {
 		return err
 	}
-	if err := s.f.WritePage(s.pn, &v, length); err != nil {
+	if err := s.f.WritePage(s.pn, &s.stage, length); err != nil {
 		return err
 	}
 	s.dirty = false

@@ -133,3 +133,47 @@ func TestDiskStreamWriteBehindWindow(t *testing.T) {
 		t.Fatalf("write-behind lost data: first divergence at %d", firstDiff(got, want))
 	}
 }
+
+// TestPageMovesAllocateNothing pins the single-page path's cost: loading a
+// page the windows do not hold, and flushing a page straight to the disk,
+// move it through the stream's staging page and allocate nothing.
+func TestPageMovesAllocateNothing(t *testing.T) {
+	r := newRig(t)
+	s := r.open(t, "stage.dat", UpdateMode)
+	// Page 1 full, page 2 the short last page: neither window serves them.
+	for i := 0; i < disk.PageBytes+10; i++ {
+		if err := s.Put(byte(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	get := func(pos int) {
+		if err := s.Seek(pos); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := s.Get(); err != nil || b != byte(pos) {
+			t.Fatalf("Get at %d = %d, %v; want %d", pos, b, err, byte(pos))
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		get(3)                  // loads page 1
+		get(disk.PageBytes + 3) // loads page 2
+	}); a != 0 {
+		t.Errorf("a page load: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := s.Seek(disk.PageBytes + 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(5); err != nil { // the byte already there
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("a page flush: %v allocs, want 0", a)
+	}
+}
