@@ -49,10 +49,14 @@ cluster-seeds:
 	$(GO) run ./cmd/altobench -seeds 0-199
 
 # crash-check is the §3.5 gate: a sampled sweep of crash points (clean and
-# torn) over the journaled directory workload; altocrash exits non-zero if
-# any crash point fails to recover to a pack fsck certifies violation-free.
+# torn) over the journaled directory workload, then every crash point of
+# cluster-store (a replica dies mid-store; the rebooted group must re-audit
+# to byte-identical copies on the fleet engine; 18 runs). altocrash exits
+# non-zero if any crash point fails to recover to a pack fsck certifies
+# violation-free.
 crash-check:
 	$(GO) run ./cmd/altocrash -workload journaled-insert -points 64 -workers 8 -torn
+	$(GO) run ./cmd/altocrash -workload cluster-store -torn
 
 # perf-check guards the benchmark's simulations: its own tests pass, and
 # every workload's simulation digest is the same at workers 1 and 2, traced

@@ -20,6 +20,7 @@ import (
 
 	"altoos/internal/ether"
 	"altoos/internal/fileserver"
+	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/trace"
 )
@@ -46,10 +47,11 @@ type repair struct {
 	authority int // replica index holding the good copy
 }
 
-// AuditRound runs one full audit round synchronously. sync must let the
-// fleet window catch up before each wire observation (fleet.Machine.Sync);
-// idle must park the machine when a poll sweep moved nothing (Idle). Under a
-// plain shared-clock rig both may be no-ops that nudge the clock.
+// AuditRound runs one full audit round synchronously on the replica's fleet
+// machine. Its waits are fleet.PollUntil loops: sync lets the fleet window
+// catch up before each wire observation (fleet.Machine.Sync), and idle parks
+// the machine when a poll sweep moved nothing (Idle). Callers may wrap
+// either, to trace the parks.
 func (r *Replica) AuditRound(sync, idle func()) (AuditOutcome, error) {
 	r.rounds++
 	var out AuditOutcome
@@ -162,51 +164,46 @@ func (r *Replica) call(addr ether.Addr, req func(*fileserver.Client) error, sync
 // without a complete reply, the call fails with errTimeout. The peer's
 // transport may have abandoned the reply, and once the request is acked
 // nothing on the wire would wake the requester again.
+// The deadline is judged after each sweep; its wake is requested as the
+// replica parks.
 func (r *Replica) awaitDone(cl *fileserver.Client, sync, idle func()) ([]byte, error) {
 	cfg := r.audEp.Config()
 	deadline := r.clock.Now() + time.Duration(cfg.MaxRetries)*cfg.MaxRTO
-	for {
-		sync()
-		w1, err := cl.Poll()
-		if err != nil {
-			return nil, err
-		}
-		w2, err := r.srv.Poll()
-		if err != nil {
-			return nil, err
-		}
-		if cl.Done() {
-			return cl.Result()
-		}
-		if r.clock.Now() >= deadline {
-			return nil, errTimeout
-		}
-		if !w1 && !w2 {
-			r.clock.RequestWake(deadline)
-			idle()
-		}
+	expired := false
+	err := fleet.PollUntil(sync, func() {
+		r.clock.RequestWake(deadline)
+		idle()
+	}, func() (bool, error) {
+		worked, err := r.pollWith(cl)
+		expired = !cl.Done() && r.clock.Now() >= deadline
+		return worked, err
+	}, func() bool { return cl.Done() || expired })
+	switch {
+	case err != nil:
+		return nil, err
+	case expired:
+		return nil, errTimeout
 	}
+	return cl.Result()
 }
 
-// awaitClosed drives the close handshake to rest (an error also closes).
-// The state is checked again after the polls: a close that exhausts its
-// retries inside a poll requests no wake, so idling then would park the
-// replica for good.
+// awaitClosed drives the close handshake to rest (an error also closes),
+// serving inbound sessions meanwhile.
 func (r *Replica) awaitClosed(cl *fileserver.Client, sync, idle func()) {
-	for cl.Conn().State() != pup.StateClosed {
-		sync()
-		w1, err := cl.Poll()
-		if err != nil {
-			return
-		}
-		w2, err := r.srv.Poll()
-		if err != nil {
-			return
-		}
-		if !w1 && !w2 && cl.Conn().State() != pup.StateClosed {
-			idle()
-		}
+	_ = fleet.PollUntil(sync, idle, func() (bool, error) { return r.pollWith(cl) },
+		func() bool { return cl.Conn().State() == pup.StateClosed })
+}
+
+// pollWith is one sweep of a replica waiting on its own RPC: the client's
+// transfer first, then the file server, so a peer auditing this replica is
+// served while it waits.
+func (r *Replica) pollWith(cl *fileserver.Client) (bool, error) {
+	w1, err := cl.Poll()
+	if err != nil {
+		return true, err
 	}
+	w2, err := r.srv.Poll()
+	return w1 || w2, err
 }
 
 // plan is the pure audit decision: given the shard group's digest tables

@@ -15,11 +15,11 @@ import (
 	"altoos/internal/trace"
 )
 
-// WaitFunc drives one fileserver transfer to completion: poll the transfer
-// (and whatever else the machine must keep alive), parking as the caller's
-// scheduling discipline demands, until Done, then return Result's error.
-// The cluster client stays free of any scheduler this way — a fleet machine
-// waits with Sync/Idle, a plain rig waits with a bare polling loop.
+// WaitFunc drives one fileserver transfer to completion on the client's
+// fleet machine: poll the transfer (and whatever else the machine must keep
+// alive) until Done, then return Result's error. It is a fleet.PollUntil
+// loop, such as PollUntil(m.Sync, m.Idle, fc.Poll, fc.Done); the caller
+// supplies it so it can poll more or trace its parks.
 type WaitFunc func(*fileserver.Client) error
 
 // Client talks to a cluster through one transport endpoint.
@@ -128,7 +128,9 @@ func (c *Client) Fetch(name string, wait WaitFunc) ([]byte, error) {
 }
 
 // Close begins a graceful close on every dialed session; the caller keeps
-// polling (each session's wait discipline) until the conns report closed.
+// polling until the conns report closed. A client program closes its
+// sessions this way before it returns: a session left open outlives the
+// engine run, and its server gives up on it.
 func (c *Client) Close() []*fileserver.Client {
 	var open []*fileserver.Client
 	for _, fc := range c.conns {

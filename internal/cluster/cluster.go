@@ -51,16 +51,11 @@ type Config struct {
 	// Shards and Replicas fix the placement map: Shards×Replicas machines.
 	Shards   int
 	Replicas int
-	// Wire is the shared medium every station attaches to.
+	// Wire is the shared medium every station attaches to. Each replica
+	// gets its own clock, so the replicas run as fleet.Engine machines.
 	Wire *ether.Network
-	// Clock, when set, is shared by every replica — the plain hand-polled
-	// rig the unit tests and the crash explorer drive. Nil gives each
-	// replica its own clock, the fleet engine's windowed discipline.
-	Clock *sim.Clock
 	// Geometry is each replica's pack shape.
 	Geometry disk.Geometry
-	// AuditInterval separates a replica's audit rounds.
-	AuditInterval time.Duration
 	// AuditPup tunes the auditor endpoints; each replica's Seed is offset
 	// by its global index so connection ids stay distinct and deterministic.
 	AuditPup pup.Config
@@ -92,7 +87,6 @@ type Replica struct {
 
 	peers     []peerRef // shard peers in replica-index order, self excluded
 	audCfg    pup.Config
-	interval  time.Duration
 	rounds    int // audit rounds run
 	lastHealR int // round number of the most recent heal
 }
@@ -135,9 +129,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 || cfg.Replicas < 2 {
 		return nil, fmt.Errorf("cluster: need >=1 shards and >=2 replicas, got %dx%d", cfg.Shards, cfg.Replicas)
 	}
-	if cfg.AuditInterval <= 0 {
-		cfg.AuditInterval = 500 * time.Millisecond
-	}
 	place := Placement{Shards: cfg.Shards, Replicas: cfg.Replicas}
 	c := &Cluster{Place: place}
 	for s := 0; s < cfg.Shards; s++ {
@@ -149,25 +140,11 @@ func New(cfg Config) (*Cluster, error) {
 			c.Replicas = append(c.Replicas, r)
 		}
 	}
-	if cfg.Clock != nil {
-		// Formatting the packs was not part of the timeline; with a shared
-		// clock the rewind must wait until every pack is built.
-		cfg.Clock.Reset()
-	}
 	return c, nil
 }
 
 func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
-	r := &Replica{
-		Shard:    shard,
-		Index:    idx,
-		clock:    cfg.Clock,
-		interval: cfg.AuditInterval,
-	}
-	shared := r.clock != nil
-	if !shared {
-		r.clock = sim.NewClock()
-	}
+	r := &Replica{Shard: shard, Index: idx, clock: sim.NewClock()}
 	if cfg.Recorder != nil {
 		r.rec = cfg.Recorder(r.Name())
 	}
@@ -195,7 +172,7 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 		return nil, err
 	}
 	// The recorder is attached after the format, whose disk ops belong to
-	// no timeline: an unshared clock restarts at zero below.
+	// no timeline: the clock restarts at zero below.
 	r.drive.SetRecorder(r.rec)
 	r.srv = fileserver.NewServer(r.fs, pup.NewEndpoint(r.srvSt, pup.Config{}))
 
@@ -209,9 +186,7 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 		}
 	}
 	// The pack was formatted before the cluster's timeline starts.
-	if !shared {
-		r.clock.Reset()
-	}
+	r.clock.Reset()
 	r.rec.Add(cFormat, 1)
 	return r, nil
 }
@@ -256,23 +231,17 @@ func (r *Replica) Poll() (bool, error) {
 // fleet daemon program for a cluster under client load.
 func (r *Replica) ServeProgram() func(*fleet.Machine) error {
 	return func(m *fleet.Machine) error {
-		for !m.Draining() {
-			m.Sync()
-			worked, err := r.Poll()
-			if err != nil {
-				return err
-			}
-			if !worked {
-				m.Idle()
-			}
-		}
-		return nil
+		return fleet.PollUntil(m.Sync, m.Idle, r.Poll, m.Draining)
 	}
 }
 
-// auditQuiet is how many consecutive clean audit rounds a replica demands
-// before it stops scheduling audits and lets the fleet drain.
-const auditQuiet = 2
+const (
+	// auditQuiet is how many consecutive clean audit rounds a replica
+	// demands before it stops scheduling audits and lets the fleet drain.
+	auditQuiet = 2
+	// auditInterval separates a replica's audit rounds in AuditProgram.
+	auditInterval = 120 * time.Millisecond
+)
 
 // AuditProgram is the replica's life as a scavenging daemon: serve peers,
 // and each time the audit deadline passes run one full round against the
@@ -285,35 +254,29 @@ func (r *Replica) AuditProgram(startAt time.Duration) func(*fleet.Machine) error
 	return func(m *fleet.Machine) error {
 		next := startAt
 		clean := 0
-		for !m.Draining() {
-			m.Sync()
+		poll := func() (bool, error) {
 			worked, err := r.Poll()
+			if err != nil || clean >= auditQuiet || r.clock.Now() < next {
+				return worked, err
+			}
+			out, err := r.AuditRound(m.Sync, m.Idle)
 			if err != nil {
-				return err
+				return true, err
 			}
-			if clean < auditQuiet && r.clock.Now() >= next {
-				out, err := r.AuditRound(
-					func() { m.Sync() },
-					func() { m.Idle() },
-				)
-				if err != nil {
-					return err
-				}
-				if out.Divergent == 0 {
-					clean++
-				} else {
-					clean = 0
-				}
-				next = r.clock.Now() + r.interval
-				worked = true
+			if out.Divergent == 0 {
+				clean++
+			} else {
+				clean = 0
 			}
-			if !worked {
-				if clean < auditQuiet {
-					r.clock.RequestWake(next)
-				}
-				m.Idle()
-			}
+			next = r.clock.Now() + auditInterval
+			return true, nil
 		}
-		return nil
+		idle := func() {
+			if clean < auditQuiet {
+				r.clock.RequestWake(next)
+			}
+			m.Idle()
+		}
+		return fleet.PollUntil(m.Sync, idle, poll, m.Draining)
 	}
 }

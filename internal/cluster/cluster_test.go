@@ -1,9 +1,11 @@
 package cluster
 
-// Deterministic unit tests for the audit protocol, on a plain shared-clock
-// rig (no fleet engine): scripted single-sector rot, a scripted divergent
-// store (one replica missed an overwrite), and byte-identical replay of a
-// full audit-heal round.
+// Deterministic unit tests for the audit protocol. Each step is a short run
+// of the fleet engine, the same engine E15 runs on: the replicas are
+// daemons, and the scripted client or the auditing replica is the program.
+// They cover scripted single-sector rot, a scripted divergent store (one
+// replica missed an overwrite), silent peers, and byte-identical replay of a
+// full audit-heal round across runs and engine widths.
 
 import (
 	"bytes"
@@ -16,6 +18,7 @@ import (
 	"altoos/internal/disk"
 	"altoos/internal/ether"
 	"altoos/internal/fileserver"
+	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/sim"
 	"altoos/internal/trace"
@@ -29,23 +32,25 @@ func testGeometry() disk.Geometry {
 	return g
 }
 
-// rig is one hand-polled cluster: shared clock, perfect wire.
+// rig is one cluster on a perfect wire plus a client machine, driven one
+// engine run per step.
 type rig struct {
-	t     *testing.T
-	clock *sim.Clock
-	c     *Cluster
-	cl    *Client
+	t       *testing.T
+	workers int
+	wire    *ether.Network
+	c       *Cluster
+	clock   *sim.Clock // the client machine's
+	st      *ether.Station
+	ep      *pup.Endpoint
 }
 
-func newRig(t *testing.T, shards, replicas int, rec func(string) *trace.Recorder) *rig {
+func newRig(t *testing.T, shards, replicas, workers int, rec func(string) *trace.Recorder) *rig {
 	t.Helper()
-	clock := sim.NewClock()
-	wire := ether.New(clock)
+	wire := ether.New(nil)
 	c, err := New(Config{
 		Shards:   shards,
 		Replicas: replicas,
 		Wire:     wire,
-		Clock:    clock,
 		Geometry: testGeometry(),
 		Recorder: rec,
 	})
@@ -56,46 +61,109 @@ func newRig(t *testing.T, shards, replicas int, rec func(string) *trace.Recorder
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := sim.NewClock()
+	st.SetClock(clock)
 	if rec != nil {
 		st.SetRecorder(rec("client"))
 	}
-	return &rig{t: t, clock: clock, c: c,
-		cl: NewClient(c.Place, pup.NewEndpoint(st, pup.Config{}))}
+	return &rig{t: t, workers: workers, wire: wire, c: c, clock: clock, st: st,
+		ep: pup.NewEndpoint(st, pup.Config{})}
 }
 
-// pump advances every replica one poll step.
-func (rg *rig) pump() {
+// run is one engine run. program runs on self's machine, or on the client
+// machine when self is nil. Every other replica is a daemon running what
+// daemon returns for it (ServeProgram when daemon is nil); a nil program
+// leaves the replica out of the run.
+func (rg *rig) run(self *Replica, program func(*fleet.Machine) error, daemon func(*Replica) func(*fleet.Machine) error) error {
+	eng := fleet.New(fleet.Workers(rg.workers), fleet.Medium(rg.wire))
 	for _, r := range rg.c.Replicas {
-		if _, err := r.Poll(); err != nil {
-			rg.t.Fatal(err)
+		if r == self {
+			continue
 		}
-	}
-}
-
-// wait is the rig's WaitFunc: poll the transfer and every replica until done.
-func (rg *rig) wait(fc *fileserver.Client) error {
-	for i := 0; i < 1_000_000 && !fc.Done(); i++ {
-		if _, err := fc.Poll(); err != nil {
+		p := r.ServeProgram()
+		if daemon != nil {
+			p = daemon(r)
+		}
+		if p == nil {
+			continue
+		}
+		if err := eng.Add(fleet.MachineConfig{Name: r.Name(), Clock: r.Clock(), Stations: r.Stations(), Daemon: true, Program: p}); err != nil {
 			return err
 		}
-		rg.pump()
 	}
-	if !fc.Done() {
-		rg.t.Fatal("transfer never completed")
+	main := fleet.MachineConfig{Name: "client", Clock: rg.clock, Station: rg.st, Program: program}
+	if self != nil {
+		main = fleet.MachineConfig{Name: self.Name(), Clock: self.Clock(), Stations: self.Stations(), Program: program}
 	}
-	_, err := fc.Result()
-	return err
+	if err := eng.Add(main); err != nil {
+		return err
+	}
+	return eng.Run()
 }
 
-// audit runs one round on the given replica, pumping the rest of the rig
-// while the round waits on the wire.
-func (rg *rig) audit(r *Replica) AuditOutcome {
+// store writes data under name through the cluster from the client
+// machine, bypassing the replicas skip names (nil: none). The client closes
+// every session it dialed before its program returns: a session left open
+// would find its server gone at the next run.
+func (rg *rig) store(name string, data []byte, skip func(shard, replica int) bool) {
 	rg.t.Helper()
-	out, err := r.AuditRound(func() {}, rg.pump)
+	err := rg.run(nil, func(m *fleet.Machine) error {
+		cl := NewClient(rg.c.Place, rg.ep)
+		cl.SetSkip(skip)
+		err := cl.Store(name, data, func(fc *fileserver.Client) error {
+			if err := fleet.PollUntil(m.Sync, m.Idle, fc.Poll, fc.Done); err != nil {
+				return err
+			}
+			_, err := fc.Result()
+			return err
+		})
+		for _, fc := range cl.Close() {
+			closed := func() bool { return fc.Conn().State() == pup.StateClosed }
+			if err := fleet.PollUntil(m.Sync, m.Idle, fc.Poll, closed); err != nil {
+				return err
+			}
+		}
+		return err
+	}, nil)
+	if err != nil {
+		rg.t.Fatal(err)
+	}
+}
+
+// auditWith runs one round on r while the other replicas run what daemon
+// returns (see run).
+func (rg *rig) auditWith(r *Replica, daemon func(*Replica) func(*fleet.Machine) error) AuditOutcome {
+	rg.t.Helper()
+	var out AuditOutcome
+	err := rg.run(r, func(m *fleet.Machine) error {
+		var err error
+		out, err = r.AuditRound(m.Sync, m.Idle)
+		return err
+	}, daemon)
 	if err != nil {
 		rg.t.Fatal(err)
 	}
 	return out
+}
+
+// audit runs one round on r while the rest of the cluster serves.
+func (rg *rig) audit(r *Replica) AuditOutcome {
+	rg.t.Helper()
+	return rg.auditWith(r, nil)
+}
+
+// silentAfter is a daemon that serves until quiet reports true and then
+// falls silent: its transport still runs (it opens connections and acks
+// requests), but its server never serves a session again.
+func silentAfter(r *Replica, quiet func() bool) func(*fleet.Machine) error {
+	return func(m *fleet.Machine) error {
+		return fleet.PollUntil(m.Sync, m.Idle, func() (bool, error) {
+			if quiet() {
+				return r.Server().Endpoint().Poll()
+			}
+			return r.Poll()
+		}, m.Draining)
+	}
 }
 
 // payload builds deterministic non-periodic content. (A pattern that repeats
@@ -159,11 +227,9 @@ func TestAuditHealsRot(t *testing.T) {
 		{"zap", func(r *Replica, addr disk.VDA) { r.Drive().ZapValue(addr, [disk.PageWords]disk.Word{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rg := newRig(t, 1, 3, nil)
+			rg := newRig(t, 1, 3, 1, nil)
 			data := payload(3, 2*disk.PageBytes+41)
-			if err := rg.cl.Store("notes", data, rg.wait); err != nil {
-				t.Fatal(err)
-			}
+			rg.store("notes", data, nil)
 			victim := rg.c.Replicas[1]
 			tc.hit(victim, pageVDA(t, victim, "notes", 2))
 
@@ -191,19 +257,12 @@ func TestAuditHealsRot(t *testing.T) {
 // vote pick the newer content even at a one-against-one dead heat (the
 // write-stamp tie-break), healing the stale copy.
 func TestAuditHealsDivergentStore(t *testing.T) {
-	rg := newRig(t, 1, 2, nil)
-	old := payload(1, disk.PageBytes+100)
-	if err := rg.cl.Store("doc", old, rg.wait); err != nil {
-		t.Fatal(err)
-	}
+	rg := newRig(t, 1, 2, 1, nil)
+	rg.store("doc", payload(1, disk.PageBytes+100), nil)
 	// Let simulated time pass so the overwrite's stamp is strictly newer.
 	rg.clock.Advance(50 * time.Millisecond)
 	next := payload(2, disk.PageBytes+350)
-	rg.cl.SetSkip(func(shard, replica int) bool { return replica == 1 })
-	if err := rg.cl.Store("doc", next, rg.wait); err != nil {
-		t.Fatal(err)
-	}
-	rg.cl.SetSkip(nil)
+	rg.store("doc", next, func(shard, replica int) bool { return replica == 1 })
 
 	// The up-to-date replica detects the divergence but must not touch its
 	// own copy: it won the vote.
@@ -225,13 +284,9 @@ func TestAuditHealsDivergentStore(t *testing.T) {
 // entirely appears on the group's next audit — present copies win, the
 // absent replica fetches it fresh.
 func TestAuditMissingCopyHealed(t *testing.T) {
-	rg := newRig(t, 1, 3, nil)
+	rg := newRig(t, 1, 3, 1, nil)
 	data := payload(9, 3*disk.PageBytes+17)
-	rg.cl.SetSkip(func(shard, replica int) bool { return replica == 2 })
-	if err := rg.cl.Store("memo", data, rg.wait); err != nil {
-		t.Fatal(err)
-	}
-	rg.cl.SetSkip(nil)
+	rg.store("memo", data, func(shard, replica int) bool { return replica == 2 })
 	out := rg.audit(rg.c.Replicas[2])
 	if out.Divergent != 1 || out.Healed != 1 {
 		t.Fatalf("absent replica saw %+v, want 1 divergent, 1 healed", out)
@@ -257,13 +312,14 @@ func snapshot(recs map[string]*trace.Recorder, names []string) string {
 }
 
 // TestAuditRoundReplay replays a full audit-heal round — store, rot, audit
-// on every replica — twice from scratch and demands byte-identical traces
-// and counters: the distributed Scavenger is as replayable as the local one.
+// on every replica — twice from scratch at engine widths 1 and 2 and
+// demands byte-identical traces and counters from all four runs: the
+// distributed Scavenger is as replayable as the local one.
 func TestAuditRoundReplay(t *testing.T) {
-	run := func() string {
+	run := func(workers int) string {
 		recs := map[string]*trace.Recorder{}
 		var names []string
-		rg := newRig(t, 1, 3, func(name string) *trace.Recorder {
+		rg := newRig(t, 1, 3, workers, func(name string) *trace.Recorder {
 			if recs[name] == nil {
 				recs[name] = trace.New(1 << 14)
 				names = append(names, name)
@@ -271,9 +327,7 @@ func TestAuditRoundReplay(t *testing.T) {
 			return recs[name]
 		})
 		data := payload(5, 2*disk.PageBytes+200)
-		if err := rg.cl.Store("ledger", data, rg.wait); err != nil {
-			t.Fatal(err)
-		}
+		rg.store("ledger", data, nil)
 		victim := rg.c.Replicas[2]
 		victim.Drive().CorruptValue(pageVDA(t, victim, "ledger", 1), sim.NewRand(11))
 		for _, r := range rg.c.Replicas {
@@ -282,84 +336,39 @@ func TestAuditRoundReplay(t *testing.T) {
 		rg.verifyAll("ledger", data)
 		return snapshot(recs, names)
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("audit-heal round not replayable:\nrun1:\n%s\nrun2:\n%s", a, b)
-	}
+	a := run(1)
 	if len(a) == 0 {
 		t.Fatal("empty snapshot")
 	}
-}
-
-// parkIdle is an idle for an audit round on the plain rig that parks the way
-// a fleet machine does: others runs the rest of the rig, and if that moved
-// nothing the clock jumps to the earliest requested wake. A machine that
-// parks with no wake requested and nothing arriving sleeps forever under the
-// fleet, so here the test fails instead, as it does when the round spins
-// through a million parks without returning.
-func (rg *rig) parkIdle(others func() bool) func() {
-	parks := 0
-	return func() {
-		if parks++; parks > 1_000_000 {
-			rg.t.Fatal("the round never returned")
+	for i, workers := range []int{1, 2, 2} {
+		if b := run(workers); b != a {
+			t.Fatalf("audit-heal round not replayable: run %d at workers %d differs from the first at workers 1:\nfirst:\n%s\nthis:\n%s", i+2, workers, a, b)
 		}
-		if others() {
-			return
-		}
-		w, ok := rg.clock.NextWake()
-		if !ok {
-			rg.t.Fatal("parked with no wake requested: a fleet machine would sleep forever")
-		}
-		rg.clock.ClearWake()
-		rg.clock.AdvanceTo(w)
 	}
-}
-
-// pollExcept polls every replica but skip; a silent replica's transport
-// still runs (it opens connections and acks requests), but its server never
-// serves a session.
-func (rg *rig) pollExcept(skip *Replica, silent func() bool) bool {
-	worked := false
-	for _, r := range rg.c.Replicas {
-		var w bool
-		var err error
-		if r == skip && silent() {
-			w, err = r.Server().Endpoint().Poll()
-		} else {
-			w, err = r.Poll()
-		}
-		if err != nil {
-			rg.t.Fatal(err)
-		}
-		worked = worked || w
-	}
-	return worked
 }
 
 // TestAuditGivesUpOnSilentPeer audits against a peer whose server is never
 // polled: its transport acks the digest request, so no timer is left on the
 // auditor's side, but no reply ever comes. The requester's own deadline must
-// end the call, and the round must return with that peer unreachable.
+// end the call, and the round must return with that peer unreachable; a
+// wait that parked with no wake would end the run in fleet.ErrStalled.
 func TestAuditGivesUpOnSilentPeer(t *testing.T) {
-	rg := newRig(t, 1, 3, nil)
-	data := payload(4, disk.PageBytes+9)
-	if err := rg.cl.Store("log", data, rg.wait); err != nil {
-		t.Fatal(err)
-	}
+	rg := newRig(t, 1, 3, 1, nil)
+	rg.store("log", payload(4, disk.PageBytes+9), nil)
 	auditor, silent := rg.c.Replicas[0], rg.c.Replicas[2]
-	start := rg.clock.Now()
-	out, err := auditor.AuditRound(func() {}, rg.parkIdle(func() bool {
-		return rg.pollExcept(silent, func() bool { return true })
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := auditor.Clock().Now()
+	out := rg.auditWith(auditor, func(r *Replica) func(*fleet.Machine) error {
+		if r == silent {
+			return silentAfter(r, func() bool { return true })
+		}
+		return r.ServeProgram()
+	})
 	if out.Unreachable != 1 || out.Divergent != 0 || out.Healed != 0 {
 		t.Fatalf("round saw %+v, want 1 unreachable, 0 divergent, 0 healed", out)
 	}
 	cfg := auditor.audEp.Config()
-	if budget := time.Duration(cfg.MaxRetries) * cfg.MaxRTO; rg.clock.Now()-start < budget {
-		t.Fatalf("round ended after %v, before the %v budget ran out", rg.clock.Now()-start, budget)
+	if budget, took := time.Duration(cfg.MaxRetries)*cfg.MaxRTO, auditor.Clock().Now()-start; took < budget {
+		t.Fatalf("round ended after %v, before the %v budget ran out", took, budget)
 	}
 }
 
@@ -368,26 +377,17 @@ func TestAuditGivesUpOnSilentPeer(t *testing.T) {
 // return, counting the heal unreachable and leaving the file divergent; the
 // next round, with the authority back, heals it.
 func TestAuditHealWithSilentAuthority(t *testing.T) {
-	rg := newRig(t, 1, 2, nil)
-	if err := rg.cl.Store("doc", payload(1, 300), rg.wait); err != nil {
-		t.Fatal(err)
-	}
+	rg := newRig(t, 1, 2, 1, nil)
+	rg.store("doc", payload(1, 300), nil)
 	rg.clock.Advance(50 * time.Millisecond)
 	next := payload(2, disk.PageBytes+40)
-	rg.cl.SetSkip(func(_, replica int) bool { return replica == 1 })
-	if err := rg.cl.Store("doc", next, rg.wait); err != nil {
-		t.Fatal(err)
-	}
-	rg.cl.SetSkip(nil)
+	rg.store("doc", next, func(_, replica int) bool { return replica == 1 })
 
 	authority, stale := rg.c.Replicas[0], rg.c.Replicas[1]
 	digests := authority.Server().Stats().Digests
-	out, err := stale.AuditRound(func() {}, rg.parkIdle(func() bool {
-		return rg.pollExcept(authority, func() bool { return authority.Server().Stats().Digests > digests })
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := rg.auditWith(stale, func(r *Replica) func(*fleet.Machine) error {
+		return silentAfter(r, func() bool { return authority.Server().Stats().Digests > digests })
+	})
 	if out.Divergent != 1 || out.Healed != 0 || out.Unreachable != 1 {
 		t.Fatalf("round saw %+v, want 1 divergent, 0 healed, 1 unreachable", out)
 	}
@@ -398,20 +398,27 @@ func TestAuditHealWithSilentAuthority(t *testing.T) {
 }
 
 // TestAwaitClosedChecksBeforeParking closes a connection to a peer that
-// never answers. The close ends by exhausting its retries inside a poll,
-// which requests no wake; the loop must see the closed state before it
-// idles, or a fleet machine would park forever.
+// never answers: the peer is left out of the run. The close ends by
+// exhausting its retries inside a poll, which requests no wake; the loop
+// must see the closed state before it idles, or the machine would park
+// forever and the run would end in fleet.ErrStalled.
 func TestAwaitClosedChecksBeforeParking(t *testing.T) {
-	rg := newRig(t, 1, 2, nil)
+	rg := newRig(t, 1, 2, 1, nil)
 	r, peer := rg.c.Replicas[0], rg.c.Replicas[1]
 	cl := fileserver.NewClient(r.audEp)
-	if err := cl.Connect(rg.c.Place.ServerAddr(peer.Shard, peer.Index)); err != nil {
+	err := rg.run(r, func(m *fleet.Machine) error {
+		if err := cl.Connect(rg.c.Place.ServerAddr(peer.Shard, peer.Index)); err != nil {
+			return err
+		}
+		if err := cl.Close(); err != nil {
+			return err
+		}
+		r.awaitClosed(cl, m.Sync, m.Idle)
+		return nil
+	}, func(*Replica) func(*fleet.Machine) error { return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r.awaitClosed(cl, func() {}, rg.parkIdle(func() bool { return false }))
 	if !errors.Is(cl.Conn().Err(), pup.ErrRetriesExhausted) {
 		t.Fatalf("conn error = %v, want retries exhausted", cl.Conn().Err())
 	}

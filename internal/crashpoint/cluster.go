@@ -14,6 +14,7 @@ import (
 	"altoos/internal/disk"
 	"altoos/internal/ether"
 	"altoos/internal/fileserver"
+	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/sim"
 )
@@ -36,13 +37,11 @@ func clusterPayload(seed, n int) []byte {
 // replica already holds the new bytes, the later one never sees them, the
 // victim holds whatever the crash left — re-audit must converge all three.
 func buildClusterStore() (*Rig, error) {
-	clock := sim.NewClock()
-	wire := ether.New(clock)
+	wire := ether.New(nil)
 	c, err := cluster.New(cluster.Config{
 		Shards:   1,
 		Replicas: 3,
 		Wire:     wire,
-		Clock:    clock,
 		Geometry: exploreGeometry(),
 	})
 	if err != nil {
@@ -52,32 +51,45 @@ func buildClusterStore() (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := cluster.NewClient(c.Place, pup.NewEndpoint(st, pup.Config{Seed: 99}))
+	st.SetClock(sim.NewClock())
+	ep := pup.NewEndpoint(st, pup.Config{Seed: 99})
 
-	// pump advances every replica, swallowing the victim's death throes: a
-	// dying pack surfaces as MsgError to the client, not as a rig error.
-	pump := func() {
-		for _, r := range c.Replicas {
-			_, _ = r.Poll()
+	// store is one client program: it writes each file through the group
+	// up to the first failure, then closes every session it dialed. A
+	// dying pack surfaces as MsgError to the client, so the failed store
+	// is returned, not raised as the fleet's error.
+	store := func(names []string, data func(i int) []byte) error {
+		var storeErr error
+		err := runCluster(c, wire, fleet.MachineConfig{Name: "client", Clock: st.Clock(), Station: st,
+			Program: func(m *fleet.Machine) error {
+				cl := cluster.NewClient(c.Place, ep)
+				wait := func(fc *fileserver.Client) error {
+					if err := fleet.PollUntil(m.Sync, m.Idle, fc.Poll, fc.Done); err != nil {
+						return err
+					}
+					_, err := fc.Result()
+					return err
+				}
+				for i := 0; i < len(names) && storeErr == nil; i++ {
+					storeErr = cl.Store(names[i], data(i), wait)
+				}
+				for _, fc := range cl.Close() {
+					closed := func() bool { return fc.Conn().State() == pup.StateClosed }
+					if err := fleet.PollUntil(m.Sync, m.Idle, fc.Poll, closed); err != nil {
+						return err
+					}
+				}
+				return nil
+			}})
+		if err != nil {
+			return err
 		}
-	}
-	wait := func(fc *fileserver.Client) error {
-		for polls := 0; polls < 1_000_000; polls++ {
-			_, _ = fc.Poll()
-			pump()
-			if fc.Done() {
-				_, err := fc.Result()
-				return err
-			}
-		}
-		return fmt.Errorf("crashpoint: cluster transfer never completed")
+		return storeErr
 	}
 
 	names := []string{"base-0", "base-1", "upload"}
-	for i, name := range names {
-		if err := cl.Store(name, clusterPayload(i+1, 2*disk.PageBytes+137), wait); err != nil {
-			return nil, err
-		}
+	if err := store(names, func(i int) []byte { return clusterPayload(i+1, 2*disk.PageBytes+137) }); err != nil {
+		return nil, err
 	}
 	victim := c.Replicas[1]
 	over := clusterPayload(7, 3*disk.PageBytes+33)
@@ -86,34 +98,57 @@ func buildClusterStore() (*Rig, error) {
 		Run: func() error {
 			// The victim dies mid-overwrite; the client's group store fails.
 			// That failure is the crash's observable effect, not a rig error.
-			_ = cl.Store("upload", over, wait)
+			_ = store([]string{"upload"}, func(int) []byte { return over })
 			return nil
 		},
 		Verify: func() []string {
-			return verifyClusterConverges(c, victim, names)
+			return verifyClusterConverges(c, wire, victim, names)
 		},
 	}, nil
 }
 
-// verifyClusterConverges reboots the victim and drives audit rounds until
-// the whole group reports a divergence-free pass, then demands every file be
+// runCluster runs one fleet engine: main runs its program, and every
+// replica but main's own (the one on main's clock) serves as a daemon.
+func runCluster(c *cluster.Cluster, wire *ether.Network, main fleet.MachineConfig) error {
+	eng := fleet.New(fleet.Medium(wire))
+	for _, r := range c.Replicas {
+		if r.Clock() == main.Clock {
+			continue
+		}
+		if err := eng.Add(fleet.MachineConfig{Name: r.Name(), Clock: r.Clock(), Stations: r.Stations(),
+			Daemon: true, Program: r.ServeProgram()}); err != nil {
+			return err
+		}
+	}
+	if err := eng.Add(main); err != nil {
+		return err
+	}
+	return eng.Run()
+}
+
+// verifyClusterConverges reboots the victim and drives audit rounds, each
+// an engine run with the auditing replica as the program, until the whole
+// group reports a divergence-free pass, then demands every file be
 // byte-identical on every replica.
-func verifyClusterConverges(c *cluster.Cluster, victim *cluster.Replica, names []string) []string {
+func verifyClusterConverges(c *cluster.Cluster, wire *ether.Network, victim *cluster.Replica, names []string) []string {
 	var out []string
 	if err := victim.Reboot(); err != nil {
 		return []string{fmt.Sprintf("victim reboot failed: %v", err)}
 	}
-	sync := func() {}
-	idle := func() {
-		for _, r := range c.Replicas {
-			_, _ = r.Poll()
-		}
+	audit := func(r *cluster.Replica) (o cluster.AuditOutcome, err error) {
+		err = runCluster(c, wire, fleet.MachineConfig{Name: r.Name(), Clock: r.Clock(), Stations: r.Stations(),
+			Program: func(m *fleet.Machine) error {
+				var err error
+				o, err = r.AuditRound(m.Sync, m.Idle)
+				return err
+			}})
+		return o, err
 	}
 	converged := false
 	for round := 0; round < 6 && !converged; round++ {
 		converged = true
 		for _, r := range c.Replicas {
-			o, err := r.AuditRound(sync, idle)
+			o, err := audit(r)
 			if err != nil {
 				return append(out, fmt.Sprintf("re-audit on %s: %v", r.Name(), err))
 			}

@@ -130,17 +130,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 		Station: srvSt,
 		Daemon:  true,
 		Program: func(m *fleet.Machine) error {
-			for !m.Draining() {
-				m.Sync()
-				worked, err := srv.Poll()
-				if err != nil {
-					return err
-				}
-				if !worked {
-					m.Idle()
-				}
-			}
-			return nil
+			return fleet.PollUntil(m.Sync, m.Idle, srv.Poll, m.Draining)
 		},
 	}); err != nil {
 		return nil, err
@@ -223,13 +213,12 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 				}
 
 				// Fan-in: store the payload on the server, fetch it back,
-				// verify, close. Sync before every network observation;
-				// Idle when a poll moved nothing. The server is disk-bound
-				// (one rotation per page, sessions served in arrival order),
-				// so a whole building fanning in queues up minutes of disk
-				// time — the clients' retry budget must cover their place
-				// in that queue, or the transport gives up on a server that
-				// is merely busy.
+				// verify, close, each wait a fleet.PollUntil loop. The
+				// server is disk-bound (one rotation per page, sessions
+				// served in arrival order), so a whole building fanning in
+				// queues up minutes of disk time — the clients' retry budget
+				// must cover their place in that queue, or the transport
+				// gives up on a server that is merely busy.
 				cl := fileserver.NewClient(pup.NewEndpoint(st, pup.Config{
 					Seed:       uint64(i + 1),
 					MaxRTO:     time.Second,
@@ -238,32 +227,18 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 				if err := cl.Connect(1); err != nil {
 					return err
 				}
-				poll := func() error {
-					for !cl.Done() {
-						m.Sync()
-						worked, err := cl.Poll()
-						if err != nil {
-							return err
-						}
-						if !worked {
-							m.Idle()
-						}
-					}
-					_, err := cl.Result()
-					return err
-				}
 				data := e14Payload(i)
 				name := fmt.Sprintf("alto%03d", i)
 				if err := cl.Store(name, data); err != nil {
 					return err
 				}
-				if err := poll(); err != nil {
+				if err := awaitTransfer(m, cl); err != nil {
 					return fmt.Errorf("alto%03d store: %w", i, err)
 				}
 				if err := cl.Fetch(name); err != nil {
 					return err
 				}
-				if err := poll(); err != nil {
+				if err := awaitTransfer(m, cl); err != nil {
 					return fmt.Errorf("alto%03d fetch: %w", i, err)
 				}
 				got, err := cl.Result()
@@ -276,19 +251,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 				if err := cl.Close(); err != nil {
 					return err
 				}
-				for cl.Conn().State() != pup.StateClosed {
-					m.Sync()
-					worked, err := cl.Poll()
-					if err != nil {
-						return err
-					}
-					// A close that exhausts its retries inside the poll
-					// requests no wake: look again before parking.
-					if !worked && cl.Conn().State() != pup.StateClosed {
-						m.Idle()
-					}
-				}
-				return nil
+				return awaitClosed(m, cl)
 			},
 		}); err != nil {
 			return nil, err
@@ -333,4 +296,23 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	res.metric("retransmits", float64(retrans))
 	res.metric("bytes_moved", float64(bytesMoved))
 	return res, nil
+}
+
+// awaitTransfer polls one fileserver transfer to completion on a fleet
+// machine and returns its error. E14's and E15's clients wait with it.
+func awaitTransfer(m *fleet.Machine, cl *fileserver.Client) error {
+	if err := fleet.PollUntil(m.Sync, m.Idle, cl.Poll, cl.Done); err != nil {
+		return err
+	}
+	_, err := cl.Result()
+	return err
+}
+
+// awaitClosed polls a closing fileserver session on a fleet machine until
+// its connection reports closed. A close that runs out of retries ends the
+// wait too; the client carries on either way.
+func awaitClosed(m *fleet.Machine, cl *fileserver.Client) error {
+	return fleet.PollUntil(m.Sync, m.Idle, cl.Poll, func() bool {
+		return cl.Conn().State() == pup.StateClosed
+	})
 }

@@ -108,11 +108,10 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	// at 10% loss a digest poll can take many retries and still must not
 	// be mistaken for an unreachable peer.
 	c, err := cluster.New(cluster.Config{
-		Shards:        e15Shards,
-		Replicas:      e15Replicas,
-		Wire:          wire,
-		Geometry:      e15Geometry(),
-		AuditInterval: 120 * time.Millisecond,
+		Shards:   e15Shards,
+		Replicas: e15Replicas,
+		Wire:     wire,
+		Geometry: e15Geometry(),
 		AuditPup: pup.Config{
 			MaxRTO:     time.Second,
 			MaxRetries: 300,
@@ -172,20 +171,7 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 					MaxRTO:     time.Second,
 					MaxRetries: 300,
 				}))
-				wait := func(fc *fileserver.Client) error {
-					for !fc.Done() {
-						m.Sync()
-						worked, err := fc.Poll()
-						if err != nil {
-							return err
-						}
-						if !worked {
-							m.Idle()
-						}
-					}
-					_, err := fc.Result()
-					return err
-				}
+				wait := func(fc *fileserver.Client) error { return awaitTransfer(m, fc) }
 				for f := 0; f < e15Files; f++ {
 					if err := cl.Store(e15Name(i, f), e15Payload(i, f, 1), wait); err != nil {
 						return fmt.Errorf("client%02d: %w", i, err)
@@ -207,17 +193,8 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 				// Graceful goodbye on every dialed session, so phase 1
 				// drains with no connection state left ticking anywhere.
 				for _, fc := range cl.Close() {
-					for fc.Conn().State() != pup.StateClosed {
-						m.Sync()
-						worked, err := fc.Poll()
-						if err != nil {
-							return err
-						}
-						// A close that exhausts its retries inside the poll
-						// requests no wake: look again before parking.
-						if !worked && fc.Conn().State() != pup.StateClosed {
-							m.Idle()
-						}
+					if err := awaitClosed(m, fc); err != nil {
+						return err
 					}
 				}
 				return nil

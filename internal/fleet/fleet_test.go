@@ -246,3 +246,71 @@ func TestErrorAbortsFleet(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
+
+// TestPollUntilChecksDoneBeforeIdle: a poll that ends the wait without doing
+// work — as a connection that runs out of retries inside a poll does — must
+// end the loop. The machine has no station and requests no wake, so parking
+// after that poll would fail the run with ErrStalled.
+func TestPollUntilChecksDoneBeforeIdle(t *testing.T) {
+	eng := New()
+	polls, finished := 0, false
+	if err := eng.Add(MachineConfig{
+		Name: "waiter", Clock: sim.NewClock(),
+		Program: func(m *Machine) error {
+			return PollUntil(m.Sync, m.Idle, func() (bool, error) {
+				polls++
+				finished = true
+				return false, nil
+			}, func() bool { return finished })
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("err = %v, want the loop to return after its last poll", err)
+	}
+	if polls != 1 {
+		t.Fatalf("polled %d times, want 1", polls)
+	}
+}
+
+// TestPollUntilReturnsPollError: the first poll error ends the loop and is
+// returned as it is.
+func TestPollUntilReturnsPollError(t *testing.T) {
+	boom := errors.New("boom")
+	polls := 0
+	err := PollUntil(func() {}, func() { t.Fatal("idled after a poll error") }, func() (bool, error) {
+		polls++
+		if polls == 3 {
+			return false, boom
+		}
+		return true, nil
+	}, func() bool { return false })
+	if !errors.Is(err, boom) || polls != 3 {
+		t.Fatalf("err = %v after %d polls, want boom after 3", err, polls)
+	}
+}
+
+// TestPollUntilAllocatesNothing pins the loop's cost: with closure
+// arguments, as every fleet program passes them, a call allocates nothing.
+func TestPollUntilAllocatesNothing(t *testing.T) {
+	syncs, idles, polls := 0, 0, 0
+	sync := func() { syncs++ }
+	idle := func() { idles++ }
+	poll := func() (bool, error) {
+		polls++
+		return polls%2 == 0, nil
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		polls = 0
+		if err := PollUntil(sync, idle, poll, func() bool { return polls >= 8 }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PollUntil allocates %v times per call, want 0", allocs)
+	}
+	if syncs == 0 || idles == 0 {
+		t.Fatalf("the loop never synced (%d) or idled (%d)", syncs, idles)
+	}
+}

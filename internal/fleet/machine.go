@@ -135,6 +135,30 @@ func (m *Machine) Idle() {
 	m.park(wake)
 }
 
+// PollUntil is a fleet program's poll loop, the one place the actor contract
+// is written down. Until done reports true it calls sync (Machine.Sync, so
+// the window catches up before the program looks at the wire), then poll,
+// and it returns the first poll error. When a poll did no work it calls idle
+// (Machine.Idle), but only after asking done again: a poll can end the wait
+// without doing work — a connection that exhausts its retries inside it
+// fails and requests no further wake — and parking then would block the
+// machine forever. A caller with a deadline of its own requests the wake in
+// idle, just before parking, so no wake is left on the clock once the loop
+// returns.
+func PollUntil(sync, idle func(), poll func() (bool, error), done func() bool) error {
+	for !done() {
+		sync()
+		worked, err := poll()
+		if err != nil {
+			return err
+		}
+		if !worked && !done() {
+			idle()
+		}
+	}
+	return nil
+}
+
 // park yields control to the engine with the given next wake time and
 // returns when resumed (see Engine.stepAt). On resume the machine's clock
 // has jumped to the granted wake time — which may be later than requested,
