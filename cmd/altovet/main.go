@@ -1,14 +1,12 @@
-// Command altovet runs the repo's domain-aware static analyzers: the
-// invariants the paper's reliability story depends on (label-checked disk
-// access, replayable simulated time, 16-bit word discipline, storage error
-// etiquette, lock ordering) and the whole-program concurrency/determinism
-// contract the fleet era is gated on (joined goroutines, deterministic
-// channel use, frozen globals, clock-domain taint, trace coverage), enforced
-// as a build gate.
+// Command altovet runs the repo's domain-aware static analyzers as a build
+// gate: the invariants the paper's reliability story depends on (16-bit word
+// discipline, label-checked disk access, storage error etiquette, lock
+// ordering) and two whole-program contracts (simulated and host time never
+// mix, and simulated work is visible to the flight recorder).
 //
 // Usage:
 //
-//	altovet [-run name[,name...]] [-list] [-json] [-workers n] [-stats] [packages]
+//	altovet [-run name[,name...]] [-list] [-json] [-stats] [packages]
 //
 // Packages default to ./... (the whole module). Exit status is 0 when the
 // tree is clean, 1 when any finding is reported, and 2 on usage or load
@@ -28,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -45,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("run", "", "comma-separated analyzer names to run (default all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (stable order)")
 	stats := fs.Bool("stats", false, "print per-analyzer finding/allow counts (informational)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "package load/analysis worker pool size")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "altovet: %v\n", err)
 		return 2
 	}
-	pkgs, err := mod.LoadParallel(*workers, fs.Args()...)
+	pkgs, err := mod.Load(fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "altovet: %v\n", err)
 		return 2

@@ -46,10 +46,7 @@ func analyzersByName(t *testing.T, names ...string) []*vet.Analyzer {
 
 // TestFixtures runs analyzers over their fixture packages and checks every
 // finding against the fixture's // want comments — at least one positive
-// and one negative case per analyzer live in the fixtures. The determinism
-// fixtures run determinism and simtaint together: the wall-clock call-site
-// bans moved from the former to the latter, and the fixtures cover the
-// seam.
+// and one negative case per analyzer live in the fixtures.
 func TestFixtures(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -57,24 +54,11 @@ func TestFixtures(t *testing.T) {
 		dir       string
 		virtual   string
 	}{
-		{"determinism", []string{"determinism", "simtaint"}, "determfix", "altoos/internal/determfix"},
-		{"sched-disk", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/disk"},
-		{"sched-pup", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/pup"},
-		{"sched-fileserver", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/fileserver"},
-		{"sched-crashpoint", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/crashpoint"},
-		{"sched-fsck", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/fsck"},
-		{"sched-scope", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/scope"},
-		{"sched-fleet", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/fleet"},
-		{"sched-cluster", []string{"determinism", "simtaint"}, "schedfix", "altoos/internal/cluster"},
+		{"simtaint-bans", []string{"simtaint"}, "clockfix", "altoos/internal/clockfix"},
 		{"wordwidth", []string{"wordwidth"}, "widthfix", "altoos/internal/widthfix"},
 		{"labelcheck", []string{"labelcheck"}, "labelfix", "altoos/internal/labelfix"},
 		{"errdiscard", []string{"errdiscard"}, "errfix", "altoos/internal/errfix"},
 		{"mutexorder", []string{"mutexorder"}, "lockfix", "altoos/internal/lockfix"},
-		{"gospawn", []string{"gospawn"}, "spawnfix", "altoos/internal/spawnfix"},
-		{"gospawn-fleet", []string{"gospawn"}, "spawnfix", "altoos/internal/fleet"},
-		{"gospawn-cluster", []string{"gospawn"}, "spawnfix", "altoos/internal/cluster"},
-		{"chanorder", []string{"chanorder"}, "chanfix", "altoos/internal/disk"},
-		{"globalstate", []string{"globalstate"}, "globalfix", "altoos/internal/fsck"},
 		{"simtaint-flow", []string{"simtaint"}, "taintfix", "altoos/cmd/taintfix"},
 		{"tracecover", []string{"tracecover"}, "tracefix", "altoos/internal/disk"},
 		{"tracecover-scope", []string{"tracecover"}, "tracefix", "altoos/internal/scope"},
@@ -114,31 +98,13 @@ func dropStaleAllows(diags []vet.Diagnostic) (kept []vet.Diagnostic, stale int) 
 	return kept, stale
 }
 
-// TestDeterminismScope loads the determinism fixture under a cmd/ virtual
-// path: entry points are exempt from both the rand-import ban and the
-// wall-clock call-site bans, and the fixture's flows are domain-clean, so
-// the same code must produce no findings.
-func TestDeterminismScope(t *testing.T) {
-	pkg := loadFixture(t, "determfix", "altoos/cmd/determfix")
-	diags := vet.Run(pkg, analyzersByName(t, "determinism", "simtaint"))
-	for _, d := range diags {
-		t.Errorf("determinism/simtaint fired in exempt cmd/ scope: %s", d)
-	}
-}
-
-// TestMapRangeScope loads the scheduler fixture outside the replay-critical
-// packages: the map-iteration rule is scoped to those, so only the
-// wall-clock finding (now simtaint's) survives the move.
-func TestMapRangeScope(t *testing.T) {
-	pkg := loadFixture(t, "schedfix", "altoos/internal/file")
-	diags := vet.Run(pkg, analyzersByName(t, "determinism", "simtaint"))
-	for _, d := range diags {
-		if strings.Contains(d.Message, "map iteration") {
-			t.Errorf("map-range rule fired outside the replay-critical packages: %s", d)
-		}
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "simtaint" {
-		t.Errorf("got %d findings outside the scoped packages, want only simtaint's time.Now one: %v", len(diags), diags)
+// TestSimTaintScope loads the call-site fixture under a cmd/ virtual path:
+// entry points are exempt from the wall-clock bans, and the fixture's flows
+// are domain-clean, so the same code must produce no findings.
+func TestSimTaintScope(t *testing.T) {
+	pkg := loadFixture(t, "clockfix", "altoos/cmd/clockfix")
+	for _, d := range vet.Run(pkg, analyzersByName(t, "simtaint")) {
+		t.Errorf("simtaint fired in exempt cmd/ scope: %s", d)
 	}
 }
 
@@ -154,46 +120,6 @@ func TestLabelCheckScope(t *testing.T) {
 	}
 	if diags := vet.Run(pkg, analyzersByName(t, "labelcheck")); len(diags) == 0 {
 		t.Error("labelcheck silent outside the exempt packages")
-	}
-}
-
-// TestGoSpawnScope loads the spawn fixture under cmd/: entry points may run
-// daemons, so the only finding is the fixture's own allow directive,
-// reported stale because it suppresses nothing there.
-func TestGoSpawnScope(t *testing.T) {
-	pkg := loadFixture(t, "spawnfix", "altoos/cmd/spawnfix")
-	diags, stale := dropStaleAllows(vet.Run(pkg, analyzersByName(t, "gospawn")))
-	for _, d := range diags {
-		t.Errorf("gospawn fired in exempt cmd/ scope: %s", d)
-	}
-	if stale != 1 {
-		t.Errorf("got %d stale-allow findings in exempt scope, want 1 (the fixture's own directive)", stale)
-	}
-}
-
-// TestChanOrderScope: the channel-order rules bind only the
-// determinism-gated packages.
-func TestChanOrderScope(t *testing.T) {
-	pkg := loadFixture(t, "chanfix", "altoos/internal/chanfix")
-	diags, stale := dropStaleAllows(vet.Run(pkg, analyzersByName(t, "chanorder")))
-	for _, d := range diags {
-		t.Errorf("chanorder fired outside the gated packages: %s", d)
-	}
-	if stale != 1 {
-		t.Errorf("got %d stale-allow findings in exempt scope, want 1", stale)
-	}
-}
-
-// TestGlobalStateScope: the frozen-globals rule binds only the
-// determinism-gated packages.
-func TestGlobalStateScope(t *testing.T) {
-	pkg := loadFixture(t, "globalfix", "altoos/internal/globalfix")
-	diags, stale := dropStaleAllows(vet.Run(pkg, analyzersByName(t, "globalstate")))
-	for _, d := range diags {
-		t.Errorf("globalstate fired outside the gated packages: %s", d)
-	}
-	if stale != 1 {
-		t.Errorf("got %d stale-allow findings in exempt scope, want 1", stale)
 	}
 }
 
@@ -255,41 +181,13 @@ func TestProductionTreeClean(t *testing.T) {
 	}
 }
 
-// TestParallelRunDeterministic: the same tree analyzed with one worker and
-// with many must produce byte-identical output — the parallel merge may not
-// leak scheduling into the findings order.
-func TestParallelRunDeterministic(t *testing.T) {
-	render := func(workers int) string {
-		mod, err := vet.LoadModule(".")
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs, err := mod.LoadParallel(workers, "./...")
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags, _ := vet.RunAll(pkgs, vet.Analyzers())
-		var b strings.Builder
-		for _, d := range mod.JSONDiagnostics(diags) {
-			b.WriteString(d.File)
-			b.WriteByte(':')
-			b.WriteString(d.Message)
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	if one, eight := render(1), render(8); one != eight {
-		t.Errorf("worker count changed the output:\n-- 1 worker --\n%s\n-- 8 workers --\n%s", one, eight)
-	}
-}
-
 // TestRunExitCodes drives the CLI entry point the way the shell does.
 func TestRunExitCodes(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d, stderr %q", code, errOut.String())
 	}
-	for _, name := range []string{"labelcheck", "gospawn", "chanorder", "globalstate", "simtaint", "tracecover"} {
+	for _, name := range []string{"wordwidth", "labelcheck", "errdiscard", "mutexorder", "simtaint", "tracecover"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s", name)
 		}
@@ -333,17 +231,18 @@ func TestJSONAndStats(t *testing.T) {
 
 // TestDirtyTreeExitsOne: a tree with findings fails the gate.
 func TestDirtyTreeExitsOne(t *testing.T) {
-	// The taint fixture under its shipped (cmd) layout has known findings;
-	// drive the CLI against a temp module holding just that fixture.
+	// The wordwidth fixture under its shipped layout (internal/widthfix) has
+	// known findings; drive the CLI against a temp module holding just that
+	// fixture.
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixmod\n\ngo 1.21\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := os.ReadFile(filepath.Join("testdata", "src", "globalfix", "globalfix.go"))
+	src, err := os.ReadFile(filepath.Join("testdata", "src", "widthfix", "widthfix.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgDir := filepath.Join(dir, "internal", "fsck")
+	pkgDir := filepath.Join(dir, "internal", "widthfix")
 	if err := os.MkdirAll(pkgDir, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ type Endpoint struct {
 	conns map[connKey]*Conn
 	// order lists live connections in creation order: every per-conn
 	// sweep walks this slice, never the map, so timer firing order is
-	// deterministic (altovet enforces the no-map-range rule here).
+	// deterministic (a sweep over the map fails TestDeterminism).
 	order     []*Conn
 	listening bool
 	backlog   []*Conn

@@ -97,7 +97,7 @@ func collectAllows(pkg *Package) (*allows, []Diagnostic) {
 	var bad []Diagnostic
 	report := func(pos token.Pos, msg string) {
 		bad = append(bad, Diagnostic{
-			Pos:      pkg.module.Fset.Position(pos),
+			Pos:      fset.Position(pos),
 			Analyzer: "allow",
 			Message:  msg,
 		})
@@ -130,7 +130,7 @@ func collectAllows(pkg *Package) (*allows, []Diagnostic) {
 					report(c.Pos(), "allow directive for "+fields[0]+" gives no reason")
 					continue
 				}
-				pos := pkg.module.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				dir := &directive{pos: pos, names: names}
 				out.directives = append(out.directives, dir)
 				for _, name := range names {

@@ -9,9 +9,22 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+)
+
+// The standard library is the same whatever module imports it, and
+// type-checking it from GOROOT source is most of a load's cost. So every
+// Module in the process shares one FileSet and one source importer: a test
+// binary that loads many fixture modules checks each standard package once.
+// stdMu serializes the importer, which keeps unsynchronized state of its
+// own; module packages type-check concurrently around it.
+var (
+	fset  = token.NewFileSet()
+	stdMu sync.Mutex
+	std   = importer.ForCompiler(fset, "source", nil)
 )
 
 // A Module is a loaded Go module: the unit altovet analyzes. Loading is done
@@ -24,16 +37,9 @@ type Module struct {
 	Root string
 	// Path is the module path declared in go.mod.
 	Path string
-	// Fset positions every file loaded for this module.
-	Fset *token.FileSet
 
-	std types.Importer
-
-	// mu guards pkgs, loading and the cached program. stdMu serializes the
-	// source importer, which keeps unsynchronized state of its own; module
-	// packages type-check concurrently around it.
+	// mu guards pkgs, loading and the cached program.
 	mu      sync.Mutex
-	stdMu   sync.Mutex
 	pkgs    map[string]*Package   // memoized by import path
 	loading map[string]*loadState // in-flight loads, for concurrent callers
 
@@ -85,14 +91,11 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	m := &Module{
-		Root: root, Path: path, Fset: fset,
+	return &Module{
+		Root: root, Path: path,
 		pkgs:    map[string]*Package{},
 		loading: map[string]*loadState{},
-	}
-	m.std = importer.ForCompiler(fset, "source", nil)
-	return m, nil
+	}, nil
 }
 
 // modulePath extracts the module declaration from a go.mod file.
@@ -129,9 +132,9 @@ func (m *Module) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	m.stdMu.Lock()
-	defer m.stdMu.Unlock()
-	return m.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.Import(path)
 }
 
 // loadImportPath loads the module package with the given import path.
@@ -196,7 +199,7 @@ func (m *Module) loadDirUncached(dir, importPath string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +212,7 @@ func (m *Module) loadDirUncached(dir, importPath string) (*Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: m}
-	tpkg, err := conf.Check(importPath, m.Fset, files, info)
+	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("vet: type-checking %s: %w", importPath, err)
 	}
@@ -231,65 +234,35 @@ func (m *Module) loadDirUncached(dir, importPath string) (*Package, error) {
 //	./dir, dir   the single package in dir
 //
 // With no patterns, "./..." is assumed. Directories named "testdata" and
-// hidden directories are never walked.
+// hidden directories are never walked. The packages type-check on GOMAXPROCS
+// workers, shared dependencies coalescing through the in-flight load table;
+// the result is in walk order whatever the schedule was.
 func (m *Module) Load(patterns ...string) ([]*Package, error) {
-	return m.LoadParallel(1, patterns...)
+	return m.load(runtime.GOMAXPROCS(0), patterns...)
 }
 
-// LoadParallel is Load across a worker pool: the matched package directories
-// are type-checked by up to workers goroutines, with shared dependencies
-// coalesced through the in-flight load table. The returned slice is in the
-// same deterministic order Load would produce, whatever the pool's schedule
-// was. workers < 2 degrades to the sequential path.
-func (m *Module) LoadParallel(workers int, patterns ...string) ([]*Package, error) {
+// load is Load on a pool of width workers.
+func (m *Module) load(width int, patterns ...string) ([]*Package, error) {
 	dirs, err := m.patternDirs(patterns)
 	if err != nil {
 		return nil, err
 	}
-	type target struct {
-		dir, path string
-	}
-	targets := make([]target, len(dirs))
+	paths := make([]string, len(dirs))
 	for i, dir := range dirs {
 		rel, err := filepath.Rel(m.Root, dir)
 		if err != nil {
 			return nil, err
 		}
-		path := m.Path
+		paths[i] = m.Path
 		if rel != "." {
-			path = m.Path + "/" + filepath.ToSlash(rel)
+			paths[i] = m.Path + "/" + filepath.ToSlash(rel)
 		}
-		targets[i] = target{dir, path}
 	}
-	pkgs := make([]*Package, len(targets))
-	errs := make([]error, len(targets))
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 2 {
-		for i, t := range targets {
-			if pkgs[i], errs[i] = m.LoadDir(t.dir, t.path); errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		return pkgs, nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pkgs[i], errs[i] = m.LoadDir(targets[i].dir, targets[i].path)
-			}
-		}()
-	}
-	for i := range targets {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	pkgs := make([]*Package, len(dirs))
+	errs := make([]error, len(dirs))
+	forEach(len(dirs), width, func(i int) {
+		pkgs[i], errs[i] = m.LoadDir(dirs[i], paths[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -26,12 +26,12 @@ import (
 //     locked or interface types as a parameter (disk.Allocate locks via
 //     dev.Do even though Allocate itself is a plain function).
 //
-// internal/sim is exempt as a leaf: sim.Clock locks internally but never
-// calls out, so the global order "anything → sim" cannot cycle. The
-// heuristic is linear (it does not model branches precisely) and
-// intentionally conservative in what it tracks rather than what it flags: a
-// branch that returns while holding restores the pre-branch held set for
-// the code after it.
+// internal/trace is exempt as a leaf: its emit path takes no lock and its
+// name registry never calls out while locked, so the global order
+// "anything → trace" cannot cycle. The heuristic is linear (it does not
+// model branches precisely) and intentionally conservative in what it
+// tracks rather than what it flags: a branch that returns while holding
+// restores the pre-branch held set for the code after it.
 var MutexOrderAnalyzer = &Analyzer{
 	Name: "mutexorder",
 	Doc:  "flag cross-package calls into lock-holding packages while a mutex is held",
@@ -41,10 +41,6 @@ var MutexOrderAnalyzer = &Analyzer{
 // leafLockPackages never call out while locked, so holding across a call
 // into them cannot participate in a cycle.
 var leafLockPackages = map[string]bool{
-	"internal/sim": true,
-	// The flight recorder's emit path takes no lock, and its name registry
-	// never calls out of the package while locked, so any subsystem may
-	// emit events while holding its own lock.
 	"internal/trace": true,
 }
 

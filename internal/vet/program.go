@@ -2,10 +2,8 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // A Program is the whole-program view the cross-package analyzers share: every
@@ -14,8 +12,7 @@ import (
 // Drive's facts), and a fact table summarizing each function's externally
 // visible behaviour. Facts are what make one analyzer's conclusion in one
 // package ("this function charges simulated time", "this value derives from
-// the sim clock", "this helper joins the goroutines it is handed") visible to
-// callers in every other package.
+// the sim clock") visible to callers in every other package.
 //
 // The program is rebuilt lazily whenever new packages have been loaded since
 // the last build; all loaded packages share one FileSet and one type-checking
@@ -57,17 +54,6 @@ type funcFacts struct {
 	// reach. tracecover requires an operation in package P to reach an
 	// emission attributed to P, not merely one buried in a lower layer.
 	emitPkgs map[string]bool
-	// donesWG / waitsWG: the function may call (*sync.WaitGroup).Done /
-	// .Wait. gospawn uses these to recognize join shapes routed through
-	// helpers in other packages.
-	donesWG bool
-	waitsWG bool
-	// spawnsUnjoined: the function contains a go statement gospawn could not
-	// prove joined. Exported for callers (and the future fleet substrate's
-	// own gating); the defining sites in unjoinedSpawns are where the
-	// findings are reported.
-	spawnsUnjoined bool
-	unjoinedSpawns []token.Pos
 	// taint summary bits: some result of the function derives from the
 	// simulated clock / the host wall clock. Computed by the taint core
 	// (taint.go) and consumed at call sites in other packages by simtaint.
@@ -111,7 +97,6 @@ func (p *Program) build() {
 	p.seedFacts()
 	p.propagateReach()
 	computeTaintSummaries(p)
-	p.computeSpawnFacts()
 }
 
 // collectDecls records every function declaration and its direct callees.
@@ -202,7 +187,7 @@ func (p *Program) factsFor(fn *types.Func) *funcFacts {
 }
 
 // seedFacts records each function's direct behaviour: trace emissions in its
-// own body, direct sim-clock charging, direct WaitGroup traffic.
+// own body and direct sim-clock charging.
 func (p *Program) seedFacts() {
 	for obj, fd := range p.decls {
 		ff := p.factsFor(obj)
@@ -216,17 +201,13 @@ func (p *Program) seedFacts() {
 				ff.emitPkgs[homePath] = true
 			case isClockAdvance(p.module, callee):
 				ff.simWork = true
-			case isWaitGroupMethod(callee, "Done"):
-				ff.donesWG = true
-			case isWaitGroupMethod(callee, "Wait"):
-				ff.waitsWG = true
 			}
 		}
 	}
 }
 
-// propagateReach closes the may-reach facts (simWork, emitPkgs, donesWG,
-// waitsWG) over the call graph, expanding interface methods to their module
+// propagateReach closes the may-reach facts (simWork, emitPkgs) over the
+// call graph, expanding interface methods to their module
 // implementations, until nothing changes.
 func (p *Program) propagateReach() {
 	for changed := true; changed; {
@@ -241,14 +222,6 @@ func (p *Program) propagateReach() {
 					}
 					if cf.simWork && !ff.simWork {
 						ff.simWork = true
-						changed = true
-					}
-					if cf.donesWG && !ff.donesWG {
-						ff.donesWG = true
-						changed = true
-					}
-					if cf.waitsWG && !ff.waitsWG {
-						ff.waitsWG = true
 						changed = true
 					}
 					for pkg := range cf.emitPkgs {
@@ -302,44 +275,11 @@ func isClockAdvance(m *Module, fn *types.Func) bool {
 		fn.Pkg() != nil && fn.Pkg().Path() == m.Path+"/internal/sim"
 }
 
-// isWaitGroupMethod reports whether fn is (*sync.WaitGroup).<name>.
-func isWaitGroupMethod(fn *types.Func, name string) bool {
-	if fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	named := namedOf(sig.Recv().Type())
-	return named != nil && named.Obj().Name() == "WaitGroup"
-}
-
-// declOf returns the declaration record for fn, or nil if fn has no body in
-// the program (standard library, interface method).
-func (p *Program) declOf(fn *types.Func) *funcDecl { return p.decls[fn] }
-
 // emitsIn reports whether fn may reach a trace emission site located in the
 // package with the given import path.
 func (p *Program) emitsIn(fn *types.Func, importPath string) bool {
 	ff := p.facts[fn]
 	return ff != nil && ff.emitPkgs[importPath]
-}
-
-// determinismGated lists the module-relative packages that promise
-// byte-identical replay: traces, sweep reports and violation lists from two
-// runs of the same workload are compared byte for byte in the gates. The
-// chanorder, globalstate and determinism map-iteration rules all key on this
-// set.
-var determinismGated = map[string]bool{
-	"internal/disk":       true,
-	"internal/pup":        true,
-	"internal/fileserver": true,
-	"internal/crashpoint": true,
-	"internal/fsck":       true,
-	"internal/scope":      true,
-	"internal/fleet":      true,
-	"internal/cluster":    true,
 }
 
 // tracedPackages lists the module-relative packages under the tracecover
@@ -354,7 +294,3 @@ var tracedPackages = map[string]bool{
 	"internal/scope":      true,
 	"internal/cluster":    true,
 }
-
-// isInternal reports whether rel (a module-relative package path) lies under
-// internal/.
-func isInternal(rel string) bool { return strings.HasPrefix(rel, "internal/") }

@@ -1,6 +1,9 @@
 package vet
 
-import "go/ast"
+import (
+	"go/ast"
+	"strings"
+)
 
 // SimTaintAnalyzer guards the boundary between the two time domains. The
 // simulated clock is the paper's measurement instrument: every quantitative
@@ -12,9 +15,9 @@ import "go/ast"
 //
 // Two layers of defence:
 //
-//   - call-site bans (the successor to the original determinism time checks):
-//     inside internal/ — except internal/sim, which implements the simulated
-//     domain — the wall-clock-reading time functions are forbidden outright;
+//   - call-site bans: inside internal/ — except internal/sim, which
+//     implements the simulated domain — the wall-clock-reading time
+//     functions are forbidden outright;
 //   - interprocedural flow checks, module-wide including cmd/ and examples/
 //     (which may legitimately read the wall clock, e.g. for host profiling,
 //     but must still keep the domains apart): the taint core (taint.go)
@@ -58,8 +61,7 @@ func runSimTaint(pass *Pass) {
 	if rel == "internal/sim" {
 		return
 	}
-	banCallSites := isInternal(rel)
-	if banCallSites {
+	if strings.HasPrefix(rel, "internal/") {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)

@@ -6,18 +6,25 @@
 // The analyzers enforce invariants the compiler cannot see but the paper's
 // reliability story depends on:
 //
-//   - determinism: all simulated time and randomness flows through
-//     sim.Clock/sim.Rand, so every experiment is replayable from its seed;
-//   - wordwidth:   machine arithmetic stays within the 16-bit Word, and any
+//   - wordwidth:  machine arithmetic stays within the 16-bit Word, and any
 //     narrowing of wider arithmetic is masked or documented;
-//   - labelcheck:  every disk transfer built outside the disk/scavenge
+//   - labelcheck: every disk transfer built outside the disk/scavenge
 //     layers checks the page label (§3.3: "a single error cannot cause
 //     unbounded damage");
-//   - errdiscard:  errors from the storage stack are propagated, not
+//   - errdiscard: errors from the storage stack are propagated, not
 //     silently dropped;
-//   - mutexorder:  no code calls across package boundaries into other
+//   - mutexorder: no code calls across package boundaries into other
 //     lock-holding types while holding its own lock (a deadlock-shape
-//     heuristic).
+//     heuristic);
+//   - simtaint:   internal/ never reads or waits on the host wall clock, and
+//     simulated and host time never flow into each other;
+//   - tracecover: an exported operation of a traced package that charges
+//     simulated time reaches a trace emission of its own package.
+//
+// Replay determinism is left to the run-time gates: TestDeterminism,
+// TestGolden and the race detector fail on every map-order, channel-order,
+// global-state and goroutine hazard planted in the replay-gated packages
+// (the ledger in DESIGN.md §7).
 //
 // A finding can be suppressed, with a mandatory reason, by an allow comment
 // on the flagged line or the line above it:
@@ -64,7 +71,6 @@ type Analyzer struct {
 // A Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
 	// Path is the package's import path. Fixture packages are loaded under a
 	// virtual path so scope rules (internal/ vs cmd/) apply to them too.
 	Path  string
@@ -84,7 +90,7 @@ type Pass struct {
 // Report records a finding at pos.
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -93,19 +99,14 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 // TypeOf returns the static type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// Analyzers returns the full suite, in reporting order: the five per-package
-// analyzers from the first generation, then the five whole-program analyzers
-// that gate the fleet era.
+// Analyzers returns the full suite, in reporting order: the per-package
+// analyzers, then the two whole-program ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer,
 		WordWidthAnalyzer,
 		LabelCheckAnalyzer,
 		ErrDiscardAnalyzer,
 		MutexOrderAnalyzer,
-		GoSpawnAnalyzer,
-		ChanOrderAnalyzer,
-		GlobalStateAnalyzer,
 		SimTaintAnalyzer,
 		TraceCoverAnalyzer,
 	}
@@ -151,10 +152,15 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 
 // RunAll applies the analyzers to every package, sharing one whole-program
 // view (built over everything the module has loaded) and fanning the
-// per-package passes across a worker pool. The merged output is in package
-// order and position-sorted within each package — byte-identical whatever
-// the pool's schedule was.
+// per-package passes across GOMAXPROCS workers. The merged output is in
+// package order and position-sorted within each package — byte-identical
+// whatever the pool's schedule was.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *Stats) {
+	return runAll(pkgs, analyzers, runtime.GOMAXPROCS(0))
+}
+
+// runAll is RunAll on a pool of width workers.
+func runAll(pkgs []*Package, analyzers []*Analyzer, width int) ([]Diagnostic, *Stats) {
 	stats := newStats()
 	if len(pkgs) == 0 {
 		return nil, stats
@@ -162,32 +168,37 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *Stats) {
 	prog := pkgs[0].module.program()
 	perPkg := make([][]Diagnostic, len(pkgs))
 	perStats := make([]*Stats, len(pkgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				perPkg[i], perStats[i] = runPackage(pkgs[i], analyzers, prog)
-			}
-		}()
-	}
-	for i := range pkgs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	forEach(len(pkgs), width, func(i int) {
+		perPkg[i], perStats[i] = runPackage(pkgs[i], analyzers, prog)
+	})
 	var out []Diagnostic
 	for i := range pkgs {
 		out = append(out, perPkg[i]...)
 		stats.merge(perStats[i])
 	}
 	return out, stats
+}
+
+// forEach calls f(0) … f(n-1) on up to width goroutines, returning when
+// every call has. Callers write call i's result to slot i, so what they
+// gather never depends on the schedule.
+func forEach(n, width int, f func(i int)) {
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for range min(width, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f(i)
+			}
+		}()
+	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }
 
 // runPackage is one package's full analysis: every analyzer, allow
@@ -197,7 +208,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer, prog *Program) ([]Diagnosti
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
-			Fset:     pkg.module.Fset,
 			Path:     pkg.ImportPath,
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
@@ -243,12 +253,7 @@ func (p *Pass) inModule(path string) bool {
 
 // relPath returns the package path relative to the module root ("" for the
 // root package itself), for scope rules like "anything under internal/".
-func (p *Pass) relPath() string {
-	if p.Path == p.Module.Path {
-		return ""
-	}
-	return strings.TrimPrefix(p.Path, p.Module.Path+"/")
-}
+func (p *Pass) relPath() string { return relOf(p, p.Path) }
 
 // calleeFunc resolves the function or method a call expression invokes,
 // returning nil for conversions, calls of function-typed variables, and

@@ -1,8 +1,10 @@
 package vet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -59,6 +61,39 @@ func TestLoadPatterns(t *testing.T) {
 		if strings.Contains(p.Dir, "testdata") {
 			t.Errorf("module walk descended into testdata: %s", p.Dir)
 		}
+	}
+}
+
+// TestParallelRunDeterministic: the tree loaded and analyzed on one worker
+// and on eight must give byte-identical output — the package order, every
+// finding and the allow counts. The pool may not leak its schedule.
+func TestParallelRunDeterministic(t *testing.T) {
+	render := func(width int) string {
+		mod := loadTestModule(t)
+		pkgs, err := mod.load(width, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, stats := runAll(pkgs, Analyzers(), width)
+		var b strings.Builder
+		for _, p := range pkgs {
+			fmt.Fprintln(&b, p.ImportPath)
+		}
+		for _, d := range mod.JSONDiagnostics(diags) {
+			fmt.Fprintf(&b, "%s:%d: %s: %s\n", d.File, d.Line, d.Analyzer, d.Message)
+		}
+		names := make([]string, 0, len(stats.Allowed))
+		for name := range stats.Allowed {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "allowed %s %d\n", name, stats.Allowed[name])
+		}
+		return b.String()
+	}
+	if one, eight := render(1), render(8); one != eight {
+		t.Errorf("worker count changed the output:\n-- 1 worker --\n%s\n-- 8 workers --\n%s", one, eight)
 	}
 }
 

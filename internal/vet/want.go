@@ -27,7 +27,6 @@ func CheckWant(pkg *Package, diags []Diagnostic) []string {
 	}
 	wants := map[allowKey][]*want{}
 	var problems []string
-	fset := pkg.module.Fset
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
