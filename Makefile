@@ -28,17 +28,22 @@ altovet:
 test:
 	$(GO) test ./...
 
+# race bounds each package's test binary at 4 minutes, about 5x the slowest
+# package (internal/experiments, 51 s under -race while the other packages
+# run beside it), so a run that stalls or crawls fails here instead of at
+# go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 4m ./...
 
 # determinism-check is the replay contract: every experiment runs at
 # worker-pool widths 1, 1, 2, 4, 8 and 8 with one flight recorder per
 # simulated machine, and every machine's events, every recorder's metrics
 # snapshot and every result metric must match the first run. A failure names
 # the experiment, the two runs, the machine and the first differing event,
-# with the events before it.
+# with the events before it. The 10 s timeout is about 7x the test's 1.4 s:
+# a replay that crawls fails too.
 determinism-check:
-	$(GO) test -count=1 -run '^TestDeterminism$$' ./internal/experiments
+	$(GO) test -count=1 -timeout 10s -run '^TestDeterminism$$' ./internal/experiments
 
 # cluster-seeds checks that E15's claim does not rest on its published wire
 # seed: altobench -seeds runs the full E15 on wire seeds 0-199 at workers 1

@@ -91,30 +91,24 @@ func (r *Report) Strings() []string {
 	return out
 }
 
-// page is one in-use sector as the sweep found it.
-type page struct {
-	addr disk.VDA
-	lbl  disk.Label
-}
-
-// fileRec collects every sector claiming one (file, version) name.
-type fileRec struct {
-	fv    disk.FV
-	pages []page
-}
-
 // checker carries one check's state.
 type checker struct {
 	dev    disk.Device
 	report *Report
-	files  []*fileRec
-	// byFV is a keyed index into files only — every walk uses the sorted
-	// slice, never map iteration, so two checks of the same pack report
+	// files holds every sector claiming each (file, version) name, one run
+	// of the sweep's label table per file, sorted by name. Every walk and
+	// lookup uses this order, so two checks of the same pack report
 	// identically.
-	byFV map[disk.FV]int
+	files []disk.FileGroup
 	// busy mirrors what the allocation map must say: in-use, retired and
 	// unreadable sectors.
 	busy []bool
+
+	// checkLeader's read, owned here: an Op passed through the Device
+	// interface escapes, so building one per leader would allocate.
+	op  disk.Op
+	pat [disk.LabelWords]disk.Word
+	val [disk.PageWords]disk.Word
 }
 
 // Check verifies every invariant on the pack behind dev. The returned error
@@ -124,25 +118,31 @@ func Check(dev disk.Device) (*Report, error) {
 	c := &checker{
 		dev:    dev,
 		report: &Report{},
-		byFV:   make(map[disk.FV]int),
 		busy:   make([]bool, dev.Geometry().NSectors()),
 	}
 	if err := c.sweep(); err != nil {
 		return nil, err
 	}
-	slices.SortFunc(c.files, func(a, b *fileRec) int {
-		return cmp.Or(cmp.Compare(a.fv.FID, b.fv.FID), cmp.Compare(a.fv.Version, b.fv.Version))
-	})
-	// The sort moved the records; rebuild the keyed index over the new
-	// positions before anything resolves an FV.
-	for i, f := range c.files {
-		c.byFV[f.fv] = i
-	}
-	for _, f := range c.files {
-		c.checkFile(f)
+	slices.SortFunc(c.files, func(a, b disk.FileGroup) int { return compareFV(a.FV, b.FV) })
+	for i := range c.files {
+		c.checkFile(&c.files[i])
 	}
 	c.checkSystem()
 	return c.report, nil
+}
+
+// compareFV orders files by identifier, then version.
+func compareFV(a, b disk.FV) int {
+	return cmp.Or(cmp.Compare(a.FID, b.FID), cmp.Compare(a.Version, b.Version))
+}
+
+// lookup returns the file named fv, if any sector claims it.
+func (c *checker) lookup(fv disk.FV) (*disk.FileGroup, bool) {
+	i, ok := slices.BinarySearchFunc(c.files, fv, func(f disk.FileGroup, fv disk.FV) int { return compareFV(f.FV, fv) })
+	if !ok {
+		return nil, false
+	}
+	return &c.files[i], true
 }
 
 // violate records one finding.
@@ -152,121 +152,73 @@ func (c *checker) violate(rule string, addr disk.VDA, fv disk.FV, format string,
 	})
 }
 
-// sweep reads every label, one cylinder of header-checked label reads per
-// free-order chain (the Scavenger's pass-1 shape), and groups the in-use
-// pages by file. Entries are processed in ascending address order whatever
-// order the scheduler served them in.
+// sweep reads every label (the Scavenger's pass 1) into one flat label
+// table and groups the in-use pages by file.
 func (c *checker) sweep() error {
-	g := c.dev.Geometry()
-	n := g.NSectors()
+	n := c.dev.Geometry().NSectors()
 	c.report.SectorsScanned = n
-
-	batch := g.Heads * g.SectorsPerTrack
-	ops := make([]disk.Op, batch)
-	hdrs := make([][disk.HeaderWords]disk.Word, batch)
-	lbls := make([][disk.LabelWords]disk.Word, batch)
-	slotErr := make([]error, batch)
-	slotLbl := make([]*[disk.LabelWords]disk.Word, batch)
-	pack := c.dev.Pack()
-
-	for base := 0; base < n; base += batch {
-		m := batch
-		if base+m > n {
-			m = n - base
+	table := disk.NewLabelTable(n)
+	err := disk.SweepLabels(c.dev, func(addr disk.VDA, raw [disk.LabelWords]disk.Word, err error) error {
+		switch {
+		case errors.Is(err, disk.ErrBadSector) || disk.IsCheck(err):
+			c.report.BadSectors++
+			c.busy[addr] = true
+		case err != nil:
+			return fmt.Errorf("fsck: sweeping sector %d: %w", addr, err)
+		case disk.IsFreeLabel(raw):
+			c.report.FreePages++
+		case disk.IsBadLabel(raw):
+			c.report.RetiredPages++
+			c.busy[addr] = true
+		default:
+			c.busy[addr] = true
+			table.Add(addr, disk.LabelFromWords(raw))
 		}
-		for i := 0; i < m; i++ {
-			//altovet:allow wordwidth base+i < NSectors, which fits a VDA
-			addr := disk.VDA(base + i)
-			hdrs[i] = disk.Header{Pack: pack, Addr: addr}.Words()
-			ops[i] = disk.Op{
-				Addr:       addr,
-				Header:     disk.Check,
-				HeaderData: &hdrs[i],
-				Label:      disk.Read,
-				LabelData:  &lbls[i],
-			}
-		}
-		errs := disk.DoChainOn(c.dev, ops[:m], disk.FreeOrder)
-		for k := 0; k < m; k++ {
-			idx := int(ops[k].Addr) - base
-			slotLbl[idx] = ops[k].LabelData
-			if errs != nil {
-				slotErr[idx] = errs[k]
-			} else {
-				slotErr[idx] = nil
-			}
-		}
-		for i := 0; i < m; i++ {
-			//altovet:allow wordwidth base+i < NSectors, which fits a VDA
-			addr := disk.VDA(base + i)
-			raw, err := *slotLbl[i], slotErr[i]
-			switch {
-			case errors.Is(err, disk.ErrBadSector) || disk.IsCheck(err):
-				c.report.BadSectors++
-				c.busy[addr] = true
-				continue
-			case err != nil:
-				return fmt.Errorf("fsck: sweeping sector %d: %w", addr, err)
-			}
-			switch {
-			case disk.IsFreeLabel(raw):
-				c.report.FreePages++
-			case disk.IsBadLabel(raw):
-				c.report.RetiredPages++
-				c.busy[addr] = true
-			default:
-				c.busy[addr] = true
-				lbl := disk.LabelFromWords(raw)
-				fv := lbl.FV()
-				idx, ok := c.byFV[fv]
-				if !ok {
-					idx = len(c.files)
-					c.files = append(c.files, &fileRec{fv: fv})
-					c.byFV[fv] = idx
-				}
-				c.files[idx].pages = append(c.files[idx].pages, page{addr: addr, lbl: lbl})
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	c.files = table.Group()
 	return nil
 }
 
 // leaderAddr returns the file's page-0 address, or NilVDA if it has none.
 // pages are sorted by (pn, addr) by the time anyone asks.
-func (f *fileRec) leaderAddr() disk.VDA {
-	if len(f.pages) > 0 && f.pages[0].lbl.PageNum == 0 {
-		return f.pages[0].addr
+func leaderAddr(f *disk.FileGroup) disk.VDA {
+	if len(f.Pages) > 0 && f.Pages[0].PageNum == 0 {
+		return f.Pages[0].Addr
 	}
 	return disk.NilVDA
 }
 
 // checkFile verifies one file's chain, lengths, links and leader.
-func (c *checker) checkFile(f *fileRec) {
+func (c *checker) checkFile(f *disk.FileGroup) {
 	c.report.FilesChecked++
-	slices.SortFunc(f.pages, func(a, b page) int {
-		return cmp.Or(cmp.Compare(a.lbl.PageNum, b.lbl.PageNum), cmp.Compare(a.addr, b.addr))
+	slices.SortFunc(f.Pages, func(a, b disk.LabelEntry) int {
+		return cmp.Or(cmp.Compare(a.PageNum, b.PageNum), cmp.Compare(a.Addr, b.Addr))
 	})
 
 	// Ownership: a (file, page) name must name one sector.
 	clean := true
-	for i := 1; i < len(f.pages); i++ {
-		if f.pages[i].lbl.PageNum == f.pages[i-1].lbl.PageNum {
-			c.violate(RuleOwner, f.pages[i].addr, f.fv,
-				"page %d doubly owned (also at sector %d)", f.pages[i].lbl.PageNum, f.pages[i-1].addr)
+	for i := 1; i < len(f.Pages); i++ {
+		if f.Pages[i].PageNum == f.Pages[i-1].PageNum {
+			c.violate(RuleOwner, f.Pages[i].Addr, f.FV,
+				"page %d doubly owned (also at sector %d)", f.Pages[i].PageNum, f.Pages[i-1].Addr)
 			clean = false
 		}
 	}
 
 	// Contiguity: pages number 0..N with no gaps.
-	if f.pages[0].lbl.PageNum != 0 {
-		c.violate(RuleChain, f.pages[0].addr, f.fv,
-			"no leader page; chain starts at page %d", f.pages[0].lbl.PageNum)
+	if f.Pages[0].PageNum != 0 {
+		c.violate(RuleChain, f.Pages[0].Addr, f.FV,
+			"no leader page; chain starts at page %d", f.Pages[0].PageNum)
 		clean = false
 	}
-	for i := 1; i < len(f.pages); i++ {
-		prev, cur := f.pages[i-1].lbl.PageNum, f.pages[i].lbl.PageNum
+	for i := 1; i < len(f.Pages); i++ {
+		prev, cur := f.Pages[i-1].PageNum, f.Pages[i].PageNum
 		if cur != prev && cur != prev+1 {
-			c.violate(RuleChain, f.pages[i].addr, f.fv,
+			c.violate(RuleChain, f.Pages[i].Addr, f.FV,
 				"gap in chain: page %d follows page %d", cur, prev)
 			clean = false
 		}
@@ -274,74 +226,75 @@ func (c *checker) checkFile(f *fileRec) {
 
 	// Lengths: every page but the last full, the last partial — the
 	// invariant the storage layer maintains from a file's birth.
-	last := len(f.pages) - 1
-	for i, p := range f.pages {
-		if i < last && p.lbl.Length != disk.PageBytes {
-			c.violate(RuleChain, p.addr, f.fv,
-				"short interior page %d: %d bytes", p.lbl.PageNum, p.lbl.Length)
+	last := len(f.Pages) - 1
+	for i, p := range f.Pages {
+		if i < last && p.Length != disk.PageBytes {
+			c.violate(RuleChain, p.Addr, f.FV,
+				"short interior page %d: %d bytes", p.PageNum, p.Length)
 			clean = false
 		}
 	}
-	if f.pages[last].lbl.Length >= disk.PageBytes && last == 0 {
-		c.violate(RuleChain, f.pages[last].addr, f.fv,
+	if f.Pages[last].Length >= disk.PageBytes && last == 0 {
+		c.violate(RuleChain, f.Pages[last].Addr, f.FV,
 			"file is a bare full leader: missing partial tail page")
 		clean = false
-	} else if f.pages[last].lbl.Length >= disk.PageBytes {
-		c.violate(RuleChain, f.pages[last].addr, f.fv,
-			"last page %d is full: missing partial tail", f.pages[last].lbl.PageNum)
+	} else if f.Pages[last].Length >= disk.PageBytes {
+		c.violate(RuleChain, f.Pages[last].Addr, f.FV,
+			"last page %d is full: missing partial tail", f.Pages[last].PageNum)
 		clean = false
 	}
 
 	// Links: the doubly-linked chain closes over the sorted pages, NilVDA
 	// at both ends. Only meaningful when the chain itself is sound.
 	if clean {
-		for i, p := range f.pages {
+		for i, p := range f.Pages {
 			wantPrev, wantNext := disk.NilVDA, disk.NilVDA
 			if i > 0 {
-				wantPrev = f.pages[i-1].addr
+				wantPrev = f.Pages[i-1].Addr
 			}
 			if i < last {
-				wantNext = f.pages[i+1].addr
+				wantNext = f.Pages[i+1].Addr
 			}
-			if p.lbl.Next != wantNext {
-				c.violate(RuleChain, p.addr, f.fv,
-					"page %d next link %d, chain says %d", p.lbl.PageNum, p.lbl.Next, wantNext)
+			if p.Next != wantNext {
+				c.violate(RuleChain, p.Addr, f.FV,
+					"page %d next link %d, chain says %d", p.PageNum, p.Next, wantNext)
 			}
-			if p.lbl.Prev != wantPrev {
-				c.violate(RuleChain, p.addr, f.fv,
-					"page %d prev link %d, chain says %d", p.lbl.PageNum, p.lbl.Prev, wantPrev)
+			if p.Prev != wantPrev {
+				c.violate(RuleChain, p.Addr, f.FV,
+					"page %d prev link %d, chain says %d", p.PageNum, p.Prev, wantPrev)
 			}
 		}
 	}
 
 	// Leader: page 0 must decode and agree with the chain. The descriptor
 	// file's page 0 holds the descriptor, not a leader, so it is exempt.
-	if clean && f.fv.FID != disk.DescriptorFID {
+	if clean && f.FV.FID != disk.DescriptorFID {
 		c.checkLeader(f)
 	}
 }
 
 // checkLeader reads and decodes page 0 and compares its hints to the chain.
-func (c *checker) checkLeader(f *fileRec) {
-	lp := f.pages[0]
-	var v [disk.PageWords]disk.Word
-	if err := disk.ReadValue(c.dev, lp.addr, lp.lbl, &v); err != nil {
-		c.violate(RuleLeader, lp.addr, f.fv, "leader unreadable: %v", err)
+func (c *checker) checkLeader(f *disk.FileGroup) {
+	lp := f.Pages[0]
+	c.pat = lp.Words()
+	c.op = disk.Op{Addr: lp.Addr, Label: disk.Check, LabelData: &c.pat, Value: disk.Read, ValueData: &c.val}
+	if err := c.dev.Do(&c.op); err != nil {
+		c.violate(RuleLeader, lp.Addr, f.FV, "leader unreadable: %v", err)
 		return
 	}
-	ldr, err := file.DecodeLeader(&v)
+	ldr, err := file.DecodeLeader(&c.val)
 	if err != nil {
-		c.violate(RuleLeader, lp.addr, f.fv, "leader does not decode: %v", err)
+		c.violate(RuleLeader, lp.Addr, f.FV, "leader does not decode: %v", err)
 		return
 	}
 	if ldr.Name == "" {
-		c.violate(RuleLeader, lp.addr, f.fv, "leader carries no name")
+		c.violate(RuleLeader, lp.Addr, f.FV, "leader carries no name")
 	}
-	tail := f.pages[len(f.pages)-1]
-	if ldr.LastPN != tail.lbl.PageNum || ldr.LastAddr != tail.addr {
-		c.violate(RuleLeader, lp.addr, f.fv,
+	tail := f.Pages[len(f.Pages)-1]
+	if ldr.LastPN != tail.PageNum || ldr.LastAddr != tail.Addr {
+		c.violate(RuleLeader, lp.Addr, f.FV,
 			"stale last-page hint: leader says (%d, %d), chain ends at (%d, %d)",
-			ldr.LastPN, ldr.LastAddr, tail.lbl.PageNum, tail.addr)
+			ldr.LastPN, ldr.LastAddr, tail.PageNum, tail.Addr)
 	}
 }
 
@@ -377,7 +330,7 @@ func (c *checker) checkSystem() {
 	// (directory files carry theirs under the directory bit).
 	maxSerial := uint32(0)
 	for _, f := range c.files {
-		if s := uint32(f.fv.FID &^ disk.DirFIDBit); s >= uint32(disk.FirstUserFID) && s > maxSerial {
+		if s := uint32(f.FV.FID &^ disk.DirFIDBit); s >= uint32(disk.FirstUserFID) && s > maxSerial {
 			maxSerial = s
 		}
 	}
@@ -389,45 +342,46 @@ func (c *checker) checkSystem() {
 	// Root: the descriptor's root-directory name must point at a directory
 	// that actually exists.
 	root := fs.RootDir()
-	rootIdx, rootOK := c.byFV[root.FV]
+	rootF, rootOK := c.lookup(root.FV)
 	if !rootOK || !root.FV.FID.IsDirectory() {
 		c.violate(RuleDesc, root.Leader, root.FV, "descriptor's root directory does not exist on disk")
-	} else if la := c.files[rootIdx].leaderAddr(); la != root.Leader {
+	} else if la := leaderAddr(rootF); la != root.Leader {
 		c.violate(RuleDesc, root.Leader, root.FV,
 			"descriptor's root leader hint %d, leader is at %d", root.Leader, la)
 	}
 
 	// Directories: every directory file parses and every entry resolves.
 	referenced := make(map[disk.FV]bool)
-	for _, f := range c.files {
-		if !f.fv.FID.IsDirectory() {
+	for i := range c.files {
+		f := &c.files[i]
+		if !f.FV.FID.IsDirectory() {
 			continue
 		}
 		c.report.Directories++
-		la := f.leaderAddr()
+		la := leaderAddr(f)
 		if la == disk.NilVDA {
 			continue // already a chain violation; nothing to parse
 		}
-		df, err := fs.Open(file.FN{FV: f.fv, Leader: la})
+		df, err := fs.Open(file.FN{FV: f.FV, Leader: la})
 		if err != nil {
-			c.violate(RuleDir, la, f.fv, "directory does not open: %v", err)
+			c.violate(RuleDir, la, f.FV, "directory does not open: %v", err)
 			continue
 		}
 		entries, err := dir.Adopt(fs, df).Load()
 		if err != nil {
-			c.violate(RuleDir, la, f.fv, "directory does not parse: %v", err)
+			c.violate(RuleDir, la, f.FV, "directory does not parse: %v", err)
 			continue
 		}
 		c.report.DirEntries += len(entries)
 		for _, e := range entries {
-			tIdx, ok := c.byFV[e.FN.FV]
+			target, ok := c.lookup(e.FN.FV)
 			if !ok {
-				c.violate(RuleDir, la, f.fv, "entry %q names missing file %v", e.Name, e.FN.FV)
+				c.violate(RuleDir, la, f.FV, "entry %q names missing file %v", e.Name, e.FN.FV)
 				continue
 			}
 			referenced[e.FN.FV] = true
-			if ta := c.files[tIdx].leaderAddr(); ta != e.FN.Leader {
-				c.violate(RuleDir, la, f.fv,
+			if ta := leaderAddr(target); ta != e.FN.Leader {
+				c.violate(RuleDir, la, f.FV,
 					"entry %q carries stale leader hint %d, leader is at %d", e.Name, e.FN.Leader, ta)
 			}
 		}
@@ -435,14 +389,15 @@ func (c *checker) checkSystem() {
 
 	// Reachability: losing a directory loses only names — so after repair,
 	// every file except the system trio must have a name again.
-	for _, f := range c.files {
+	for i := range c.files {
+		f := &c.files[i]
 		switch {
-		case f.fv.FID == disk.DescriptorFID || f.fv.FID == disk.BootFID:
+		case f.FV.FID == disk.DescriptorFID || f.FV.FID == disk.BootFID:
 			continue // standard name and address; no entry required
-		case rootOK && f.fv == root.FV:
+		case rootOK && f.FV == root.FV:
 			continue // the root is named by the descriptor
-		case !referenced[f.fv]:
-			c.violate(RuleOrphan, f.leaderAddr(), f.fv, "file unreachable by any directory entry")
+		case !referenced[f.FV]:
+			c.violate(RuleOrphan, leaderAddr(f), f.FV, "file unreachable by any directory entry")
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // build formats a drive and populates it with nfiles synced, inserted files
 // of pagesEach data pages.
-func build(t *testing.T, nfiles, pagesEach int) (*disk.Drive, *file.FS, *dir.Directory) {
+func build(t testing.TB, nfiles, pagesEach int) (*disk.Drive, *file.FS, *dir.Directory) {
 	t.Helper()
 	d, err := disk.NewDrive(disk.Diablo31(), 1, nil)
 	if err != nil {
@@ -209,5 +209,20 @@ func TestCheckIsReadOnlyAndDeterministic(t *testing.T) {
 	}
 	if t1 != t2 {
 		t.Errorf("two checks took different simulated time: %d vs %d", t1, t2)
+	}
+}
+
+// BenchmarkFsckCheck times one check of a clean pack of 64 files of 12
+// pages: the label sweep into the table, every chain and leader, and the
+// descriptor and directories.
+func BenchmarkFsckCheck(b *testing.B) {
+	d, _, _ := build(b, 64, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Check(d)
+		if err != nil || !rep.OK() {
+			b.Fatalf("check: %v %v", err, rep.Strings())
+		}
 	}
 }

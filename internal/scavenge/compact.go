@@ -44,7 +44,7 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 	// Learn the current layout from the labels.
 	s := newScavenger(dev)
 	sp := s.phase("compact-sweep")
-	err := s.sweep(s.keepInMemory)
+	err := s.sweepInMemory()
 	sp.End()
 	if err != nil {
 		return nil, nil, err
@@ -55,28 +55,32 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 	// addresses that must not move. Every file is then laid out
 	// consecutively (leader first) in FID order, system files first, in the
 	// lowest available run of sectors.
-	occupied := map[disk.VDA]*pageInfo{}
-	for _, pages := range s.files {
-		for _, p := range pages {
-			occupied[p.addr] = p
+	fvs := slices.Clone(s.order)
+	slices.SortFunc(fvs, compareFV)
+	n := s.dev.Geometry().NSectors()
+	cur := make([]*disk.LabelEntry, n) // live page by current address
+	for _, fv := range fvs {
+		// Page order. The sort moves the table's entries, so it comes
+		// before anything takes their addresses.
+		pages := s.files[fv]
+		slices.SortFunc(pages, func(a, b disk.LabelEntry) int { return cmp.Compare(a.PageNum, b.PageNum) })
+		for i := range pages {
+			cur[pages[i].Addr] = &pages[i]
 		}
 	}
-
-	n := s.dev.Geometry().NSectors()
-	target := make([]*pageInfo, n) // target[a] = page that must end up at a
+	target := make([]*disk.LabelEntry, n) // target[a] = page that must end up at a
 	taken := make([]bool, n)
 	// Unusable sectors never receive pages.
+	bad := make([]bool, n)
 	for i := 0; i < n; i++ {
-		if s.free.Busy(disk.VDA(i)) {
-			if _, live := occupied[disk.VDA(i)]; !live {
-				taken[i] = true // bad or retired sector
-			}
+		if s.free.Busy(disk.VDA(i)) && cur[i] == nil {
+			bad[i], taken[i] = true, true // bad or retired sector
 		}
 	}
 
 	// Pin the standard addresses.
 	pin := func(a disk.VDA) {
-		if p, ok := occupied[a]; ok && standardAddress(p) == a {
+		if p := cur[a]; p != nil && standardAddress(p) == a {
 			target[a] = p
 			taken[a] = true
 		} else {
@@ -87,20 +91,12 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 	pin(file.SysDirLeaderVDA)
 	pin(file.DescLeaderVDA)
 
-	fvs := make([]disk.FV, 0, len(s.files))
-	for _, fv := range s.order {
-		if _, ok := s.files[fv]; ok {
-			fvs = append(fvs, fv)
-		}
-	}
-	slices.SortFunc(fvs, compareFV)
-
 	cursor := 0
 	for _, fv := range fvs {
 		pages := s.files[fv]
-		slices.SortFunc(pages, func(a, b *pageInfo) int { return cmp.Compare(a.pn, b.pn) })
 		rep.FilesLaidOut++
-		for _, p := range pages {
+		for i := range pages {
+			p := &pages[i]
 			if std := standardAddress(p); std != disk.NilVDA {
 				continue // already pinned
 			}
@@ -120,23 +116,17 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 	// Execute the permutation. For each destination in order: if the right
 	// page is already there, done; otherwise evacuate whatever sits there to
 	// a free sector, then move the wanted page in.
-	cur := map[disk.VDA]*pageInfo{} // live page by current address
-	for _, pages := range s.files {
-		for _, p := range pages {
-			cur[p.addr] = p
-		}
-	}
 	freeNow := func() disk.VDA {
 		for i := n - 1; i >= 0; i-- { // evacuate to the far end
 			a := disk.VDA(i)
-			if _, live := cur[a]; live {
+			if cur[a] != nil {
 				continue
 			}
-			if target[a] != nil && target[a].addr == a {
+			if target[a] != nil && target[a].Addr == a {
 				continue
 			}
-			if s.free.Busy(a) && occupied[a] == nil {
-				continue // bad sector
+			if bad[a] {
+				continue
 			}
 			if a == file.BootVDA || a == file.SysDirLeaderVDA || a == file.DescLeaderVDA {
 				continue
@@ -160,30 +150,29 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 		fre    [disk.LabelWords]disk.Word
 		val    [disk.PageWords]disk.Word
 	}
-	move := func(p *pageInfo, to disk.VDA) error {
-		lbl := disk.LabelFromWords(p.raw) // links stale after the move: hints
-		mv.srcPat = p.raw
+	move := func(p *disk.LabelEntry, to disk.VDA) error {
+		// The label moves as it is: its links go stale, but they are hints.
+		mv.srcPat = p.Words()
 		mv.dstPat = disk.FreeLabelWords()
-		mv.chkPat = p.raw
-		mv.newLbl = lbl.Words()
+		mv.chkPat = mv.srcPat
+		mv.newLbl = mv.srcPat
 		mv.fre = disk.FreeLabelWords()
-		mv.ops[0] = disk.Op{Addr: p.addr, Label: disk.Check, LabelData: &mv.srcPat,
+		mv.ops[0] = disk.Op{Addr: p.Addr, Label: disk.Check, LabelData: &mv.srcPat,
 			Value: disk.Read, ValueData: &mv.val}
 		mv.ops[1] = disk.Op{Addr: to, Label: disk.Check, LabelData: &mv.dstPat}
 		mv.ops[2] = disk.Op{Addr: to, Label: disk.Write, LabelData: &mv.newLbl,
 			Value: disk.Write, ValueData: &mv.val}
-		mv.ops[3] = disk.Op{Addr: p.addr, Label: disk.Check, LabelData: &mv.chkPat}
-		mv.ops[4] = disk.Op{Addr: p.addr, Label: disk.Write, LabelData: &mv.fre,
+		mv.ops[3] = disk.Op{Addr: p.Addr, Label: disk.Check, LabelData: &mv.chkPat}
+		mv.ops[4] = disk.Op{Addr: p.Addr, Label: disk.Write, LabelData: &mv.fre,
 			Value: disk.Write, ValueData: &onesPage}
 		if err := disk.FirstChainError(disk.DoChainOn(s.dev, mv.ops[:], disk.Ordered)); err != nil {
 			return err
 		}
-		s.free.SetFree(p.addr)
+		s.free.SetFree(p.Addr)
 		s.report.PagesFreed++
-		delete(cur, p.addr)
+		cur[p.Addr] = nil
 		s.free.SetBusy(to)
-		p.addr = to
-		p.raw = mv.newLbl
+		p.Addr = to
 		cur[to] = p
 		rep.PagesMoved++
 		return nil
@@ -196,11 +185,11 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 			continue
 		}
 		dst := disk.VDA(i)
-		if want.addr == dst {
+		if want.Addr == dst {
 			rep.PagesAlready++
 			continue
 		}
-		if squatter, ok := cur[dst]; ok {
+		if squatter := cur[dst]; squatter != nil {
 			spare := freeNow()
 			if spare == disk.NilVDA {
 				sp.End()
@@ -234,13 +223,13 @@ func Compact(dev disk.Device) (*file.FS, *CompactReport, error) {
 }
 
 // standardAddress returns the fixed address a page must occupy, or NilVDA.
-func standardAddress(p *pageInfo) disk.VDA {
+func standardAddress(p *disk.LabelEntry) disk.VDA {
 	switch {
-	case p.fv.FID == disk.SysDirFID && p.pn == 0:
+	case p.FID == disk.SysDirFID && p.PageNum == 0:
 		return file.SysDirLeaderVDA
-	case p.fv.FID == disk.DescriptorFID && p.pn == 0:
+	case p.FID == disk.DescriptorFID && p.PageNum == 0:
 		return file.DescLeaderVDA
-	case p.fv.FID == disk.BootFID && p.pn == 1:
+	case p.FID == disk.BootFID && p.PageNum == 1:
 		return file.BootVDA
 	}
 	return disk.NilVDA

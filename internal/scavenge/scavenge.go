@@ -89,19 +89,6 @@ func (r *Report) String() string {
 		r.OrphansAdopted, r.Elapsed.Round(time.Millisecond))
 }
 
-// pageInfo is the table entry built for every in-use sector. The paper packs
-// these into 48 bits; ours round-trips through exactly 8 on-disk words in
-// the low-memory spill (the 7 label words plus the address).
-type pageInfo struct {
-	fv     disk.FV
-	pn     disk.Word
-	addr   disk.VDA
-	length disk.Word
-	next   disk.VDA
-	prev   disk.VDA
-	raw    [disk.LabelWords]disk.Word
-}
-
 // summary is the per-file record kept after a group has been repaired —
 // bounded by the number of files, not sectors, which is what lets the
 // low-memory driver discard page entries after use.
@@ -116,19 +103,20 @@ type summary struct {
 
 // scavenger carries one pass's working state.
 type scavenger struct {
-	dev      disk.Device
-	report   *Report
-	free     *file.BitMap // busy = not allocatable
-	files    map[disk.FV][]*pageInfo
+	dev    disk.Device
+	report *Report
+	free   *file.BitMap // busy = not allocatable
+	// files maps each file to its run of the in-memory driver's label
+	// table once the sweep has grouped it.
+	files    map[disk.FV][]disk.LabelEntry
 	order    []disk.FV // deterministic iteration order
-	sums     map[disk.FV]*summary
+	sums     map[disk.FV]summary
 	leaders  map[disk.FV]file.Leader
 	reserved map[disk.VDA]bool // spill sectors: not allocatable while in use
 	rec      *trace.Recorder   // the device's flight recorder; nil = off
 
-	arena pageArena // block storage for the in-memory table
-	sc    repairSc  // reusable op/buffer storage for the repair helpers
-	dsk   disk.OpScratch
+	sc  repairSc // reusable op/buffer storage for the repair helpers
+	dsk disk.OpScratch
 }
 
 // repairSc is the scavenger's scratch for two-operation repair chains.
@@ -140,9 +128,9 @@ type repairSc struct {
 	val [disk.PageWords]disk.Word
 }
 
-// onesPage is the all-ones value written into freed pages; Write actions
-// only read the buffer, so one shared copy serves every freeRaw. zeroPage
-// likewise backs every freshly appended empty tail page.
+// onesPage is the all-ones value written into pages the compactor frees;
+// Write actions only read the buffer, so one shared copy serves every move.
+// zeroPage likewise backs every freshly appended empty tail page.
 var (
 	onesPage = func() (v [disk.PageWords]disk.Word) {
 		for i := range v {
@@ -153,29 +141,12 @@ var (
 	zeroPage [disk.PageWords]disk.Word
 )
 
-// pageArena allocates pageInfo records in blocks, so a sweep of the whole
-// disk costs a handful of allocations instead of one per in-use sector.
-// Pointers into an arena block stay valid: blocks are never reallocated.
-type pageArena struct {
-	blocks [][]pageInfo
-}
-
-func (a *pageArena) new(p pageInfo) *pageInfo {
-	const blockSize = 512
-	if n := len(a.blocks); n == 0 || len(a.blocks[n-1]) == cap(a.blocks[n-1]) {
-		a.blocks = append(a.blocks, make([]pageInfo, 0, blockSize))
-	}
-	b := &a.blocks[len(a.blocks)-1]
-	*b = append(*b, p)
-	return &(*b)[len(*b)-1]
-}
-
 func newScavenger(dev disk.Device) *scavenger {
 	return &scavenger{
 		dev:      dev,
 		report:   &Report{},
-		files:    map[disk.FV][]*pageInfo{},
-		sums:     map[disk.FV]*summary{},
+		files:    map[disk.FV][]disk.LabelEntry{},
+		sums:     map[disk.FV]summary{},
 		leaders:  map[disk.FV]file.Leader{},
 		reserved: map[disk.VDA]bool{},
 		rec:      trace.Of(dev),
@@ -209,7 +180,7 @@ func Run(dev disk.Device) (*file.FS, *Report, error) {
 	watch := sim.Watch(dev.Clock())
 
 	sp := s.phase("sweep")
-	err := s.sweep(s.keepInMemory)
+	err := s.sweepInMemory()
 	sp.End()
 	if err != nil {
 		return nil, nil, err
@@ -254,9 +225,7 @@ func RunLowMemory(dev disk.Device, window int) (*file.FS, *Report, error) {
 	}
 	// Stream the externally sorted table, one file group at a time, through
 	// the same repairs the in-memory driver uses.
-	err = spill.mergeGroups(func(fv disk.FV, pages []*pageInfo) error {
-		return s.fixOneGroup(fv, pages)
-	})
+	err = spill.mergeGroups(s.fixOneGroup)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
@@ -307,142 +276,84 @@ func (s *scavenger) finish() (*file.FS, *Report, error) {
 	return fs, s.report, nil
 }
 
-// keepInMemory is the in-memory sweep sink.
-func (s *scavenger) keepInMemory(p pageInfo) error {
-	if _, ok := s.files[p.fv]; !ok {
-		s.order = append(s.order, p.fv)
-	}
-	s.files[p.fv] = append(s.files[p.fv], s.arena.new(p))
-	return nil
-}
-
-// sweep reads every label on the disk (pass 1), one cylinder of header-checked
-// label reads per chain: the drive makes a single scheduling decision per
-// cylinder and the labels stream by in rotation order. The chain may execute
-// out of rotational order, but entries are emitted in ascending address
-// order, so repairs are identical to a sector-at-a-time sweep.
-func (s *scavenger) sweep(emit func(pageInfo) error) error {
-	g := s.dev.Geometry()
-	n := g.NSectors()
-	s.report.SectorsScanned = n
-	s.free = file.NewBitMap(n)
-
-	batch := g.Heads * g.SectorsPerTrack
-	ops := make([]disk.Op, batch)
-	hdrs := make([][disk.HeaderWords]disk.Word, batch)
-	lbls := make([][disk.LabelWords]disk.Word, batch)
-	slotErr := make([]error, batch)
-	slotLbl := make([]*[disk.LabelWords]disk.Word, batch)
-	pack := s.dev.Pack()
-
-	for base := 0; base < n; base += batch {
-		m := batch
-		if base+m > n {
-			m = n - base
-		}
-		for i := 0; i < m; i++ {
-			//altovet:allow wordwidth base+i < NSectors, which fits a VDA
-			addr := disk.VDA(base + i)
-			hdrs[i] = disk.Header{Pack: pack, Addr: addr}.Words()
-			ops[i] = disk.Op{
-				Addr:       addr,
-				Header:     disk.Check,
-				HeaderData: &hdrs[i],
-				Label:      disk.Read,
-				LabelData:  &lbls[i],
-			}
-		}
-		errs := disk.DoChainOn(s.dev, ops[:m], disk.FreeOrder)
-		// The scheduler permutes ops in place; rebuild ascending-address
-		// order by indexing each op's result at addr - base.
-		for k := 0; k < m; k++ {
-			idx := int(ops[k].Addr) - base
-			slotLbl[idx] = ops[k].LabelData
-			if errs != nil {
-				slotErr[idx] = errs[k]
-			} else {
-				slotErr[idx] = nil
-			}
-		}
-		for i := 0; i < m; i++ {
-			//altovet:allow wordwidth base+i < NSectors, which fits a VDA
-			addr := disk.VDA(base + i)
-			raw, err := *slotLbl[i], slotErr[i]
-			switch {
-			case errors.Is(err, disk.ErrBadSector):
-				s.report.BadSectors++
-				s.free.SetBusy(addr)
-				continue
-			case disk.IsCheck(err):
-				// Header does not match the address: unreliable sector.
-				s.report.BadSectors++
-				s.free.SetBusy(addr)
-				continue
-			case err != nil:
-				return fmt.Errorf("scavenge: sweeping sector %d: %w", addr, err)
-			}
-			switch {
-			case disk.IsFreeLabel(raw):
-				continue // free: stays free in the map
-			case disk.IsBadLabel(raw):
-				s.report.RetiredPages++
-				s.free.SetBusy(addr)
-			default:
-				lbl := disk.LabelFromWords(raw)
-				s.free.SetBusy(addr)
-				if err := emit(pageInfo{
-					fv: lbl.FV(), pn: lbl.PageNum, addr: addr,
-					length: lbl.Length, next: lbl.Next, prev: lbl.Prev, raw: raw,
-				}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// freeRaw releases a sector whose current label words are raw: check the
-// label we read, then write the free pattern over label and value — one
-// two-operation ordered chain on the sector.
-func (s *scavenger) freeRaw(addr disk.VDA, raw [disk.LabelWords]disk.Word) error {
-	s.sc.pat = raw
-	s.sc.lbl = disk.FreeLabelWords()
-	s.sc.ops[0] = disk.Op{Addr: addr, Label: disk.Check, LabelData: &s.sc.pat}
-	s.sc.ops[1] = disk.Op{
-		Addr: addr, Label: disk.Write, LabelData: &s.sc.lbl,
-		Value: disk.Write, ValueData: &onesPage,
-	}
-	if err := disk.FirstChainError(disk.DoChainOn(s.dev, s.sc.ops[:], disk.Ordered)); err != nil {
+// sweepInMemory is the in-memory driver's sweep: every in-use sector goes
+// into one flat label table, which is then grouped so that each file's
+// pages are one run of it, files in the order the sweep first met them.
+func (s *scavenger) sweepInMemory() error {
+	table := disk.NewLabelTable(s.dev.Geometry().NSectors())
+	err := s.sweep(func(addr disk.VDA, lbl disk.Label) error {
+		table.Add(addr, lbl)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	s.free.SetFree(addr)
+	for _, g := range table.Group() {
+		s.order = append(s.order, g.FV)
+		s.files[g.FV] = g.Pages
+	}
+	return nil
+}
+
+// sweep reads every label on the disk (pass 1), rebuilding the allocation
+// map and handing each in-use sector to emit in ascending address order.
+func (s *scavenger) sweep(emit func(addr disk.VDA, lbl disk.Label) error) error {
+	n := s.dev.Geometry().NSectors()
+	s.report.SectorsScanned = n
+	s.free = file.NewBitMap(n)
+	return disk.SweepLabels(s.dev, func(addr disk.VDA, raw [disk.LabelWords]disk.Word, err error) error {
+		switch {
+		case errors.Is(err, disk.ErrBadSector) || disk.IsCheck(err):
+			// Unreadable, or the header does not match the address: an
+			// unreliable sector.
+			s.report.BadSectors++
+			s.free.SetBusy(addr)
+		case err != nil:
+			return fmt.Errorf("scavenge: sweeping sector %d: %w", addr, err)
+		case disk.IsFreeLabel(raw):
+			// free: stays free in the map
+		case disk.IsBadLabel(raw):
+			s.report.RetiredPages++
+			s.free.SetBusy(addr)
+		default:
+			s.free.SetBusy(addr)
+			return emit(addr, disk.LabelFromWords(raw))
+		}
+		return nil
+	})
+}
+
+// freePage releases a page under the label the sweep read: check that
+// label, then write the free pattern over label and value — one
+// two-operation ordered chain on the sector.
+func (s *scavenger) freePage(p disk.LabelEntry) error {
+	if err := s.dsk.Free(s.dev, p.Addr, p.Label); err != nil {
+		return err
+	}
+	s.free.SetFree(p.Addr)
 	s.report.PagesFreed++
 	return nil
 }
 
-// relabelRaw rewrites a sector's label, preserving its value: one operation
+// relabel rewrites a sector's label, preserving its value: one operation
 // checks the old label and reads the value, the next (a revolution later)
 // writes the corrected label and the value back. Chained, so the drive
 // schedules the pair once.
-func (s *scavenger) relabelRaw(p *pageInfo, newLbl disk.Label) error {
-	s.sc.pat = p.raw
+func (s *scavenger) relabel(p *disk.LabelEntry, newLbl disk.Label) error {
+	s.sc.pat = p.Words()
 	s.sc.lbl = newLbl.Words()
 	s.sc.ops[0] = disk.Op{
-		Addr: p.addr, Label: disk.Check, LabelData: &s.sc.pat,
+		Addr: p.Addr, Label: disk.Check, LabelData: &s.sc.pat,
 		Value: disk.Read, ValueData: &s.sc.val,
 	}
 	s.sc.ops[1] = disk.Op{
-		Addr: p.addr, Label: disk.Write, LabelData: &s.sc.lbl,
+		Addr: p.Addr, Label: disk.Write, LabelData: &s.sc.lbl,
 		Value: disk.Write, ValueData: &s.sc.val,
 	}
 	if err := disk.FirstChainError(disk.DoChainOn(s.dev, s.sc.ops[:], disk.Ordered)); err != nil {
 		return err
 	}
-	p.raw = s.sc.lbl
-	p.length = newLbl.Length
-	p.next = newLbl.Next
-	p.prev = newLbl.Prev
+	p.Label = newLbl
 	return nil
 }
 
@@ -483,16 +394,19 @@ func (s *scavenger) fixFiles() error {
 // fixOneGroup enforces one file's structure from the absolutes: contiguous
 // pages 0..n, interior pages full, last page partial, links pointing at the
 // right neighbours. On success it records the file's summary.
-func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
-	slices.SortFunc(pages, func(a, b *pageInfo) int {
-		return cmp.Or(cmp.Compare(a.pn, b.pn), cmp.Compare(a.addr, b.addr))
+//
+// pages is the file's run of the label table, sorted, deduplicated and
+// extended in place; a tail page appended past its end lands in a copy.
+func (s *scavenger) fixOneGroup(fv disk.FV, pages []disk.LabelEntry) error {
+	slices.SortFunc(pages, func(a, b disk.LabelEntry) int {
+		return cmp.Or(cmp.Compare(a.PageNum, b.PageNum), cmp.Compare(a.Addr, b.Addr))
 	})
 
 	// Duplicates: the same absolute name on two sectors. Keep the first.
-	var kept []*pageInfo
+	kept := pages[:0]
 	for _, p := range pages {
-		if len(kept) > 0 && kept[len(kept)-1].pn == p.pn {
-			if err := s.freeRaw(p.addr, p.raw); err != nil {
+		if len(kept) > 0 && kept[len(kept)-1].PageNum == p.PageNum {
+			if err := s.freePage(p); err != nil {
 				return err
 			}
 			s.report.DuplicatesFreed++
@@ -504,9 +418,9 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 
 	// Headless: no page 0 anywhere. Without a leader there is no name to
 	// recover the data under; release the pages.
-	if pages[0].pn != 0 {
+	if pages[0].PageNum != 0 {
 		for _, p := range pages {
-			if err := s.freeRaw(p.addr, p.raw); err != nil {
+			if err := s.freePage(p); err != nil {
 				return err
 			}
 		}
@@ -517,20 +431,20 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 
 	// Contiguous prefix; a gap truncates the file there.
 	end := 1
-	for end < len(pages) && pages[end].pn == pages[end-1].pn+1 {
+	for end < len(pages) && pages[end].PageNum == pages[end-1].PageNum+1 {
 		end++
 	}
 	// A short interior page also ends the file: bytes beyond it cannot be
 	// part of a well-formed file.
 	for i := 1; i < end-1; i++ {
-		if pages[i].length < disk.PageBytes {
+		if pages[i].Length < disk.PageBytes {
 			end = i + 1
 			break
 		}
 	}
 	if end < len(pages) {
 		for _, p := range pages[end:] {
-			if err := s.freeRaw(p.addr, p.raw); err != nil {
+			if err := s.freePage(p); err != nil {
 				return err
 			}
 		}
@@ -539,10 +453,10 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 	}
 
 	// The leader must be exactly full.
-	if pages[0].length != disk.PageBytes {
-		lbl := disk.LabelFromWords(pages[0].raw)
+	if pages[0].Length != disk.PageBytes {
+		lbl := pages[0].Label
 		lbl.Length = disk.PageBytes
-		if err := s.relabelRaw(pages[0], lbl); err != nil {
+		if err := s.relabel(&pages[0], lbl); err != nil {
 			return err
 		}
 		s.report.LeadersRepaired++
@@ -550,36 +464,35 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 
 	// Restore "the last page is partial": a leader-only file gets an empty
 	// page 1; a full last page gets an empty successor.
-	if len(pages) == 1 || pages[len(pages)-1].length >= disk.PageBytes {
+	if len(pages) == 1 || pages[len(pages)-1].Length >= disk.PageBytes {
 		last := pages[len(pages)-1]
 		newLbl := disk.Label{
-			FID: fv.FID, Version: fv.Version, PageNum: last.pn + 1,
-			Length: 0, Next: disk.NilVDA, Prev: last.addr,
+			FID: fv.FID, Version: fv.Version, PageNum: last.PageNum + 1,
+			Length: 0, Next: disk.NilVDA, Prev: last.Addr,
 		}
 		a, err := s.allocFresh(newLbl, &zeroPage)
 		if err != nil {
 			return fmt.Errorf("scavenge: extending %v: %w", fv, err)
 		}
-		p := &pageInfo{fv: fv, pn: last.pn + 1, addr: a, length: 0,
-			next: disk.NilVDA, prev: last.addr, raw: newLbl.Words()}
-		pages = append(pages, p)
+		pages = append(pages, disk.LabelEntry{Label: newLbl, Addr: a})
 		s.report.TailPagesAdded++
 	}
 
 	// Rebuild the links from the absolutes.
-	for i, p := range pages {
+	for i := range pages {
+		p := &pages[i]
 		next, prev := disk.NilVDA, disk.NilVDA
 		if i+1 < len(pages) {
-			next = pages[i+1].addr
+			next = pages[i+1].Addr
 		}
 		if i > 0 {
-			prev = pages[i-1].addr
+			prev = pages[i-1].Addr
 		}
-		if p.next != next || p.prev != prev {
-			lbl := disk.LabelFromWords(p.raw)
+		if p.Next != next || p.Prev != prev {
+			lbl := p.Label
 			lbl.Next = next
 			lbl.Prev = prev
-			if err := s.relabelRaw(p, lbl); err != nil {
+			if err := s.relabel(p, lbl); err != nil {
 				return err
 			}
 			s.report.LinksRepaired++
@@ -588,18 +501,18 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 
 	consec := true
 	for i := 1; i < len(pages); i++ {
-		if pages[i].addr != pages[i-1].addr+1 {
+		if pages[i].Addr != pages[i-1].Addr+1 {
 			consec = false
 			break
 		}
 	}
 	last := pages[len(pages)-1]
-	s.setSummary(fv, &summary{
-		leaderAddr: pages[0].addr,
-		leaderRaw:  pages[0].raw,
-		lastPN:     last.pn,
-		lastAddr:   last.addr,
-		lastLen:    int(last.length),
+	s.setSummary(fv, summary{
+		leaderAddr: pages[0].Addr,
+		leaderRaw:  pages[0].Words(),
+		lastPN:     last.PageNum,
+		lastAddr:   last.Addr,
+		lastLen:    int(last.Length),
 		consec:     consec,
 	})
 	if _, inMem := s.files[fv]; inMem {
@@ -614,7 +527,7 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 
 // setSummary records a repaired file, maintaining deterministic order for
 // the low-memory driver (the in-memory driver set order during the sweep).
-func (s *scavenger) setSummary(fv disk.FV, sum *summary) {
+func (s *scavenger) setSummary(fv disk.FV, sum summary) {
 	if _, ok := s.sums[fv]; !ok {
 		if _, inMem := s.files[fv]; !inMem {
 			s.order = append(s.order, fv)
@@ -645,11 +558,14 @@ func (s *scavenger) leaderOf(fv disk.FV) (file.Leader, error) {
 	if !ok {
 		return file.Leader{}, fmt.Errorf("scavenge: no summary for %v", fv)
 	}
+	// The ops live in s.sc: an Op passed through the Device interface
+	// escapes, and a literal one would be a heap allocation per leader.
 	s.sc.pat = sum.leaderRaw
-	if err := s.dev.Do(&disk.Op{
+	s.sc.ops[0] = disk.Op{
 		Addr: sum.leaderAddr, Label: disk.Check, LabelData: &s.sc.pat,
 		Value: disk.Read, ValueData: &s.sc.val,
-	}); err != nil {
+	}
+	if err := s.dev.Do(&s.sc.ops[0]); err != nil {
 		return file.Leader{}, err
 	}
 	ldr, err := file.DecodeLeader(&s.sc.val)
@@ -663,10 +579,11 @@ func (s *scavenger) leaderOf(fv disk.FV) (file.Leader, error) {
 			return file.Leader{}, err
 		}
 		s.sc.pat = sum.leaderRaw
-		if err := s.dev.Do(&disk.Op{
+		s.sc.ops[0] = disk.Op{
 			Addr: sum.leaderAddr, Label: disk.Check, LabelData: &s.sc.pat,
 			Value: disk.Write, ValueData: &s.sc.val,
-		}); err != nil {
+		}
+		if err := s.dev.Do(&s.sc.ops[0]); err != nil {
 			return file.Leader{}, err
 		}
 		s.report.LeadersRepaired++
@@ -676,13 +593,13 @@ func (s *scavenger) leaderOf(fv disk.FV) (file.Leader, error) {
 }
 
 // findFID returns the surviving file with the given FID (any version).
-func (s *scavenger) findFID(fid disk.FID) (disk.FV, *summary, bool) {
+func (s *scavenger) findFID(fid disk.FID) (disk.FV, summary, bool) {
 	for _, fv := range s.order {
 		if sum, ok := s.sums[fv]; ok && fv.FID == fid {
 			return fv, sum, true
 		}
 	}
-	return disk.FV{}, nil, false
+	return disk.FV{}, summary{}, false
 }
 
 // openTrusted builds a file handle from a verified summary.

@@ -37,7 +37,7 @@ type spillRun struct {
 type spillTable struct {
 	s      *scavenger
 	window int
-	buf    []pageInfo
+	buf    []disk.LabelEntry
 	runs   []spillRun
 
 	cursor   disk.VDA // free-sector scan position (behind the sweep)
@@ -45,13 +45,13 @@ type spillTable struct {
 }
 
 func newSpillTable(s *scavenger, window int) *spillTable {
-	return &spillTable{s: s, window: window, buf: make([]pageInfo, 0, window)}
+	return &spillTable{s: s, window: window, buf: make([]disk.LabelEntry, 0, window)}
 }
 
 // add receives one sweep entry; a full window becomes a sorted run.
-func (t *spillTable) add(p pageInfo) error {
-	t.lastSeen = p.addr
-	t.buf = append(t.buf, p)
+func (t *spillTable) add(addr disk.VDA, lbl disk.Label) error {
+	t.lastSeen = addr
+	t.buf = append(t.buf, disk.LabelEntry{Label: lbl, Addr: addr})
 	if len(t.buf) >= t.window {
 		return t.flushRun()
 	}
@@ -70,17 +70,17 @@ func (t *spillTable) finishRuns() error {
 }
 
 // keyLess orders entries by absolute name, then address.
-func keyLess(a, b *pageInfo) bool {
-	if a.fv.FID != b.fv.FID {
-		return a.fv.FID < b.fv.FID
+func keyLess(a, b *disk.LabelEntry) bool {
+	if a.FID != b.FID {
+		return a.FID < b.FID
 	}
-	if a.fv.Version != b.fv.Version {
-		return a.fv.Version < b.fv.Version
+	if a.Version != b.Version {
+		return a.Version < b.Version
 	}
-	if a.pn != b.pn {
-		return a.pn < b.pn
+	if a.PageNum != b.PageNum {
+		return a.PageNum < b.PageNum
 	}
-	return a.addr < b.addr
+	return a.Addr < b.Addr
 }
 
 // flushRun sorts the window and writes it to borrowed sectors.
@@ -102,8 +102,9 @@ func (t *spillTable) flushRun() error {
 		var v [disk.PageWords]disk.Word
 		for i, e := range buf[off:end] {
 			base := i * entryWords
-			copy(v[base:base+disk.LabelWords], e.raw[:])
-			v[base+disk.LabelWords] = disk.Word(e.addr)
+			raw := e.Words()
+			copy(v[base:base+disk.LabelWords], raw[:])
+			v[base+disk.LabelWords] = disk.Word(e.Addr)
 		}
 		pat := disk.FreeLabelWords()
 		if err := t.s.dev.Do(&disk.Op{
@@ -121,7 +122,7 @@ func (t *spillTable) flushRun() error {
 }
 
 // sortEntries sorts a window by key.
-func sortEntries(buf []pageInfo) {
+func sortEntries(buf []disk.LabelEntry) {
 	// Shell sort: no allocation, fine for window-sized slices.
 	for gap := len(buf) / 2; gap > 0; gap /= 2 {
 		for i := gap; i < len(buf); i++ {
@@ -185,7 +186,7 @@ type runReader struct {
 	inBuf   int // entries decoded into buf's sector
 	bufIdx  int
 	served  int
-	current pageInfo
+	current disk.LabelEntry
 	valid   bool
 }
 
@@ -215,11 +216,9 @@ func (r *runReader) next() error {
 	base := r.bufIdx * entryWords
 	var raw [disk.LabelWords]disk.Word
 	copy(raw[:], r.buf[base:base+disk.LabelWords])
-	lbl := disk.LabelFromWords(raw)
-	r.current = pageInfo{
-		fv: lbl.FV(), pn: lbl.PageNum,
-		addr:   disk.VDA(r.buf[base+disk.LabelWords]),
-		length: lbl.Length, next: lbl.Next, prev: lbl.Prev, raw: raw,
+	r.current = disk.LabelEntry{
+		Label: disk.LabelFromWords(raw),
+		Addr:  disk.VDA(r.buf[base+disk.LabelWords]),
 	}
 	r.bufIdx++
 	r.served++
@@ -228,8 +227,9 @@ func (r *runReader) next() error {
 }
 
 // mergeGroups merges every run and hands complete file groups to consume,
-// holding at most one sector buffer per run plus one group in memory.
-func (t *spillTable) mergeGroups(consume func(fv disk.FV, pages []*pageInfo) error) error {
+// holding at most one sector buffer per run plus one group in memory. The
+// group's slice is reused for the next group once consume returns.
+func (t *spillTable) mergeGroups(consume func(fv disk.FV, pages []disk.LabelEntry) error) error {
 	readers := make([]*runReader, len(t.runs))
 	for i, run := range t.runs {
 		readers[i] = &runReader{t: t, run: run}
@@ -237,14 +237,14 @@ func (t *spillTable) mergeGroups(consume func(fv disk.FV, pages []*pageInfo) err
 			return err
 		}
 	}
-	var group []*pageInfo
+	var group []disk.LabelEntry
 	var groupFV disk.FV
 	flush := func() error {
 		if len(group) == 0 {
 			return nil
 		}
 		g := group
-		group = nil
+		group = group[:0]
 		return consume(groupFV, g)
 	}
 	for {
@@ -266,13 +266,12 @@ func (t *spillTable) mergeGroups(consume func(fv disk.FV, pages []*pageInfo) err
 		if err := min.next(); err != nil {
 			return err
 		}
-		if len(group) > 0 && e.fv != groupFV {
+		if len(group) > 0 && e.FV() != groupFV {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		groupFV = e.fv
-		cp := e
-		group = append(group, &cp)
+		groupFV = e.FV()
+		group = append(group, e)
 	}
 }
