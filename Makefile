@@ -47,9 +47,10 @@ determinism-check:
 
 # cluster-seeds checks that E15's claim does not rest on its published wire
 # seed: altobench -seeds runs the full E15 on wire seeds 0-199 at workers 1
-# and 2, and any error (a stalled daemon), lost file, corrupted byte or
-# metric that differs between the two widths fails the gate. About 20 s per
-# width.
+# and 2, one recorder per machine, and any error (a stalled daemon), lost
+# file, corrupted byte, or metric, machine's events or machine's metrics
+# snapshot that differs between the two widths fails the gate. About 20 s
+# per width.
 cluster-seeds:
 	$(GO) run ./cmd/altobench -seeds 0-199
 

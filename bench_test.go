@@ -3,11 +3,11 @@ package altoos
 // The registry's experiments as benchmarks: one sub-benchmark per id
 // (E1–E15, the ablations A1–A4), each reporting every metric of its Result
 // via b.ReportMetric. The simulated quantities are pinned exactly by
-// internal/experiments' TestGolden and held to the paper's bands by its
-// per-experiment tests; here the wall-clock ns/op and allocs/op are what
-// testing.B adds, and they measure only the host's simulation speed.
-// cmd/altobench prints the same results as tables, and EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// internal/experiments' TestGolden and held to the paper's bands, set in
+// each registry entry, by TestClaims; here the wall-clock ns/op and
+// allocs/op are what testing.B adds, and they measure only the host's
+// simulation speed. cmd/altobench prints the same results as tables, and
+// EXPERIMENTS.md's claims table gives each band's measured value.
 
 import (
 	"testing"

@@ -199,19 +199,9 @@ func (c *config) report(w io.Writer, id string) error {
 		fmt.Fprintln(w, res.Table())
 		return nil
 	}
-	doc := struct {
-		ID      string              `json:"id"`
-		Title   string              `json:"title"`
-		Claim   string              `json:"claim"`
-		Rows    []map[string]string `json:"rows"` // {"name", "value"}, in that key order
-		Metrics map[string]float64  `json:"metrics"`
-	}{ID: res.ID, Title: res.Title, Claim: res.Claim, Metrics: res.Metrics}
-	for _, r := range res.Rows {
-		doc.Rows = append(doc.Rows, map[string]string{"name": r.Label, "value": r.Value})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(res)
 }
 
 // writeScope runs the experiment with one recorder per machine and writes

@@ -26,11 +26,7 @@ import (
 // free: the whole robustness story should cost zero revolutions on the hot
 // path.
 func a1LabelCheck(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "A1",
-		Title: "label check on ordinary writes, ablated",
-		Claim: "ordinary writes check the label at no cost in time (§3.3)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -83,11 +79,7 @@ func a1LabelCheck(rec *trace.Recorder) (*Result, error) {
 // then compares steady-state sequential read cost: what the allocator's
 // placement policy is worth.
 func a2ConsecutiveAllocation(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "A2",
-		Title: "consecutive allocation, ablated",
-		Claim: "consecutively allocated files read at full disk speed through computed-address hints (§3.6)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -161,11 +153,7 @@ func a2ConsecutiveAllocation(rec *trace.Recorder) (*Result, error) {
 // working, then with hints forgotten before every page: the cost of living
 // on links alone.
 func a3HintCache(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "A3",
-		Title: "per-file hint cache, ablated",
-		Claim: "a correct hint reaches a page in one access; without hints every access chases links (§3.6)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -214,11 +202,7 @@ func a3HintCache(rec *trace.Recorder) (*Result, error) {
 // a4DirectoryJournal measures what the paper's rejected alternative,
 // write-ahead journaling of directory changes, costs per insert.
 func a4DirectoryJournal(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "A4",
-		Title: "directory journaling, the rejected alternative",
-		Claim: "journaling directory changes was rejected: \"we do not consider our directories important enough to warrant such attentions\" (§3.5)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err

@@ -23,9 +23,9 @@ var determinismWidths = []int{1, 1, 2, 4, 8, 8}
 // run must match the first exactly — every machine's events, every
 // recorder's metrics snapshot, and the result's metrics.
 func TestDeterminism(t *testing.T) {
-	for _, r := range registry {
-		t.Run(r.ID, func(t *testing.T) {
-			if err := checkDeterminism(r.ID, r.Run, trace.DefaultEvents); err != nil {
+	for _, e := range registry {
+		t.Run(e.id, func(t *testing.T) {
+			if err := checkDeterminism(e.id, e.run, trace.DefaultEvents); err != nil {
 				t.Fatal(err)
 			}
 		})

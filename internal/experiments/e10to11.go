@@ -241,11 +241,7 @@ func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, erro
 	simSec := r.clock.Now().Seconds()
 	words := float64(moved) / 2
 	st := r.srv.Stats()
-	res := &Result{
-		ID:    "E10",
-		Title: "loaded file server over a 10%-loss wire",
-		Claim: "§1: only the packet representation is standardized; different programs interoperate over the network",
-	}
+	res := &Result{}
 	res.add("clients x transfers", "%d x %d, %d bytes of payload", clients, len(scripts[0]), moved)
 	res.add("corrupted transfers", "%d (checksum + retransmission hid every fault)", corrupt)
 	res.add("packets dropped by the medium", "%d (plus %d duplicated, %d corrupted)",
@@ -272,11 +268,7 @@ func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, erro
 // counters summed over every machine, around the measured phase.
 func e11LossSweep(_ int, machine func(string) *trace.Recorder) (*Result, error) {
 	recs := newRecorders(machine)
-	res := &Result{
-		ID:    "E11",
-		Title: "steady-state goodput vs. packet loss",
-		Claim: "§1: the network is a facility, not a guarantee — software above the packet layer pays for loss",
-	}
+	res := &Result{}
 	// A 16-page file per client: long enough that every transfer keeps a
 	// window's worth of packets in flight (selective repeat has holes to
 	// cover), short enough that five sweep points stay cheap.

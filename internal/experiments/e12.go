@@ -15,11 +15,7 @@ import (
 // after each crash the Scavenger repairs the pack and fsck re-proves every
 // invariant.
 func e12CrashSweep(tr *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E12",
-		Title: "exhaustive crash-point sweep",
-		Claim: "§3.5: a crash at an arbitrary point loses at most recent work; the Scavenger restores consistency",
-	}
+	res := &Result{}
 	var points, runs, clean, violations, repairs int
 	for _, name := range []string{"journaled-insert", "compact"} {
 		w, ok := crashpoint.Lookup(name)

@@ -195,11 +195,7 @@ func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error)
 	retrans := recs.counter("pup.retransmit")
 	drops := recs.counter("ether.drop")
 
-	res := &Result{
-		ID:    "E13",
-		Title: "segment saturation: two dozen flows share one lossy wire",
-		Claim: "§1: the network is a shared facility — flows must coexist without a central allocator",
-	}
+	res := &Result{}
 	res.add("flows x messages", "%d x %d full packets (%d words each)", e13Senders, e13Messages, e13MsgWords)
 	res.add("corrupted deliveries", "%d (checksum + retransmission hid every fault)", corrupt)
 	res.add("packets dropped/corrupted by the medium", "%d / %d", drops, recs.counter("ether.corrupt"))

@@ -279,11 +279,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	drops := recs.counter("ether.drop")
 	sends := recs.counter("ether.send")
 
-	res := &Result{
-		ID:    "E14",
-		Title: "fleet fan-in: a hundred Altos boot and share one file server",
-		Claim: "§1: single-user machines plus one shared wire scale to a building-sized system",
-	}
+	res := &Result{}
 	res.add("fleet", "%d client Altos + 1 server, %d-worker windowed schedule", machines, workers)
 	res.add("per-machine boot", "format, OS bring-up, %d-page journal on a private %s", e14LocalPages, e14MiniGeometry().Name)
 	res.add("data through the server", "%d bytes stored and fetched back intact", bytesMoved)
@@ -295,7 +291,7 @@ func E14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	res.metric("scheduler_steps", float64(steps))
 	res.metric("retransmits", float64(retrans))
 	res.metric("bytes_moved", float64(bytesMoved))
-	return res, nil
+	return entry("e14").fill(res, nil)
 }
 
 // awaitTransfer polls one fileserver transfer to completion on a fleet

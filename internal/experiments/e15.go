@@ -294,11 +294,7 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 		return nil, fmt.Errorf("e15: no divergence detected despite %d rotted sectors and the skipped overwrites", rotted)
 	}
 
-	res := &Result{
-		ID:    "E15",
-		Title: "sharded cluster: replicated stores, rot, and the distributed Scavenger",
-		Claim: "§3.5 across machines: replicas audit each other back to byte-identical packs",
-	}
+	res := &Result{}
 	res.add("cluster", "%d shards × %d replicas, %d client machines, %d-worker windowed schedule",
 		e15Shards, e15Replicas, clients, workers)
 	res.add("client sessions", "%d fileserver sessions at 10%% wire loss", sessions)
@@ -316,5 +312,5 @@ func E15Cluster(clients, workers int, wireSeed uint64, machine func(string) *tra
 	res.metric("sim_seconds", simEnd.Seconds())
 	res.metric("scheduler_steps", float64(steps))
 	res.metric("retransmits", float64(recs.counter("pup.retransmit")))
-	return res, nil
+	return entry("e15").fill(res, nil)
 }

@@ -16,11 +16,7 @@ import (
 // second". A 256-page consecutively allocated file is read sequentially and
 // the achieved word rate compared with the claim.
 func e1RawTransfer(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E1",
-		Title: "raw sequential transfer",
-		Claim: "the disk can transfer 64K words in about one second (§2)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -49,11 +45,7 @@ func e1RawTransfer(rec *trace.Recorder) (*Result, error) {
 // time a page is allocated or freed", while "on any other write the label is
 // checked, at no cost in time". Averages over random sectors.
 func e2AllocFreeCost(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E2",
-		Title: "allocation and free cost in revolutions",
-		Claim: "allocating or freeing a page costs one disk revolution; ordinary writes check the label free of charge (§3.3)",
-	}
+	res := &Result{}
 	g := disk.Diablo31()
 	d, err := disk.NewDrive(g, 1, nil)
 	if err != nil {
@@ -119,11 +111,7 @@ func e2AllocFreeCost(rec *trace.Recorder) (*Result, error) {
 // e3Scavenge — §3.5: scavenging "takes about a minute for a 2.5 megabyte
 // disk". Populates disks of both geometries to ~60% and scavenges.
 func e3Scavenge(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E3",
-		Title: "scavenge time by disk size",
-		Claim: "scavenging takes about a minute for a 2.5 megabyte disk (§3.5)",
-	}
+	res := &Result{}
 	for _, g := range []disk.Geometry{disk.Diablo31(), disk.Trident()} {
 		r, err := newRig(g, rec)
 		if err != nil {
@@ -154,11 +142,7 @@ func e3Scavenge(rec *trace.Recorder) (*Result, error) {
 // with which the files can be read sequentially by an order of magnitude
 // over what is possible if the pages have become scattered".
 func e4Compaction(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E4",
-		Title: "sequential read speedup from the compacting scavenger",
-		Claim: "compaction speeds sequential reads by an order of magnitude (§3.5)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err

@@ -19,11 +19,7 @@ import (
 // e5HintLadder — §3.6: the cost of each level of the hint recovery ladder,
 // from a correct direct hint down to running the Scavenger.
 func e5HintLadder(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E5",
-		Title: "cost of each hint-ladder level",
-		Claim: "a correct hint reaches a page in one access; each recovery level costs more, ending at the Scavenger (§3.6)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -158,11 +154,7 @@ func e5HintLadder(rec *trace.Recorder) (*Result, error) {
 // e6WorldSwap — §4.1: OutLoad and InLoad each take "about a second"; a
 // coroutine transfer is an OutLoad plus an InLoad.
 func e6WorldSwap(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E6",
-		Title: "world-swap (OutLoad/InLoad) timing",
-		Claim: "OutLoad and InLoad each require about a second (§4.1)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -216,11 +208,7 @@ func e6WorldSwap(rec *trace.Recorder) (*Result, error) {
 // uniformity only: the experiment never touches a disk, so there is nothing
 // to trace.
 func e7Junta(_ *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E7",
-		Title: "memory reclaimed per Junta level",
-		Claim: "Junta removes all higher-numbered levels and frees the storage they occupy (§5.2)",
-	}
+	res := &Result{}
 	fullResident := 65536 - int(junta.New(mem.New()).Base())
 	res.add("full system resident", fmt.Sprintf("%d words of 65536", fullResident))
 	maxFreed := 0
@@ -246,11 +234,7 @@ func e7Junta(_ *trace.Recorder) (*Result, error) {
 // be rejected; map lies must cost retries only; random damage must lose only
 // what it directly destroyed.
 func e8Robustness(rec *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E8",
-		Title: "fault injection: label checks and the Scavenger",
-		Claim: "label checking makes accidental overwriting quite unlikely; lost information is negligible (§3.3, §6)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), rec)
 	if err != nil {
 		return nil, err
@@ -365,11 +349,7 @@ func e8Robustness(rec *trace.Recorder) (*Result, error) {
 // warm starts at full disk speed; a failed hint means reinstalling, never
 // damage.
 func e9InstalledHints(tr *trace.Recorder) (*Result, error) {
-	res := &Result{
-		ID:    "E9",
-		Title: "installed-program hints: warm start vs reinstallation",
-		Claim: "an installed program starts up and reaches its auxiliary files at maximum disk speed; a failed hint forces reinstallation (§3.6)",
-	}
+	res := &Result{}
 	r, err := newRig(disk.Diablo31(), tr)
 	if err != nil {
 		return nil, err

@@ -1,235 +1,193 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// Each experiment must run, produce its table, and land inside the loose
-// bands that make it a faithful reproduction of the paper's claim. The
-// virtual clock and seeded PRNG make every value deterministic, so these
-// bounds are regression tripwires, not flaky thresholds.
+// docPath is where the -json document of an experiment is checked in.
+func docPath(id string) string { return filepath.Join("testdata", "json", id+".json") }
 
-// mustRun executes one registered experiment untraced at one worker.
-func mustRun(t *testing.T, id string) *Result {
+// readDoc reads an experiment's checked-in -json document.
+func readDoc(id string) (*Result, error) {
+	data, err := os.ReadFile(docPath(id))
+	if err != nil {
+		return nil, err
+	}
+	doc := &Result{}
+	if err := json.Unmarshal(data, doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", docPath(id), err)
+	}
+	return doc, nil
+}
+
+// num renders a value to four significant digits, integers in full.
+func num(v float64) string {
+	if v == math.Trunc(v) || math.Abs(v) >= 1e4 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
+
+// String renders the band as failures and EXPERIMENTS.md print it.
+func (b band) String() string {
+	if math.IsInf(b.hi, 1) {
+		return "≥ " + num(b.lo)
+	}
+	return "[" + num(b.lo) + ", " + num(b.hi) + "]"
+}
+
+// bandFailures describes every band of e that metrics miss, naming the id,
+// the metric, its value, the band and why the band holds.
+func bandFailures(e *experiment, metrics map[string]float64) []string {
+	var out []string
+	for _, b := range e.bands {
+		v, ok := metrics[b.metric]
+		switch {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s: %s missing, want %v: %s", e.id, b.metric, b, b.why))
+		case v < b.lo || v > b.hi:
+			out = append(out, fmt.Sprintf("%s: %s = %v, want %v: %s", e.id, b.metric, v, b, b.why))
+		}
+	}
+	return out
+}
+
+// check holds one metric of a result within [lo, hi].
+func check(t *testing.T, r *Result, metric string, lo, hi float64) {
 	t.Helper()
-	r, err := Run(id, 1, nil)
+	for _, msg := range bandFailures(&experiment{id: r.ID, bands: []band{{metric: metric, lo: lo, hi: hi}}}, r.Metrics) {
+		t.Error(msg)
+	}
+}
+
+// TestClaims holds each checked-in -json document, which TestGolden proves
+// equal to this tree's output, to its registry entry, one subtest per id:
+// the id, a claim, rows and every band. No experiment runs again, and every
+// value is deterministic, so a band is a tripwire, not a flaky threshold.
+// It also checks that EXPERIMENTS.md carries the claims table they render.
+func TestClaims(t *testing.T) {
+	// Every id's subtest reads its document, so 19 documents leave none over.
+	if docs, _ := filepath.Glob(docPath("*")); len(registry) != 19 || len(IDs()) != 19 || len(docs) != 19 {
+		t.Fatalf("registry has %d experiments, IDs lists %d and testdata has %d documents, want 19 each", len(registry), len(IDs()), len(docs))
+	}
+	for i := range registry {
+		e := &registry[i]
+		t.Run(e.id, func(t *testing.T) {
+			doc, err := readDoc(e.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if doc.ID != strings.ToUpper(e.id) || doc.Claim == "" || len(doc.Rows) == 0 {
+				t.Errorf("document %s has claim %q and %d rows; want a claim and rows", doc.ID, doc.Claim, len(doc.Rows))
+			}
+			for _, msg := range bandFailures(e, doc.Metrics) {
+				t.Error(msg)
+			}
+		})
+	}
+	have, want, err := claimsMD()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
-}
-
-func check(t *testing.T, r *Result, metric string, lo, hi float64) {
-	t.Helper()
-	v, ok := r.Metrics[metric]
-	if !ok {
-		t.Fatalf("%s: metric %q missing (have %v)", r.ID, metric, r.Metrics)
-	}
-	if v < lo || v > hi {
-		t.Errorf("%s: %s = %.3f, want within [%.3f, %.3f]", r.ID, metric, v, lo, hi)
+	if d := firstDiff(experimentsMD, "rendered", "line", numbered{1, lines(have)}, numbered{1, lines(want)}); d != "" {
+		t.Errorf("claims table is stale (go test ./internal/experiments -run TestGolden -update rewrites it): %s", d)
 	}
 }
 
-func TestE1RawTransfer(t *testing.T) {
-	r := mustRun(t, "e1")
-	// "about one second" for 64K words.
-	check(t, r, "sim_seconds_64kwords", 0.5, 2.0)
-	check(t, r, "words_per_sec", 30_000, 80_000)
-}
-
-func TestE2AllocFreeCost(t *testing.T) {
-	r := mustRun(t, "e2")
-	// "costs a disk revolution each time a page is allocated or freed".
-	check(t, r, "alloc_overhead_revs", 0.9, 1.1)
-	check(t, r, "free_overhead_revs", 0.9, 1.1)
-}
-
-func TestE3Scavenge(t *testing.T) {
-	r := mustRun(t, "e3")
-	// "about a minute for a 2.5 megabyte disk": same order of magnitude.
-	check(t, r, "scavenge_seconds_Diablo31", 10, 120)
-	check(t, r, "scavenge_seconds_Trident", 5, 120)
-}
-
-func TestE4Compaction(t *testing.T) {
-	r := mustRun(t, "e4")
-	// "an order of magnitude": the two scatter regimes bracket 10x.
-	check(t, r, "speedup", 4, 20)
-	check(t, r, "aged_speedup", 8, 25)
-}
-
-func TestE5HintLadder(t *testing.T) {
-	r := mustRun(t, "e5")
-	direct := r.Metrics["ms_direct_hint"]
-	chase := r.Metrics["ms_link_chase"]
-	kth := r.Metrics["ms_kth_page"]
-	fv := r.Metrics["ms_fv_lookup"]
-	scav := r.Metrics["ms_scavenge"]
-	if !(direct < kth && kth < chase && chase < fv && fv < scav) {
-		t.Errorf("ladder not ordered: direct=%.0f kth=%.0f chase=%.0f fv=%.0f scavenge=%.0f",
-			direct, kth, chase, fv, scav)
-	}
-	// A correct hint is a single disk access: well under two revolutions.
-	check(t, r, "ms_direct_hint", 1, 80)
-}
-
-func TestE6WorldSwap(t *testing.T) {
-	r := mustRun(t, "e6")
-	// "requires about a second".
-	check(t, r, "outload_seconds", 0.5, 3)
-	check(t, r, "inload_seconds", 0.5, 3)
-}
-
-func TestE7Junta(t *testing.T) {
-	r := mustRun(t, "e7")
-	full := r.Metrics["full_resident_words"]
-	freed := r.Metrics["max_words_freed"]
-	if freed >= full {
-		t.Errorf("freed %v >= resident %v: level 1 must stay", freed, full)
-	}
-	if full-freed > 2048 {
-		t.Errorf("resident floor %v too big: InLoad/OutLoad is about 900 words", full-freed)
-	}
-}
-
-func TestE8Robustness(t *testing.T) {
-	r := mustRun(t, "e8")
-	check(t, r, "wild_writes_rejected_pct", 100, 100)
-	check(t, r, "undamaged_recovery_pct", 100, 100)
-	if r.Metrics["map_lie_retries"] < 1 {
-		t.Error("map lies cost no retries — the experiment is not exercising the check")
-	}
-}
-
-func TestE9InstalledHints(t *testing.T) {
-	r := mustRun(t, "e9")
-	check(t, r, "warm_advantage", 1.5, 20)
-	check(t, r, "hints_failed_after_delete", 1, 1)
-}
-
-func TestE10LoadedServer(t *testing.T) {
-	r := mustRun(t, "e10")
-	// 8 clients over a 10%-loss wire: the run errors internally on any
-	// corruption or on zero retransmissions, so the bands here guard the
-	// throughput shape. Retransmits are bounded: well under one per sent
-	// packet even with every duplicate and corruption counted against us.
-	check(t, r, "goodput_words_per_sec", 300, 20_000)
-	check(t, r, "retransmits", 1, 2_000)
-	check(t, r, "sim_seconds", 1, 120)
-}
-
-func TestE11LossSweep(t *testing.T) {
-	r := mustRun(t, "e11")
-	g0 := r.Metrics["goodput_words_per_sec_loss0"]
-	g20 := r.Metrics["goodput_words_per_sec_loss20"]
-	if g0 <= 0 || g20 <= 0 {
-		t.Fatalf("sweep produced non-positive goodput: %v", r.Metrics)
-	}
-	// Loss must cost something, but the transport must keep most of the
-	// goodput at 20% loss — that is the whole point of selective repeat.
-	if g20 >= g0 {
-		t.Errorf("goodput at 20%% loss (%.0f) not below lossless (%.0f)", g20, g0)
-	}
-	if g20 < g0/4 {
-		t.Errorf("goodput collapsed under loss: %.0f vs lossless %.0f", g20, g0)
-	}
-	// The transport-v2 floor: go-back-N measured ~979 words/s at 10% loss
-	// and ~957 at 20%; selective repeat + AIMD must hold at least 5x that.
-	check(t, r, "goodput_words_per_sec_loss10", 4900, 1e9)
-	check(t, r, "goodput_words_per_sec_loss20", 4800, 1e9)
-	// A handful of retransmits at 0% loss are genuine RTOs: one session's
-	// packets waiting out another session's disk write. They must stay a
-	// handful.
-	check(t, r, "retransmits_loss0", 0, 10)
-	check(t, r, "retransmits_loss20", 1, 500)
-	// The new lower-better metrics: resent words track the loss rate (not
-	// the window size, as under go-back-N), and the wire is mostly idle —
-	// the file server is disk-bound, which is the honest headline.
-	check(t, r, "retransmitted_words_ratio_loss0", 0, 0.05)
-	check(t, r, "retransmitted_words_ratio_loss20", 0.1, 0.5)
-	check(t, r, "wire_idle_frac_loss0", 0.5, 1)
-	check(t, r, "wire_idle_frac_loss20", 0.5, 1)
-}
-
-func TestE13Saturation(t *testing.T) {
-	r := mustRun(t, "e13")
-	// The run errors internally on any corrupted delivery; the metrics
-	// guard fairness and liveness. Jain's index >= 0.9 is the acceptance
-	// bar: every one of the 24 flows got a comparable share.
-	check(t, r, "jain_fairness_pct", 90, 100)
-	check(t, r, "goodput_words_per_sec_total", 50_000, 1e9)
-	if r.Metrics["retransmits"] < 1 {
-		t.Error("10% loss produced no retransmissions — the fault medium is not wired in")
-	}
-}
-
-func TestE12CrashSweep(t *testing.T) {
-	r := mustRun(t, "e12")
-	// Every crash point of both workloads, clean and torn, must recover.
-	check(t, r, "violations_total", 0, 0)
-	check(t, r, "recovered_pct", 100, 100)
-	// The journaled-insert window alone is ~48 writes; compact adds ~125.
-	check(t, r, "crash_points_total", 100, 1000)
-}
-
-// sectorMS is one Diablo 31 sector time (a 40 ms revolution over 12
-// sectors): the per-page cost of reading at full disk speed.
-const sectorMS = 40.0 / 12
-
-func TestA1LabelCheck(t *testing.T) {
-	r := mustRun(t, "a1")
-	// §3.3: "on any other write the label is checked, at no cost in time".
-	check(t, r, "revs_check_overhead", 0, 0)
-	check(t, r, "revs/write_checked", 0.5, 2)
-}
-
-func TestA2ConsecutiveAllocation(t *testing.T) {
-	r := mustRun(t, "a2")
-	// §3.6: consecutively allocated files read at full disk speed — within
-	// two sector times a page — and scattering them costs an order of
-	// magnitude.
-	check(t, r, "ms/page_consecutive", sectorMS, 2*sectorMS)
-	check(t, r, "slowdown_without_policy", 10, 30)
-}
-
-func TestA3HintCache(t *testing.T) {
-	r := mustRun(t, "a3")
-	// §3.6: a correct hint reaches a page in one access, so a hinted
-	// sequential read streams at disk speed; living on links from the
-	// leader costs an order of magnitude.
-	check(t, r, "ms/page_with_hints", sectorMS, 2*sectorMS)
-	check(t, r, "slowdown_without_hints", 10, 60)
-}
-
-func TestA4DirectoryJournal(t *testing.T) {
-	r := mustRun(t, "a4")
-	// §3.5: "we do not consider our directories important enough to warrant
-	// such attentions" — a journaled insert writes its log record before
-	// the directory page, so it costs at least twice a plain insert.
-	check(t, r, "journal_overhead_factor", 2, 10)
-}
-
-// TestAllRunsEveryExperiment walks the registry: every experiment runs and
-// renders a well-formed table, and IDs lists each one.
-func TestAllRunsEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	if len(registry) != 19 || len(IDs()) != len(registry) {
-		t.Fatalf("registry has %d experiments and IDs lists %d, want 19 each", len(registry), len(IDs()))
-	}
-	for _, e := range registry {
-		r, err := e.Run(1, nil)
+// TestClaimRelations checks, on the same documents, the claims that order
+// metrics against each other rather than hold one within a band.
+func TestClaimRelations(t *testing.T) {
+	m := map[string]map[string]float64{}
+	for _, id := range []string{"e5", "e7", "e11"} {
+		doc, err := readDoc(id)
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			t.Fatal(err)
 		}
-		tbl := r.Table()
-		if !strings.Contains(tbl, r.ID) || !strings.Contains(tbl, "paper:") {
-			t.Errorf("%s: malformed table:\n%s", r.ID, tbl)
+		m[id] = doc.Metrics
+	}
+	// E5: each level of the hint ladder costs more than the one before.
+	if l := m["e5"]; !(l["ms_direct_hint"] < l["ms_kth_page"] && l["ms_kth_page"] < l["ms_link_chase"] &&
+		l["ms_link_chase"] < l["ms_fv_lookup"] && l["ms_fv_lookup"] < l["ms_scavenge"]) {
+		t.Errorf("e5: hint ladder not ordered (direct < kth < chase < fv < scavenge): %v", l)
+	}
+	// E7: Junta frees every level but a resident floor of about 900 words.
+	if full, freed := m["e7"]["full_resident_words"], m["e7"]["max_words_freed"]; freed >= full || full-freed > 2048 {
+		t.Errorf("e7: freed %v of %v resident words: level 1 must stay, and InLoad/OutLoad is about 900 words", freed, full)
+	}
+	// E11: loss must cost something, but the transport must keep most of
+	// the goodput at 20% loss — the point of selective repeat.
+	if g0, g20 := m["e11"]["goodput_words_per_sec_loss0"], m["e11"]["goodput_words_per_sec_loss20"]; g20 <= 0 || g20 >= g0 || g20 < g0/4 {
+		t.Errorf("e11: goodput %.0f words/s at 20%% loss, %.0f lossless: want below it and at least a quarter of it", g20, g0)
+	}
+}
+
+// TestClaimsReportMisses feeds the band checker a fake entry and document
+// with a value below its band, one above and one missing: each failure
+// names the id, the metric, the value, the band and why.
+func TestClaimsReportMisses(t *testing.T) {
+	e := &experiment{id: "x1", bands: []band{
+		{"low", 1, 2, "why low"},
+		{"high", 1, 2, "why high"},
+		{"gone", 1, math.Inf(1), "why gone"},
+		{"fine", 0, 0, "why fine"},
+	}}
+	got := bandFailures(e, map[string]float64{"low": 0.5, "high": 2.25, "fine": 0})
+	want := []string{
+		"x1: low = 0.5, want [1, 2]: why low",
+		"x1: high = 2.25, want [1, 2]: why high",
+		"x1: gone missing, want ≥ 1: why gone",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("failures:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// EXPERIMENTS.md holds the claims table between claimsBegin and claimsEnd.
+const (
+	experimentsMD = "../../EXPERIMENTS.md"
+	claimsBegin   = "<!-- claims table: rendered from the internal/experiments registry and testdata/json; go test ./internal/experiments -run TestGolden -update rewrites it -->\n"
+	claimsEnd     = "<!-- end of claims table -->"
+)
+
+// claimsMD returns EXPERIMENTS.md as it is and as it would be with its
+// claims table rendered afresh from the registry and the checked-in
+// documents: one row per band, with the value measured.
+func claimsMD() (have, want string, err error) {
+	data, err := os.ReadFile(experimentsMD)
+	if err != nil {
+		return "", "", err
+	}
+	before, rest, ok := strings.Cut(string(data), claimsBegin)
+	_, after, ok2 := strings.Cut(rest, claimsEnd)
+	if !ok || !ok2 {
+		return "", "", fmt.Errorf("%s: no claims table markers", experimentsMD)
+	}
+	cell := strings.NewReplacer("|", `\|`).Replace
+	var b strings.Builder
+	b.WriteString(before + claimsBegin + "| Id | Paper claim | Metric | Band | Measured | What the band holds |\n|---|---|---|---|---|---|\n")
+	for i := range registry {
+		e := &registry[i]
+		doc, err := readDoc(e.id)
+		if err != nil {
+			return "", "", err
 		}
-		if len(r.Rows) == 0 {
-			t.Errorf("%s: no rows", r.ID)
+		id, claim := strings.ToUpper(e.id), cell(e.claim)
+		for _, bd := range e.bands {
+			measured := "missing"
+			if v, ok := doc.Metrics[bd.metric]; ok {
+				measured = num(v)
+			}
+			fmt.Fprintf(&b, "| %s | %s | `%s` | %v | %s | %s |\n", id, claim, bd.metric, bd, measured, cell(bd.why))
+			id, claim = "", ""
 		}
 	}
+	return string(data), b.String() + claimsEnd + after, nil
 }

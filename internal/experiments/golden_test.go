@@ -12,29 +12,41 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this tree")
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt, testdata/json and EXPERIMENTS.md's claims table from this tree")
 
-// goldenFile holds one SHA-256 per artifact, one "name digest" line each.
+// goldenFile holds one SHA-256 per artifact but the -json documents.
 const goldenFile = "testdata/golden.txt"
 
-const goldenHeader = `# SHA-256 of every artifact TestGolden regenerates, one "name digest" line each.
+const goldenHeader = `# SHA-256 of every artifact TestGolden regenerates but the -json documents
+# (testdata/json/<id>.json, compared as text), one "name digest" line each.
 # A refactor leaves this file alone; a declared re-baseline rewrites it with
 #   go test ./internal/experiments -run TestGolden -update
 # and names every moved line in CHANGES.md.
 `
 
 // TestGolden is "nothing moved" as one test. It builds altobench, the
-// examples and the pack CLIs, regenerates every artifact they write — each
-// experiment's -json document and its four -workers 2 -scope artifacts
-// (merged Chrome trace, collapsed stacks, top table, metrics), each
-// example's stdout, and each step's stdout and the final image of README's
-// CLI session — and compares their digests with
-// testdata/golden.txt. A failure names every moved artifact and reports the
-// first differing golden line the way TestDeterminism reports a divergence.
+// examples and the pack CLIs and regenerates every artifact they write: each
+// experiment's -json document, compared as text with testdata/json/<id>.json,
+// and by digest with testdata/golden.txt its four -workers 2 -scope artifacts
+// (Chrome trace, collapsed stacks, top table, metrics), each example's stdout
+// and README's CLI session. A failure names every moved artifact and reports
+// the first differing line the way TestDeterminism reports a divergence.
 func TestGolden(t *testing.T) {
-	got := goldenDigests(t)
+	docs, got := goldenArtifacts(t)
 	if *update {
 		if err := os.WriteFile(goldenFile, []byte(goldenHeader+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for id, doc := range docs {
+			if err := os.WriteFile(docPath(id), doc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, md, err := claimsMD()
+		if err == nil {
+			err = os.WriteFile(experimentsMD, []byte(md), 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -50,7 +62,13 @@ func TestGolden(t *testing.T) {
 		}
 	}
 	if d := goldenDiff(want, got); d != "" {
-		t.Fatal(d)
+		t.Error(d)
+	}
+	for _, id := range IDs() {
+		want, _ := os.ReadFile(docPath(id)) // TestClaims names a missing document; here it differs from line 1
+		if d := firstDiff(docPath(id), "this tree", "line", numbered{1, lines(string(want))}, numbered{1, lines(string(docs[id]))}); d != "" {
+			t.Errorf("%s.json moved: %s", id, d)
+		}
 	}
 }
 
@@ -86,9 +104,10 @@ func goldenDiff(want, got []string) string {
 	return fmt.Sprintf("%d artifact(s) moved: %s\n%s", len(moved), strings.Join(moved, ", "), d)
 }
 
-// goldenDigests builds the commands and returns one "name digest" line per
-// artifact, in a fixed order.
-func goldenDigests(t *testing.T) []string {
+// goldenArtifacts builds the commands and returns each experiment's -json
+// document by id, and one "name digest" line per other artifact in a fixed
+// order.
+func goldenArtifacts(t *testing.T) (map[string][]byte, []string) {
 	t.Helper()
 	bin, out := t.TempDir(), t.TempDir()
 	examples, err := filepath.Glob("../../examples/*")
@@ -127,13 +146,14 @@ func goldenDigests(t *testing.T) []string {
 		}
 		return data
 	}
+	docs := map[string][]byte{}
 	var digests []string
 	add := func(name string, data []byte) {
 		digests = append(digests, fmt.Sprintf("%s %x", name, sha256.Sum256(data)))
 	}
 	run("altobench", "-workers", "2", "-scope", out)
 	for _, id := range IDs() {
-		add(id+".json", run("altobench", "-json", id))
+		docs[id] = run("altobench", "-json", id)
 		for _, suffix := range []string{".trace.json", ".collapsed", ".profile.txt", ".metrics.txt"} {
 			add("scope/"+id+suffix, readFile(filepath.Join(out, id+suffix)))
 		}
@@ -162,5 +182,5 @@ func goldenDigests(t *testing.T) []string {
 		add("cli/"+step.label+".stdout", runIn(session, step.stdin, step.args[0], step.args[1:]...))
 	}
 	add("cli/alto.img", readFile(filepath.Join(session, "alto.img")))
-	return digests
+	return docs, digests
 }

@@ -355,7 +355,7 @@ type Span struct {
 }
 
 // Begin opens a span at c's current simulated time. The span is recorded
-// only when End (or EndWith) is called, as one complete event.
+// only when End is called, as one complete event.
 func (r *Recorder) Begin(c *sim.Clock, k Kind, name string, a0, a1 int64) Span {
 	if r == nil || c == nil {
 		return Span{}
@@ -369,15 +369,6 @@ func (s Span) End() {
 		return
 	}
 	s.r.EmitSpan(s.start, s.c.Now()-s.start, s.k, s.name, s.a0, s.a1)
-}
-
-// EndWith closes the span, overriding its numeric arguments — for results
-// that are only known when the work completes.
-func (s Span) EndWith(a0, a1 int64) {
-	if s.r == nil {
-		return
-	}
-	s.r.EmitSpan(s.start, s.c.Now()-s.start, s.k, s.name, a0, a1)
 }
 
 // Add bumps the counter c.

@@ -32,7 +32,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Reset()
 	sp := r.Begin(sim.NewClock(), KindScavPhase, "sweep", 0, 0)
 	sp.End()
-	sp.EndWith(1, 2)
 	if r.Len() != 0 || r.Counter("c") != 0 || r.Events() != nil {
 		t.Fatal("nil recorder recorded something")
 	}
@@ -46,9 +45,9 @@ func TestSpanPairing(t *testing.T) {
 	c := sim.NewClock()
 	r := New(16)
 	c.Advance(10 * time.Millisecond)
-	sp := r.Begin(c, KindScavPhase, "sweep", 0, 0)
+	sp := r.Begin(c, KindScavPhase, "sweep", 7, 8)
 	c.Advance(30 * time.Millisecond)
-	sp.EndWith(7, 8)
+	sp.End()
 	evs := r.Events()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events, want 1", len(evs))
@@ -58,7 +57,7 @@ func TestSpanPairing(t *testing.T) {
 		t.Errorf("span [%v +%v], want [10ms +30ms]", ev.T, ev.Dur)
 	}
 	if ev.A0 != 7 || ev.A1 != 8 {
-		t.Errorf("EndWith args %d,%d not recorded", ev.A0, ev.A1)
+		t.Errorf("span args %d,%d, want 7,8", ev.A0, ev.A1)
 	}
 }
 

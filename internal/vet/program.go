@@ -49,10 +49,10 @@ type funcFacts struct {
 	// tracecover keys on.
 	simWork bool
 	// emitPkgs: module packages containing a trace emission site (Recorder
-	// Emit/EmitSpan/EmitFlow/EmitSpanFlow/Add/Observe/Begin, Span
-	// End/EndWith) the function may
-	// reach. tracecover requires an operation in package P to reach an
-	// emission attributed to P, not merely one buried in a lower layer.
+	// Emit/EmitSpan/EmitFlow/EmitSpanFlow/Add/Observe/Begin, Span End) the
+	// function may reach. tracecover requires an operation in package P to
+	// reach an emission attributed to P, not merely one buried in a lower
+	// layer.
 	emitPkgs map[string]bool
 	// taint summary bits: some result of the function derives from the
 	// simulated clock / the host wall clock. Computed by the taint core
@@ -255,14 +255,14 @@ func (p *Program) resolve(callee *types.Func) []*types.Func {
 
 // isTraceEmission reports whether fn is a flight-recorder emission method:
 // trace.Recorder Emit/EmitSpan/EmitFlow/EmitSpanFlow/Add/Observe/Begin or
-// trace.Span End/EndWith. Add and Observe take interned handles
+// trace.Span End. Add and Observe take interned handles
 // (trace.NewCounter, trace.NewHist), so a handle bump is an emission site.
 func isTraceEmission(m *Module, fn *types.Func) bool {
 	if fn.Pkg() == nil || fn.Pkg().Path() != m.Path+"/internal/trace" {
 		return false
 	}
 	switch fn.Name() {
-	case "Emit", "EmitSpan", "EmitFlow", "EmitSpanFlow", "Add", "Observe", "Begin", "End", "EndWith":
+	case "Emit", "EmitSpan", "EmitFlow", "EmitSpanFlow", "Add", "Observe", "Begin", "End":
 		return true
 	}
 	return false
