@@ -118,7 +118,7 @@ func (r *Replica) heal(rep repair, flow int64, sync, idle func()) (bool, error) 
 	if err != nil {
 		return false, nil
 	}
-	if err := StoreLocal(r.fs, rep.name, data); err != nil {
+	if err := r.local.store(r.fs, rep.name, data); err != nil {
 		return false, fmt.Errorf("%s: heal %q store: %w", r.Name(), rep.name, err)
 	}
 	r.lastHealR = r.rounds

@@ -87,8 +87,9 @@ type Replica struct {
 
 	peers     []peerRef // shard peers in replica-index order, self excluded
 	audCfg    pup.Config
-	rounds    int // audit rounds run
-	lastHealR int // round number of the most recent heal
+	rounds    int     // audit rounds run
+	lastHealR int     // round number of the most recent heal
+	local     localIO // handle storage every heal's store re-primes
 }
 
 // peerRef names one shard peer: its replica index and server address.

@@ -423,3 +423,64 @@ func TestAwaitClosedChecksBeforeParking(t *testing.T) {
 		t.Fatalf("conn error = %v, want retries exhausted", cl.Conn().Err())
 	}
 }
+
+// fetch reads name through the cluster client from the client machine,
+// closing its sessions before the program returns (see store).
+func (rg *rig) fetch(name string) []byte {
+	rg.t.Helper()
+	var data []byte
+	err := rg.run(nil, func(m *fleet.Machine) error {
+		cl := NewClient(rg.c.Place, rg.ep)
+		var err error
+		data, err = cl.Fetch(name, func(fc *fileserver.Client) error {
+			return fleet.PollUntil(m.Sync, m.Idle, fc.Poll, fc.Done)
+		})
+		for _, fc := range cl.Close() {
+			closed := func() bool { return fc.Conn().State() == pup.StateClosed }
+			if err := fleet.PollUntil(m.Sync, m.Idle, fc.Poll, closed); err != nil {
+				return err
+			}
+		}
+		return err
+	}, nil)
+	if err != nil {
+		rg.t.Fatal(err)
+	}
+	return data
+}
+
+// TestClientFetchMatchesReadLocalAfterAudit stores files of assorted sizes
+// across two shards, rots a page on one replica and lets its audit heal it,
+// then reads every file back through Client.Fetch — the request a client
+// builds, the server's fetch path and the reply — and requires the bytes of
+// every replica's own copy, as ReadLocal reads it.
+func TestClientFetchMatchesReadLocalAfterAudit(t *testing.T) {
+	rg := newRig(t, 2, 3, 1, nil)
+	sizes := []int{0, 1, disk.PageBytes - 1, disk.PageBytes, 3*disk.PageBytes + 17, fileserver.DataBytesPerMsg + 1}
+	names := make([]string, len(sizes))
+	for i, n := range sizes {
+		names[i] = fmt.Sprintf("file%d", i)
+		rg.store(names[i], payload(i, n), nil)
+	}
+	victim := rg.c.Replicas[rg.c.Place.Shard(names[4])*rg.c.Place.Replicas+1]
+	victim.Drive().ZapValue(pageVDA(t, victim, names[4], 2), [disk.PageWords]disk.Word{})
+	if out := rg.audit(victim); out.Healed != 1 {
+		t.Fatalf("audit of the rotted replica: %+v, want 1 healed", out)
+	}
+	for i, name := range names {
+		got := rg.fetch(name)
+		if !bytes.Equal(got, payload(i, sizes[i])) {
+			t.Errorf("Fetch %q: %d bytes differ from the %d stored", name, len(got), sizes[i])
+		}
+		shard := rg.c.Place.Shard(name)
+		for _, r := range rg.c.Replicas[shard*rg.c.Place.Replicas : (shard+1)*rg.c.Place.Replicas] {
+			local, err := ReadLocal(r.FS(), name)
+			if err != nil {
+				t.Fatalf("%s: %v", r.Name(), err)
+			}
+			if !bytes.Equal(got, local) {
+				t.Errorf("%s: Fetch %q gave %d bytes, ReadLocal %d, and they differ", r.Name(), name, len(got), len(local))
+			}
+		}
+	}
+}

@@ -16,16 +16,36 @@ import (
 	"altoos/internal/file"
 )
 
+// localIO is the handle storage StoreLocal and ReadLocal open through: a
+// walker to resolve names, the root directory and one file handle, each
+// re-primed per call (see file.File). A replica keeps one for its heals;
+// the package functions take a fresh one.
+type localIO struct {
+	walk dir.Walker
+	root dir.Directory
+	f    file.File
+}
+
 // StoreLocal writes data under name on fs, creating the file and its root
 // directory entry if needed, truncating leftovers if the file shrank.
 func StoreLocal(fs *file.FS, name string, data []byte) error {
-	root, err := dir.OpenRoot(fs)
-	if err != nil {
+	return new(localIO).store(fs, name, data)
+}
+
+// ReadLocal reads the whole named file off fs, the inverse of StoreLocal.
+func ReadLocal(fs *file.FS, name string) ([]byte, error) {
+	return new(localIO).read(fs, name)
+}
+
+func (l *localIO) store(fs *file.FS, name string, data []byte) error {
+	root := &l.root
+	if err := dir.OpenInto(fs, root, fs.RootDir()); err != nil {
 		return errors.New("no root directory")
 	}
 	var f *file.File
 	if fn, err := root.Lookup(name); err == nil {
-		if f, err = fs.Open(fn); err != nil {
+		f = &l.f
+		if err := fs.OpenInto(f, fn); err != nil {
 			return fmt.Errorf("open %q failed", name)
 		}
 	} else {
@@ -65,14 +85,13 @@ func StoreLocal(fs *file.FS, name string, data []byte) error {
 	return nil
 }
 
-// ReadLocal reads the whole named file off fs, the inverse of StoreLocal.
-func ReadLocal(fs *file.FS, name string) ([]byte, error) {
-	fn, err := dir.ResolveName(fs, name)
+func (l *localIO) read(fs *file.FS, name string) ([]byte, error) {
+	fn, err := l.walk.ResolveName(fs, name)
 	if err != nil {
 		return nil, fmt.Errorf("no such file %q", name)
 	}
-	f, err := fs.Open(fn)
-	if err != nil {
+	f := &l.f
+	if err := fs.OpenInto(f, fn); err != nil {
 		return nil, fmt.Errorf("open %q failed", name)
 	}
 	lastPN, lastLen := f.LastPage()

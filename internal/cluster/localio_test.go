@@ -128,8 +128,8 @@ func TestLocalIOMatchesBytePath(t *testing.T) {
 
 // TestReadLocalAllocatesOncePerCall pins ReadLocal's own cost: beyond what
 // looking the file up and reading its pages into one buffer allocates in the
-// directory and file layers, the result is the one allocation, sized once
-// whatever the file's length.
+// directory and file layers, through the same handle storage, the result is
+// the one allocation, sized once whatever the file's length.
 func TestReadLocalAllocatesOncePerCall(t *testing.T) {
 	fs := localFS(t)
 	for _, pages := range []int{1, 32} {
@@ -138,12 +138,13 @@ func TestReadLocalAllocatesOncePerCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		walk := testing.AllocsPerRun(20, func() {
-			fn, err := dir.ResolveName(fs, name)
+			l := new(localIO)
+			fn, err := l.walk.ResolveName(fs, name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := fs.Open(fn)
-			if err != nil {
+			f := &l.f
+			if err := fs.OpenInto(f, fn); err != nil {
 				t.Fatal(err)
 			}
 			var buf [disk.PageWords]disk.Word

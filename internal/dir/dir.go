@@ -41,10 +41,15 @@ type Entry struct {
 	FN   file.FN
 }
 
-// Directory is an open directory file.
+// Directory is an open directory file. Like a file handle, a Directory may
+// be re-primed on another directory (OpenInto).
 type Directory struct {
 	fs *file.FS
-	f  *file.File
+	f  *file.File // &own, or the handle Adopt or Create wrapped
+
+	// own is the file handle Open and OpenInto prime, inside the Directory
+	// so that opening one is a single allocation.
+	own file.File
 
 	// page holds the directory page being scanned. It lives in the handle
 	// because the file layer keeps the caller's buffer in its operation
@@ -72,16 +77,26 @@ const (
 // maxName bounds directory names to what a single entry can hold.
 const maxName = 2 * (disk.PageWords - entryFixed - 1)
 
-// Open opens an existing directory by full name.
+// Open opens an existing directory by full name. It is OpenInto on a new
+// Directory.
 func Open(fs *file.FS, fn file.FN) (*Directory, error) {
-	if !fn.FV.FID.IsDirectory() {
-		return nil, fmt.Errorf("%w: %v", ErrNotDirectory, fn.FV)
-	}
-	f, err := fs.Open(fn)
-	if err != nil {
+	d := new(Directory)
+	if err := OpenInto(fs, d, fn); err != nil {
 		return nil, err
 	}
-	return &Directory{fs: fs, f: f}, nil
+	return d, nil
+}
+
+// OpenInto re-primes d, new or holding any directory, as the directory fn:
+// file.FS.OpenInto on d's own file handle, never on one Adopt wrapped. It
+// issues the disk operations Open does and allocates nothing. On error d
+// holds no usable directory until the next OpenInto.
+func OpenInto(fs *file.FS, d *Directory, fn file.FN) error {
+	if !fn.FV.FID.IsDirectory() {
+		return fmt.Errorf("%w: %v", ErrNotDirectory, fn.FV)
+	}
+	d.fs, d.f = fs, &d.own
+	return fs.OpenInto(d.f, fn)
 }
 
 // OpenRoot opens the root directory recorded in the disk descriptor.
@@ -527,38 +542,57 @@ func InitRoot(fs *file.FS) (*Directory, error) {
 	return root, nil
 }
 
+// Walker is the storage a walk of the directory graph runs through: one
+// Directory re-primed for every directory visited, the visited set and the
+// queue. Its zero value is ready, and a Walker reused for walk after walk
+// allocates nothing once its storage has grown to the graph. A Walker is
+// not safe for concurrent use, and its methods must not be called again
+// from inside a visit.
+type Walker struct {
+	d     Directory
+	seen  map[disk.FV]bool
+	queue []file.FN
+}
+
 // Walk visits every directory reachable from start (following entries whose
 // identifiers are in the directory range), calling visit once per directory.
 // Cycles are fine: the graph may be arbitrary (§3.4). A directory that
-// turns out damaged contributes no subdirectories.
+// turns out damaged contributes no subdirectories. Every visit gets the
+// same Directory, re-primed, so visit must not keep it.
 func Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
-	seen := map[disk.FV]bool{}
-	queue := []file.FN{start}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		if seen[fn.FV] {
+	return new(Walker).Walk(fs, start, visit)
+}
+
+// Walk is the package-level Walk through w's storage.
+func (w *Walker) Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
+	if w.seen == nil {
+		w.seen = map[disk.FV]bool{}
+	}
+	clear(w.seen)
+	w.queue = append(w.queue[:0], start)
+	for i := 0; i < len(w.queue); i++ {
+		fn := w.queue[i]
+		if w.seen[fn.FV] {
 			continue
 		}
-		seen[fn.FV] = true
-		d, err := Open(fs, fn)
-		if err != nil {
+		w.seen[fn.FV] = true
+		if err := OpenInto(fs, &w.d, fn); err != nil {
 			// A vanished subdirectory loses names, not files; keep walking.
 			continue
 		}
-		if err := visit(d); err != nil {
+		if err := visit(&w.d); err != nil {
 			return err
 		}
 		// Only the full names matter here, so the entries are not decoded.
-		mark := len(queue)
-		s := d.scan()
+		mark := len(w.queue)
+		s := w.d.scan()
 		for s.next() {
-			if e := entryFN(&d.page, s.at); e.FV.FID.IsDirectory() && !seen[e.FV] {
-				queue = append(queue, e)
+			if e := entryFN(&w.d.page, s.at); e.FV.FID.IsDirectory() && !w.seen[e.FV] {
+				w.queue = append(w.queue, e)
 			}
 		}
 		if s.err != nil {
-			queue = queue[:mark]
+			w.queue = w.queue[:mark]
 		}
 	}
 	return nil
@@ -566,9 +600,11 @@ func Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
 
 // ResolveFV searches every reachable directory for fv, the §3.6 "look up
 // the FV in a directory" ladder step. It returns the recorded leader address.
+// Each lookup walks with storage of its own: the ladder may climb to it
+// from inside another walk.
 func ResolveFV(fs *file.FS) func(fv disk.FV) (disk.VDA, error) {
 	return func(fv disk.FV) (disk.VDA, error) {
-		fn, ok, err := resolve(fs, func(p *[disk.PageWords]disk.Word, i int) bool {
+		fn, ok, err := new(Walker).resolve(fs, func(p *[disk.PageWords]disk.Word, i int) bool {
 			return entryFN(p, i).FV == fv
 		})
 		if err == nil && !ok {
@@ -581,7 +617,12 @@ func ResolveFV(fs *file.FS) func(fv disk.FV) (disk.VDA, error) {
 // ResolveName searches every reachable directory for a string name,
 // returning its full name — the ladder's next step after FV lookup fails.
 func ResolveName(fs *file.FS, name string) (file.FN, error) {
-	fn, ok, err := resolve(fs, func(p *[disk.PageWords]disk.Word, i int) bool {
+	return new(Walker).ResolveName(fs, name)
+}
+
+// ResolveName is the package-level ResolveName through w's storage.
+func (w *Walker) ResolveName(fs *file.FS, name string) (file.FN, error) {
+	fn, ok, err := w.resolve(fs, func(p *[disk.PageWords]disk.Word, i int) bool {
 		return entryNameIs(p, i, name)
 	})
 	if err == nil && !ok {
@@ -594,10 +635,10 @@ func ResolveName(fs *file.FS, name string) (file.FN, error) {
 // the first directory that holds one, and whether there was one. Damaged
 // directories are passed over. The walk goes on after a match, so it opens
 // and reads exactly what a full walk does.
-func resolve(fs *file.FS, match func(p *[disk.PageWords]disk.Word, i int) bool) (file.FN, bool, error) {
+func (w *Walker) resolve(fs *file.FS, match func(p *[disk.PageWords]disk.Word, i int) bool) (file.FN, bool, error) {
 	var found file.FN
 	ok := false
-	err := Walk(fs, fs.RootDir(), func(d *Directory) error {
+	err := w.Walk(fs, fs.RootDir(), func(d *Directory) error {
 		if ok {
 			return nil
 		}

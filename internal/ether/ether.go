@@ -615,20 +615,23 @@ func AppendBytes(dst []byte, src []Word, n int) []byte {
 	return dst
 }
 
-// PackString converts a string into payload words (length-prefixed, two
-// bytes per word) and back — the standardized representation both ends
-// share regardless of their implementation language (§1).
-func PackString(str string) []Word {
+// AppendString appends a string to dst as payload words (length-prefixed,
+// two bytes per word), growing dst at most once — the standardized
+// representation both ends share regardless of their implementation
+// language (§1). A string longer than a payload can carry is cut to fit.
+func AppendString(dst []Word, str string) []Word {
 	if len(str) > 2*MaxPayload-2 {
 		str = str[:2*MaxPayload-2]
 	}
-	out := make([]Word, 1+(len(str)+1)/2)
-	out[0] = Word(len(str))
-	PackBytes(out[1:], str)
-	return out
+	at := len(dst)
+	dst = slices.Grow(dst, 1+(len(str)+1)/2)[:at+1+(len(str)+1)/2]
+	dst[at] = Word(len(str))
+	PackBytes(dst[at+1:], str)
+	return dst
 }
 
-// UnpackString is the inverse of PackString.
+// UnpackString is the inverse of AppendString. The bytes unpack into a
+// stack buffer, so the string is the one allocation.
 func UnpackString(w []Word) (string, error) {
 	if len(w) == 0 {
 		return "", errors.New("ether: empty payload")
@@ -637,5 +640,6 @@ func UnpackString(w []Word) (string, error) {
 	if 1+(n+1)/2 > len(w) {
 		return "", fmt.Errorf("ether: truncated string: %d bytes in %d words", n, len(w))
 	}
-	return string(AppendBytes(nil, w[1:], n)), nil
+	var buf [2 * MaxPayload]byte
+	return string(AppendBytes(buf[:0], w[1:], n)), nil
 }

@@ -132,11 +132,33 @@ func TestStringPackingProperty(t *testing.T) {
 			raw = raw[:400]
 		}
 		s := string(raw)
-		got, err := UnpackString(PackString(s))
-		return err == nil && got == s
+		got, err := UnpackString(AppendString(nil, s))
+		// Appending keeps what dst held.
+		w := AppendString([]Word{7}, s)
+		after, aerr := UnpackString(w[1:])
+		return err == nil && got == s && w[0] == 7 && aerr == nil && after == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStringCodecAllocations pins the string codec: appending into a slice
+// with room allocates nothing, and unpacking allocates only the string.
+func TestStringCodecAllocations(t *testing.T) {
+	const s = "a name of twenty-one"
+	buf := make([]Word, 0, 16)
+	if a := testing.AllocsPerRun(100, func() {
+		buf = AppendString(buf[:0], s)
+	}); a != 0 {
+		t.Errorf("AppendString: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if got, err := UnpackString(buf); err != nil || got != s {
+			t.Fatalf("UnpackString = %q, %v", got, err)
+		}
+	}); a != 1 {
+		t.Errorf("UnpackString: %v allocs, want 1", a)
 	}
 }
 

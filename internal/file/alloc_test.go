@@ -6,19 +6,21 @@ import (
 	"altoos/internal/disk"
 )
 
-// TestDecodeLeaderAllocatesOnlyTheName pins DecodeLeader to one allocation:
-// the name string, decoded through a stack array.
-func TestDecodeLeaderAllocatesOnlyTheName(t *testing.T) {
+// TestDecodeLeaderAllocatesNothing pins DecodeLeader to no allocation: the
+// name stays in the Leader's array until someone asks for the string.
+func TestDecodeLeaderAllocatesNothing(t *testing.T) {
 	var v [disk.PageWords]disk.Word
-	if err := (Leader{Name: "leader.name", LastPN: 3}).Encode(&v); err != nil {
+	l := Leader{LastPN: 3}
+	if err := l.SetName("leader.name"); err != nil {
 		t.Fatal(err)
 	}
+	l.Encode(&v)
 	if a := testing.AllocsPerRun(100, func() {
-		if l, err := DecodeLeader(&v); err != nil || l.Name != "leader.name" {
-			t.Fatalf("DecodeLeader = %+v, %v", l, err)
+		if got, err := DecodeLeader(&v); err != nil || got != l {
+			t.Fatalf("DecodeLeader = %+v, %v", got, err)
 		}
-	}); a != 1 {
-		t.Errorf("DecodeLeader: %v allocs, want 1", a)
+	}); a != 0 {
+		t.Errorf("DecodeLeader: %v allocs, want 0", a)
 	}
 }
 
@@ -51,17 +53,38 @@ func threePageFile(tb testing.TB) (*FS, FN) {
 }
 
 // TestOpenLabelReadsDoNotAllocate pins the cost of opening a file to the
-// handle, whose hint vector starts in an array inside it, and the leader
-// name: the label read that verifies the last-page hint goes through the
-// handle's scratch and allocates nothing.
+// handle, whose hint vector starts in an array inside it: the leader decodes
+// in place, and the label read that verifies the last-page hint goes through
+// the handle's scratch.
 func TestOpenLabelReadsDoNotAllocate(t *testing.T) {
 	fs, fn := threePageFile(t)
 	if a := testing.AllocsPerRun(20, func() {
 		if _, err := fs.Open(fn); err != nil {
 			t.Fatal(err)
 		}
-	}); a > 2 {
-		t.Errorf("Open: %v allocs, want at most 2", a)
+	}); a > 1 {
+		t.Errorf("Open: %v allocs, want at most 1", a)
+	}
+}
+
+// TestOpenIntoAllocatesNothing pins the re-prime: a handle reused for
+// another open allocates nothing, and its name is built once per open.
+func TestOpenIntoAllocatesNothing(t *testing.T) {
+	fs, fn := threePageFile(t)
+	f := new(File)
+	if a := testing.AllocsPerRun(20, func() {
+		if err := fs.OpenInto(f, fn); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("OpenInto: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if f.Name() != "open.me" || f.Leader().LastPN != 4 {
+			t.Fatalf("Name %q, leader %+v", f.Name(), f.Leader())
+		}
+	}); a != 0 {
+		t.Errorf("Name and Leader after the first Name: %v allocs, want 0", a)
 	}
 }
 

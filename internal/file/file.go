@@ -11,10 +11,24 @@ import (
 // leader, and hint addresses for pages already visited. Everything cached is
 // a hint; the disk labels remain the only truth, and every access verifies
 // them in passing.
+//
+// A handle's storage may outlive the file it names. FS.OpenInto re-primes an
+// existing handle on another full name, keeping only its storage: the
+// leader, hints and last-page position are read afresh, with exactly the
+// disk operations Open issues, and an unsynced leader change to the file it
+// held before is discarded, as dropping the handle would discard it. Code
+// that owns a handle's whole lifetime (the file server, the digest scan, a
+// directory walk) re-primes one handle instead of allocating one per open.
+// Whoever re-primes a handle must know that nobody else still holds it.
 type File struct {
 	fs  *FS
 	fn  FN
 	ldr Leader
+
+	// name caches ldr's name as a string once Name has built it, so a
+	// handle allocates it at most once; Create and Rename keep the
+	// caller's string. Empty means not built yet (or an empty name).
+	name string
 
 	// hints holds the believed address of each page, indexed by page
 	// number; disk.NilVDA means no hint. hints[0] duplicates fn.Leader. Any
@@ -71,8 +85,14 @@ func (f *File) Device() disk.Device { return f.fs.dev }
 // Leader returns the cached leader contents.
 func (f *File) Leader() Leader { return f.ldr }
 
-// Name returns the file's leader name, its self-identification.
-func (f *File) Name() string { return f.ldr.Name }
+// Name returns the file's leader name, its self-identification. The string
+// is built on the first call and kept in the handle.
+func (f *File) Name() string {
+	if f.name == "" {
+		f.name = f.ldr.Name()
+	}
+	return f.name
+}
 
 // LastPage returns the current last page number and its byte count.
 func (f *File) LastPage() (pn disk.Word, length int) { return f.lastPN, f.lastLen }
@@ -182,21 +202,22 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 			Created:          now,
 			Written:          now,
 			Read:             now,
-			Name:             name,
 			LastPN:           1,
 			MaybeConsecutive: true,
 		},
+		name:    name,
 		lastPN:  1,
 		lastLen: 0,
+	}
+	if err := f.ldr.SetName(name); err != nil {
+		return nil, err
 	}
 
 	// Leader first, so data pages can be placed consecutively after it —
 	// the layout the compacting scavenger also produces. A crash between
 	// the two allocations leaves a leader-only fragment for the Scavenger.
 	ldrVal := &f.sc.val
-	if err := f.ldr.Encode(ldrVal); err != nil {
-		return nil, err
-	}
+	f.ldr.Encode(ldrVal)
 	ldrLbl := disk.Label{FID: fv.FID, Version: fv.Version, PageNum: 0, Length: disk.PageBytes, Next: disk.NilVDA, Prev: disk.NilVDA}
 	if leaderAt != disk.NilVDA {
 		// A standard address was reserved at format time; release it so the
@@ -239,9 +260,7 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 	// land right after its leader).
 	f.ldr.MaybeConsecutive = p1 == l+1
 	f.ldr.LastAddr = p1
-	if err := f.ldr.Encode(ldrVal); err != nil {
-		return nil, err
-	}
+	f.ldr.Encode(ldrVal)
 	linked := ldrLbl
 	linked.Next = p1
 	if err := f.sc.dsk.Relabel(fs.dev, l, ldrLbl, linked, ldrVal); err != nil {
@@ -252,14 +271,24 @@ func (fs *FS) create(fv disk.FV, name string, leaderAt, p1At disk.VDA) (*File, e
 
 // Open validates a full name and returns a handle. The leader is read (and
 // its label checked); if the hint address is stale, the recovery ladder is
-// climbed before giving up.
+// climbed before giving up. Open is OpenInto on a new handle.
 func (fs *FS) Open(fn FN) (*File, error) {
-	f := &File{fs: fs, fn: fn}
-	f.resetHints(fn.Leader)
-	if err := f.loadLeader(); err != nil {
+	f := new(File)
+	if err := fs.OpenInto(f, fn); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// OpenInto re-primes the handle f, which may be new or may have held any
+// file of any file system, as a handle on fn: it issues exactly the disk
+// operations Open issues and keeps nothing of what f held but its storage
+// (see File). It allocates nothing unless the file's hints outgrow that
+// storage. On error f holds no usable file until the next OpenInto.
+func (fs *FS) OpenInto(f *File, fn FN) error {
+	*f = File{fs: fs, fn: fn, hints: f.hints}
+	f.resetHints(fn.Leader)
+	return f.loadLeader()
 }
 
 // loadLeader reads page 0 and the last-page label, priming the caches.
@@ -741,9 +770,7 @@ func (f *File) Sync() error {
 	if !f.dirty || f.deleted {
 		return nil
 	}
-	if err := f.ldr.Encode(&f.sc.val); err != nil {
-		return err
-	}
+	f.ldr.Encode(&f.sc.val)
 	f.sc.pat = disk.LinkPattern(f.fn.FV, 0)
 	f.sc.op = disk.Op{Label: disk.Check, LabelData: &f.sc.pat, Value: disk.Write, ValueData: &f.sc.val}
 	if _, err := f.access(0, &f.sc.op); err != nil {
@@ -758,10 +785,10 @@ func (f *File) Sync() error {
 // the owner changes it, deliberately, through this call; it is written to
 // the leader page immediately.
 func (f *File) Rename(name string) error {
-	if len(name) > MaxLeaderName {
+	if err := f.ldr.SetName(name); err != nil {
 		return fmt.Errorf("%w: leader name %q too long", ErrBadArg, name)
 	}
-	f.ldr.Name = name
+	f.name = name
 	f.ldr.Written = f.fs.now()
 	f.dirty = true
 	return f.Sync()

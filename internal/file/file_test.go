@@ -466,17 +466,17 @@ func TestLeaderRoundTripProperty(t *testing.T) {
 			Created:          wordsToTime(disk.Word(created>>16), disk.Word(created)),
 			Written:          wordsToTime(disk.Word(written>>16), disk.Word(written)),
 			Read:             wordsToTime(disk.Word(read>>16), disk.Word(read)),
-			Name:             string(rawName),
 			LastPN:           lastPN,
 			LastAddr:         disk.VDA(lastAddr),
 			MaybeConsecutive: consec,
 		}
-		var v [disk.PageWords]disk.Word
-		if err := l.Encode(&v); err != nil {
+		if err := l.SetName(string(rawName)); err != nil {
 			return false
 		}
+		var v [disk.PageWords]disk.Word
+		l.Encode(&v)
 		got, err := DecodeLeader(&v)
-		return err == nil && got == l
+		return err == nil && got == l && got.Name() == string(rawName)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

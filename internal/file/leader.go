@@ -6,6 +6,12 @@
 // The package is written against disk.Device, not *disk.Drive: the openness
 // principle means a user program with a non-standard disk supplies its own
 // device object and still gets the standard file system (§5.2).
+//
+// A File handle holds only hints, so its storage may be reused: FS.Open
+// allocates a handle and primes it, and FS.OpenInto re-primes one a caller
+// already has on any full name, with the same disk operations and nothing
+// kept of the file it held before. A handle is not safe for concurrent use;
+// whoever re-primes one must be its only holder.
 package file
 
 import (
@@ -39,15 +45,41 @@ const MaxLeaderName = 78
 // properties of the file other than its length and its data". Dates and the
 // leader name are absolutes; the last-page fields and the consecutive flag
 // are hints.
+//
+// The name is held as the page holds it, bytes in a fixed array, so decoding
+// a leader allocates nothing; it becomes a string only when Name is called.
 type Leader struct {
 	Created time.Duration // simulated time of creation (absolute)
 	Written time.Duration // simulated time of last write (absolute)
 	Read    time.Duration // simulated time of last read (absolute)
-	Name    string        // leader name: the file's self-identification (absolute)
 
 	LastPN           disk.Word // hint: page number of the last page
 	LastAddr         disk.VDA  // hint: disk address of the last page
 	MaybeConsecutive bool      // hint: pages may be consecutively allocated
+
+	// name[:nameLen] is the leader name, the file's self-identification
+	// (absolute). The bytes past nameLen are zero, so equal leaders compare
+	// equal.
+	name    [MaxLeaderName]byte
+	nameLen uint8
+}
+
+// Name returns the leader name. Each call builds a new string; a File
+// handle caches its own (File.Name).
+func (l Leader) Name() string { return string(l.name[:l.nameLen]) }
+
+// NameLen returns the leader name's length in bytes without building it.
+func (l Leader) NameLen() int { return int(l.nameLen) }
+
+// SetName replaces the leader name. A name longer than MaxLeaderName does
+// not fit the page and is refused.
+func (l *Leader) SetName(name string) error {
+	if len(name) > MaxLeaderName {
+		return fmt.Errorf("%w: leader name %q longer than %d bytes", ErrLeader, name, MaxLeaderName)
+	}
+	l.nameLen = uint8(copy(l.name[:], name))
+	clear(l.name[len(name):])
+	return nil
 }
 
 // Leader page layout, in words:
@@ -87,55 +119,44 @@ func wordsToTime(hi, lo disk.Word) time.Duration {
 }
 
 // Encode serializes the leader into a page value.
-func (l Leader) Encode(v *[disk.PageWords]disk.Word) error {
-	if len(l.Name) > MaxLeaderName {
-		return fmt.Errorf("%w: leader name %q longer than %d bytes", ErrLeader, l.Name, MaxLeaderName)
-	}
-	for i := range v {
-		v[i] = 0
-	}
+func (l *Leader) Encode(v *[disk.PageWords]disk.Word) {
+	clear(v[:])
 	v[ldCreated], v[ldCreated+1] = timeToWords(l.Created)
 	v[ldWritten], v[ldWritten+1] = timeToWords(l.Written)
 	v[ldRead], v[ldRead+1] = timeToWords(l.Read)
-	v[ldNameLen] = disk.Word(len(l.Name))
-	for i := 0; i < len(l.Name); i++ {
-		w := &v[ldNameBase+i/2]
-		if i%2 == 0 {
-			*w |= disk.Word(l.Name[i]) << 8
-		} else {
-			*w |= disk.Word(l.Name[i])
-		}
+	v[ldNameLen] = disk.Word(l.nameLen)
+	for i := 0; i < int(l.nameLen); i += 2 {
+		v[ldNameBase+i/2] = disk.Word(l.name[i])<<8 | disk.Word(l.name[i+1])
 	}
 	v[ldLastPN] = l.LastPN
 	v[ldLastAddr] = disk.Word(l.LastAddr)
 	if l.MaybeConsecutive {
 		v[ldConsec] = 1
 	}
-	return nil
 }
 
-// DecodeLeader parses a leader page value.
+// DecodeLeader parses a leader page value. It allocates nothing: the name
+// stays in the Leader's own array.
 func DecodeLeader(v *[disk.PageWords]disk.Word) (Leader, error) {
 	n := int(v[ldNameLen])
 	if n > MaxLeaderName {
 		return Leader{}, fmt.Errorf("%w: name length %d", ErrLeader, n)
 	}
-	var name [MaxLeaderName]byte // on the stack: the string is the one allocation
-	for i := 0; i < n; i++ {
-		w := v[ldNameBase+i/2]
-		if i%2 == 0 {
-			name[i] = byte(w >> 8)
-		} else {
-			name[i] = byte(w)
-		}
-	}
-	return Leader{
+	l := Leader{
 		Created:          wordsToTime(v[ldCreated], v[ldCreated+1]),
 		Written:          wordsToTime(v[ldWritten], v[ldWritten+1]),
 		Read:             wordsToTime(v[ldRead], v[ldRead+1]),
-		Name:             string(name[:n]),
 		LastPN:           v[ldLastPN],
 		LastAddr:         disk.VDA(v[ldLastAddr]),
 		MaybeConsecutive: v[ldConsec] != 0,
-	}, nil
+		nameLen:          uint8(n),
+	}
+	for i := 0; i < n; i++ {
+		w := v[ldNameBase+i/2]
+		if i%2 == 0 {
+			w >>= 8
+		}
+		l.name[i] = byte(w)
+	}
+	return l, nil
 }

@@ -103,3 +103,85 @@ func BenchmarkStoreLanding(b *testing.B) {
 		}
 	}
 }
+
+// servedFile stores a file of pages pages (the last one partial) through
+// handle and returns the messages that store it again and that fetch it.
+func servedFile(tb testing.TB, rg *fuzzRig, name string, pages int) (store [][]ether.Word, fetch []ether.Word) {
+	tb.Helper()
+	store = append([][]ether.Word{stringMessage(MsgStore, name)}, byteMessages(nil, pattern(pages*disk.PageBytes-101, pages))...)
+	serve(tb, rg, store, MsgOK)
+	return store, stringMessage(MsgFetch, name)
+}
+
+// serve hands msgs to the rig's session through handle, requires the last
+// reply to start with want, and empties the reply queue in place.
+func serve(tb testing.TB, rg *fuzzRig, msgs [][]ether.Word, want ether.Word) {
+	for _, m := range msgs {
+		rg.srv.handle(rg.ss, m, 1)
+	}
+	if q := rg.ss.outq; len(q) == 0 || q[len(q)-1][0] != want {
+		tb.Fatalf("replies %v, want the last to be %d", q, want)
+	}
+	rg.ss.outq = rg.ss.outq[:0]
+}
+
+// TestServedRequestsAllocatePerRequestNotPerPage pins a whole fetch and a
+// whole store through handle: the file handles, the directory walk and the
+// page buffers are the server's own, so a 32-page request allocates what a
+// 1-page one does.
+func TestServedRequestsAllocatePerRequestNotPerPage(t *testing.T) {
+	fetches, stores := map[int]float64{}, map[int]float64{}
+	for _, pages := range []int{1, 32} {
+		rg := newFuzzRig(t)
+		store, fetch := servedFile(t, rg, "served", pages)
+		fetches[pages] = testing.AllocsPerRun(10, func() { serve(t, rg, [][]ether.Word{fetch}, MsgEnd) })
+		stores[pages] = testing.AllocsPerRun(10, func() { serve(t, rg, store, MsgOK) })
+	}
+	if fetches[1] != fetches[32] {
+		t.Errorf("a served fetch allocates %v times for 1 page, %v for 32; want the same", fetches[1], fetches[32])
+	}
+	if stores[1] != stores[32] {
+		t.Errorf("a served store allocates %v times for 1 page, %v for 32; want the same", stores[1], stores[32])
+	}
+}
+
+// TestResolveNameThroughServerStorageAllocatesNothing pins the fetch path's
+// name lookup: the walk runs through the server's Walker.
+func TestResolveNameThroughServerStorageAllocatesNothing(t *testing.T) {
+	rg := newFuzzRig(t)
+	servedFile(t, rg, "served", 2)
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := rg.srv.walk.ResolveName(rg.srv.fs, "served"); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("ResolveName through the server's walker: %v allocs, want 0", a)
+	}
+}
+
+// BenchmarkServeFetch serves a whole fetch of a 32-page file through
+// handle: the name unpacked, resolved and opened, the pages read and the
+// reply queued.
+func BenchmarkServeFetch(b *testing.B) {
+	rg := newFuzzRig(b)
+	_, fetch := servedFile(b, rg, "bench", 32)
+	msgs := [][]ether.Word{fetch}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, rg, msgs, MsgEnd)
+	}
+}
+
+// BenchmarkServeStore serves a whole store of a 32-page file over itself
+// through handle: the request, every chunk and the end marker, which lands
+// the pages.
+func BenchmarkServeStore(b *testing.B) {
+	rg := newFuzzRig(b)
+	store, _ := servedFile(b, rg, "bench", 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, rg, store, MsgOK)
+	}
+}

@@ -58,7 +58,7 @@ func (c *Client) Fetch(name string) error {
 	if err := c.begin(); err != nil {
 		return err
 	}
-	c.outq = append(c.outq, append([]ether.Word{MsgFetch}, ether.PackString(name)...))
+	c.outq = append(c.outq, stringMessage(MsgFetch, name))
 	return nil
 }
 
@@ -70,7 +70,7 @@ func (c *Client) Store(name string, data []byte) error {
 	if err := c.begin(); err != nil {
 		return err
 	}
-	c.outq = append(c.outq, append([]ether.Word{MsgStore}, ether.PackString(name)...))
+	c.outq = append(c.outq, stringMessage(MsgStore, name))
 	c.outq = byteMessages(c.outq, data)
 	return nil
 }

@@ -50,6 +50,7 @@ func DigestTable(fs *file.FS) ([]Digest, error) {
 	out := make([]Digest, 0, len(entries))
 	var pages int64
 	var buf [disk.PageWords]disk.Word // one page buffer for the whole table
+	f := new(file.File)               // and one handle, re-primed per file
 	for _, e := range entries {
 		// The directory and descriptor are per-pack state, not replicated
 		// content: their bytes legitimately differ across honest replicas
@@ -57,8 +58,7 @@ func DigestTable(fs *file.FS) ([]Digest, error) {
 		if e.FN.FV.FID == disk.SysDirFID || e.FN.FV.FID == disk.DescriptorFID {
 			continue
 		}
-		f, err := fs.Open(e.FN)
-		if err != nil {
+		if err := fs.OpenInto(f, e.FN); err != nil {
 			return nil, fmt.Errorf("open %q failed", e.Name)
 		}
 		d := Digest{Name: e.Name, Size: f.Size(), Written: f.Leader().Written, Clean: true}

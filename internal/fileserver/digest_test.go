@@ -77,3 +77,48 @@ func TestShortNameDigestsKeepTheirLayout(t *testing.T) {
 		t.Fatalf("255-byte name: record header % x, want ff 00 ff", rec[:3])
 	}
 }
+
+// digestRig is a server whose pack holds the given number of two-page
+// files, the second page partial.
+func digestRig(tb testing.TB, files int) *fuzzRig {
+	tb.Helper()
+	rg := newFuzzRig(tb)
+	words := make([]disk.Word, disk.PageWords+10)
+	for i := 0; i < files; i++ {
+		words[0] = disk.Word(i)
+		if err := rg.srv.writeFile(fmt.Sprintf("digest%02d", i), words, 2*len(words)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return rg
+}
+
+// TestDigestTableAllocatesPerTableNotPerFile pins DigestTable to one file
+// handle for the whole table: 40 files cost the allocations 4 do.
+func TestDigestTableAllocatesPerTableNotPerFile(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, files := range []int{4, 40} {
+		rg := digestRig(t, files)
+		allocs[files] = testing.AllocsPerRun(10, func() {
+			if digs, err := DigestTable(rg.srv.fs); err != nil || len(digs) != files {
+				t.Fatalf("DigestTable: %d digests, %v; want %d", len(digs), err, files)
+			}
+		})
+	}
+	if allocs[4] != allocs[40] {
+		t.Errorf("DigestTable allocates %v times for 4 files, %v for 40; want the same", allocs[4], allocs[40])
+	}
+}
+
+// BenchmarkDigestTable digests a root directory of 16 two-page files: every
+// file opened and every page read and folded.
+func BenchmarkDigestTable(b *testing.B) {
+	rg := digestRig(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DigestTable(rg.srv.fs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

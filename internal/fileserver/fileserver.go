@@ -103,9 +103,16 @@ type Server struct {
 	next     int
 	stats    Stats
 
-	// pages is the buffer readFile and writeFile move page runs through.
-	// The server runs one request at a time, so one buffer serves them
-	// all and a transfer leaves no page-sized garbage behind.
+	// The server runs one request at a time, so one set of storage serves
+	// every fetch and store and a request leaves no handle or page-sized
+	// garbage behind: walk resolves fetched names, root is the directory a
+	// store enters its name in, f is the file handle re-primed for each
+	// request (see file.File), words holds a fetched file, and pages is
+	// the buffer readFile and writeFile move page runs through.
+	walk  dir.Walker
+	root  dir.Directory
+	f     file.File
+	words []ether.Word
 	pages [chainPages][disk.PageWords]disk.Word
 }
 
@@ -364,7 +371,15 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 
 // sendError queues a MsgError reply.
 func (ss *session) sendError(msg string) {
-	ss.outq = append(ss.outq, append([]ether.Word{MsgError}, ether.PackString(msg)...))
+	ss.outq = append(ss.outq, stringMessage(MsgError, msg))
+}
+
+// stringMessage builds the message [op, len, str…] in one allocation: a
+// fetch or store request, or an error reply.
+func stringMessage(op ether.Word, str string) []ether.Word {
+	msg := make([]ether.Word, 1, 2+(len(str)+1)/2)
+	msg[0] = op
+	return ether.AppendString(msg, str)
 }
 
 // queueData queues a full fetch reply of n bytes, packed in words: data
@@ -464,18 +479,21 @@ func chunkWords(msg []ether.Word) ([]ether.Word, int, error) {
 // interior pages in chained batches, the partial last page on the one-page
 // path. Page words copy straight across, since a page packs its bytes as a
 // message does; the low half of an odd last byte's word is masked, as the
-// byte layout pads it.
+// byte layout pads it. The words are the server's own buffer, valid until
+// the next request.
 func (s *Server) readFile(name string) ([]ether.Word, int, error) {
-	fn, err := dir.ResolveName(s.fs, name)
+	fn, err := s.walk.ResolveName(s.fs, name)
 	if err != nil {
 		return nil, 0, fmt.Errorf("no such file %q", name)
 	}
-	f, err := s.fs.Open(fn)
-	if err != nil {
+	f := &s.f
+	if err := s.fs.OpenInto(f, fn); err != nil {
 		return nil, 0, fmt.Errorf("open %q failed", name)
 	}
 	lastPN, lastLen := f.LastPage()
-	out := make([]ether.Word, 0, (int(lastPN)-1)*disk.PageWords+(lastLen+1)/2)
+	// Grown once to the whole file, so the appends below stay in s.words.
+	s.words = slices.Grow(s.words[:0], (int(lastPN)-1)*disk.PageWords+(lastLen+1)/2)
+	out := s.words
 	pages := &s.pages
 	for pn := disk.Word(1); pn < lastPN; {
 		n := int(lastPN - pn)
@@ -506,8 +524,8 @@ func (s *Server) readFile(name string) ([]ether.Word, int, error) {
 // through the one-page path, and a shrinking store truncates the leftovers.
 // words must hold (n+1)/2 words, the low half of an odd last byte's zero.
 func (s *Server) writeFile(name string, words []ether.Word, n int) error {
-	root, err := dir.OpenRoot(s.fs)
-	if err != nil {
+	root := &s.root
+	if err := dir.OpenInto(s.fs, root, s.fs.RootDir()); err != nil {
 		return errors.New("no root directory")
 	}
 	var f *file.File
@@ -517,7 +535,8 @@ func (s *Server) writeFile(name string, words []ether.Word, n int) error {
 		if fn.FV.FID.IsDirectory() || fn.FV.FID == disk.DescriptorFID {
 			return fmt.Errorf("%q is a system file", name)
 		}
-		if f, err = s.fs.Open(fn); err != nil {
+		f = &s.f
+		if err := s.fs.OpenInto(f, fn); err != nil {
 			return fmt.Errorf("open %q failed", name)
 		}
 	} else {

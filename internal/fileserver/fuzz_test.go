@@ -66,7 +66,7 @@ func (r *fuzzReader) words(n int) []ether.Word {
 func (r *fuzzReader) nameMsg(op ether.Word) []ether.Word {
 	b := r.byte()
 	if b < 0x80 {
-		return append([]ether.Word{op}, ether.PackString(fuzzNames[int(b)%len(fuzzNames)])...)
+		return stringMessage(op, fuzzNames[int(b)%len(fuzzNames)])
 	}
 	return append([]ether.Word{op}, r.words(int(b&0x7F))...)
 }
@@ -159,13 +159,13 @@ type fuzzModel struct {
 // fuzzRig is one server, its drive, and a session whose connection only
 // carries flow ids: handle is called directly and replies are read off outq.
 type fuzzRig struct {
-	t   *testing.T
+	t   testing.TB
 	srv *Server
 	drv *disk.Drive
 	ss  *session
 }
 
-func newFuzzRig(t *testing.T) *fuzzRig {
+func newFuzzRig(t testing.TB) *fuzzRig {
 	g := disk.Diablo31()
 	g.Cylinders = 12
 	clock := sim.NewClock()
@@ -315,7 +315,7 @@ func (rg *fuzzRig) step(m *fuzzModel, msg []ether.Word) {
 		delete(m.confirmed, m.name)
 		if reply[0][0] == MsgOK {
 			m.confirmed[m.name] = append([]byte(nil), m.buf...)
-			rg.fetch(append([]ether.Word{MsgFetch}, ether.PackString(m.name)...), m.name, m.buf, true)
+			rg.fetch(stringMessage(MsgFetch, m.name), m.name, m.buf, true)
 		}
 	default:
 		rg.expectNone(msg, rg.send(msg))
@@ -391,7 +391,7 @@ func FuzzFileserverMessages(f *testing.F) {
 			rg.step(m, r.next(len(m.buf)))
 		}
 		for name, want := range m.confirmed {
-			rg.fetch(append([]ether.Word{MsgFetch}, ether.PackString(name)...), name, want, true)
+			rg.fetch(stringMessage(MsgFetch, name), name, want, true)
 		}
 	})
 }

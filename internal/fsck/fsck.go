@@ -287,7 +287,7 @@ func (c *checker) checkLeader(f *disk.FileGroup) {
 		c.violate(RuleLeader, lp.Addr, f.FV, "leader does not decode: %v", err)
 		return
 	}
-	if ldr.Name == "" {
+	if ldr.NameLen() == 0 {
 		c.violate(RuleLeader, lp.Addr, f.FV, "leader carries no name")
 	}
 	tail := f.Pages[len(f.Pages)-1]

@@ -569,15 +569,16 @@ func (s *scavenger) leaderOf(fv disk.FV) (file.Leader, error) {
 		return file.Leader{}, err
 	}
 	ldr, err := file.DecodeLeader(&s.sc.val)
-	damaged := err != nil || ldr.Name == ""
+	damaged := err != nil || ldr.NameLen() == 0
 	if damaged {
-		ldr = file.Leader{Name: fmt.Sprintf("Rescued!%d.", uint32(fv.FID&^disk.DirFIDBit))}
+		ldr = file.Leader{}
+		if err := ldr.SetName(fmt.Sprintf("Rescued!%d.", uint32(fv.FID&^disk.DirFIDBit))); err != nil {
+			return file.Leader{}, err
+		}
 	}
 	if damaged || ldr.LastPN != sum.lastPN || ldr.LastAddr != sum.lastAddr || ldr.MaybeConsecutive != sum.consec {
 		ldr.LastPN, ldr.LastAddr, ldr.MaybeConsecutive = sum.lastPN, sum.lastAddr, sum.consec
-		if err := ldr.Encode(&s.sc.val); err != nil {
-			return file.Leader{}, err
-		}
+		ldr.Encode(&s.sc.val)
 		s.sc.pat = sum.leaderRaw
 		s.sc.ops[0] = disk.Op{
 			Addr: sum.leaderAddr, Label: disk.Check, LabelData: &s.sc.pat,
@@ -759,9 +760,10 @@ func (s *scavenger) fixDirectories(fs *file.FS, root *dir.Directory) error {
 		if err != nil {
 			return err
 		}
-		name := ldr.Name
+		leaderName := ldr.Name()
+		name := leaderName
 		for i := 2; names[name]; i++ {
-			name = fmt.Sprintf("%s!%d", ldr.Name, i)
+			name = fmt.Sprintf("%s!%d", leaderName, i)
 		}
 		names[name] = true
 		fn := file.FN{FV: fv, Leader: sum.leaderAddr}
